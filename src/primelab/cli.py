@@ -7,8 +7,8 @@ findings), 2 usage error, 1 internal error or reproduction mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
-import random
 import sys
 import time
 
@@ -16,7 +16,7 @@ from . import counts, densities, goldbach, probes, schinzel
 from .crt import ChoiceSpec, CongruenceSystem, crt_enumerate, crt_solve
 from .residues import AdmissibleTuple, tight_tuples
 from .reporting import FORMATS, Report, format_report
-from .sieve import PrimeTable, load_cache, save_cache, sieve_primes, shared_table
+from .sieve import PrimeTable, load_cache, save_cache, sieve_primes, table_for
 
 __all__ = ["main", "run_command", "reproduce_paper"]
 
@@ -39,7 +39,7 @@ def _table_from_cache(path: str | None, need: int) -> PrimeTable | None:
 
 
 def _cmd_primes(args, report: Report) -> int:
-    table = _table_from_cache(args.cache, args.limit) or shared_table(args.limit)
+    table = table_for(args.limit, _table_from_cache(args.cache, args.limit))
     primes = table.prefix_le(args.limit)
     report.params = {"limit": args.limit}
     largest = int(primes[-1]) if len(primes) else None
@@ -153,7 +153,7 @@ def _cmd_schinzel(args, report: Report) -> int:
     else:
         if result.reduced:
             report.warn(f"fraction reduced to {result.m}/{result.n} before the search")
-        report.rows.append(result.row())
+        report.rows.append(dataclasses.asdict(result))
         for seq in schinzel.remainder_tables(result.m, result.n, result.k):
             report.rows.extend(seq.rows())
     return 0
@@ -303,8 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
     common.add_argument("--cache", metavar="FILE", default=argparse.SUPPRESS,
                         help="prime cache file (created when missing)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for any randomized sampling")
     parser = argparse.ArgumentParser(
         prog="primelab",
         description="Prime sieving, counting, CRT search, and conjecture probes.",
@@ -312,8 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=FORMATS, default="table")
     parser.add_argument("--cache", metavar="FILE", default=None,
                         help="prime cache file (created when missing)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized sampling")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_sub(name, **kwargs):
@@ -398,7 +394,6 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    random.seed(args.seed)
     report = Report(args.subcommand, {})
     start = time.perf_counter()
     try:
@@ -412,7 +407,15 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # reader gone (`| head`): silence stdout so the exit-time flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from functools import reduce
 import numpy as np
 
 from .residues import AdmissibleTuple, ResidueSpec
-from .sieve import PrimeTable, count_congruent, is_prime, shared_table, sieving_prime_set
+from .sieve import PrimeTable, count_congruent, factorize, is_prime, sieving_prime_set, table_for
 
 __all__ = [
     "CountReport",
@@ -62,17 +62,14 @@ class CountReport:
 def brute_pi(x: int, table: PrimeTable | None = None) -> int:
     if x < 2:
         return 0
-    if table is not None and table.limit >= x:
-        return table.count_upto(x)
-    return shared_table(x).count_upto(x)
+    return table_for(x, table).count_upto(x)
 
 
 def brute_twin_count(x: int, table: PrimeTable | None = None) -> int:
     """Twin pairs (p-2, p) with upper member p <= x."""
     if x < 5:
         return 0
-    if table is None or table.limit < x:
-        table = shared_table(x)
+    table = table_for(x, table)
     return sum(1 for p in table.prefix_le(x) if p >= 5 and table.is_prime(int(p) - 2))
 
 
@@ -81,8 +78,7 @@ def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
     last = offsets[-1]
     if x < 2 + last:
         return 0
-    if table is None or table.limit < x:
-        table = shared_table(x)
+    table = table_for(x, table)
     hits = 0
     for p in table.prefix_le(x - last):
         p = int(p)
@@ -258,10 +254,6 @@ def legendre_pi(x: int, table: PrimeTable | None = None) -> CountReport:
 # Twin and k-tuple formulas (Lemma-2.2 style bookkeeping)
 
 
-def _twin_spec(primes) -> ResidueSpec:
-    return ResidueSpec.twins(int(p) for p in primes)
-
-
 def _paper_approx_twin(x: int, primes) -> int | None:
     """Uniform-floor variant: every residue-class count replaced by [x/m].
 
@@ -297,7 +289,7 @@ def twin_count_formula(x: int, table: PrimeTable | None = None) -> CountReport:
     if x < 9:
         raise ValueError("x must be >= 9")
     primes = sieving_prime_set(x, table)
-    spec = _twin_spec(primes)
+    spec = ResidueSpec.twins(int(p) for p in primes)
     survivors = survivor_count(x, spec)
     root = math.isqrt(x)
     small = brute_twin_count(root, table)
@@ -305,7 +297,7 @@ def twin_count_formula(x: int, table: PrimeTable | None = None) -> CountReport:
     oracle = brute_twin_count(x, table)
 
     # reconciliation bookkeeping
-    tab = table if table is not None and table.limit >= x else shared_table(x)
+    tab = table_for(x, table)
     p_list = [int(p) for p in primes]
     straddle = sum(
         1
@@ -356,18 +348,7 @@ def multiplicative_order(a: int, p: int) -> int:
     if a % p == 0:
         raise ValueError(f"{p} divides {a}; order undefined")
     order = p - 1
-    n = order
-    f = 2
-    factors = []
-    while f * f <= n:
-        if n % f == 0:
-            factors.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        factors.append(n)
-    for q in factors:
+    for q in factorize(order):
         while order % q == 0 and pow(a, order // q, p) == 1:
             order //= q
     return order
@@ -425,58 +406,57 @@ def _exponent_sieve_count(u: int, events: list[tuple[int, int]]) -> int:
     return recurse(0, 0, 1, 1)
 
 
-def _small_mersenne_primes(bound: int) -> list[int]:
+def _shifted_power_primes(bound: int, sign: int) -> list[int]:
+    """Primes 2^q + sign <= bound over q >= 1 (sign -1: Mersenne, +1: Fermat)."""
     out = []
     q = 1
-    while (1 << q) - 1 <= bound:
-        m = (1 << q) - 1
-        if is_prime(m):
-            out.append(m)
+    while (value := (1 << q) + sign) <= bound:
+        if is_prime(value):
+            out.append(value)
         q += 1
     return out
 
 
-def _small_fermat_primes(bound: int) -> list[int]:
-    out = []
-    q = 1
-    while (1 << q) + 1 <= bound:
-        f = (1 << q) + 1
-        if is_prime(f):
-            out.append(f)
-        q += 1
-    return out
+def _exponent_count(x: int, sign: int, table: PrimeTable | None) -> CountReport:
+    """Exponent sieve for the events p | 2^q + sign, q <= u = [log2 x], vs. brute count.
 
-
-def mersenne_exact_count(x: int, table: PrimeTable | None = None) -> CountReport:
-    """Order-based sieve over exponents q <= u = [log2 x] vs. brute count.
-
-    The exponent sieve keeps q whose 2^q - 1 has no odd prime factor
-    <= sqrt(x) (the prime 2 never divides 2^q - 1 and is excluded); the
-    survivors are the unit q = 1 and the Mersenne primes > sqrt(x).  Adding
-    the brute count of Mersenne primes <= sqrt(x) and removing the unit
-    reproduces the true count exactly.
+    The sieve keeps q whose 2^q + sign has no odd prime factor <= sqrt(x)
+    (the prime 2 never divides it and is excluded); adding the brute count
+    of such primes <= sqrt(x) and removing the unit q = 1 of the Mersenne
+    side (2^1 - 1 = 1) reproduces the true count exactly.
     """
     if x < 4:
         raise ValueError("x must be >= 4")
     u = x.bit_length() - 1  # floor(log2 x)
-    primes = [int(p) for p in sieving_prime_set(x, table) if p != 2]
     events = []
-    for p in primes:
-        d = multiplicative_order(2, p)
-        if d <= u:
-            events.append((0, d))
+    for p in sieving_prime_set(x, table):
+        if p == 2:
+            continue
+        d = multiplicative_order(2, int(p))
+        if sign > 0 and d % 2:
+            continue  # 2^q = -1 (mod p) needs an even order
+        first = d if sign < 0 else d // 2  # least q with p | 2^q + sign
+        if first <= u:
+            events.append((first % d, d))
     sieved = _exponent_sieve_count(u, events)
-    lam = len(_small_mersenne_primes(math.isqrt(x)))
-    units = 1 if u >= 1 else 0
-    formula = sieved + lam - units
-    oracle = sum(1 for q in range(1, u + 1) if is_prime((1 << q) - 1))
+    lam = len(_shifted_power_primes(math.isqrt(x), sign))
+    units = 1 if sign < 0 else 0
+    oracle = sum(1 for q in range(1, u + 1) if is_prime((1 << q) + sign))
     corrections = {
         "exponent_bound": u,
         "small_range_addend": lam,
         "unit_exponents": units,
         "paper_literal_tail": lam - 1,
     }
-    return CountReport(x, formula, oracle, corrections)
+    return CountReport(x, sieved + lam - units, oracle, corrections)
+
+
+def mersenne_exact_count(x: int, table: PrimeTable | None = None) -> CountReport:
+    """Order-based sieve over exponents q <= [log2 x] vs. brute Mersenne count.
+
+    The survivors are the unit q = 1 and the Mersenne primes > sqrt(x).
+    """
+    return _exponent_count(x, -1, table)
 
 
 def fermat_exact_count(x: int, table: PrimeTable | None = None) -> CountReport:
@@ -486,23 +466,4 @@ def fermat_exact_count(x: int, table: PrimeTable | None = None) -> CountReport:
     small-range addend enters without the unit correction; the literal
     printed tail (lambda - 1) is reported alongside.
     """
-    if x < 4:
-        raise ValueError("x must be >= 4")
-    u = x.bit_length() - 1
-    primes = [int(p) for p in sieving_prime_set(x, table) if p != 2]
-    events = []
-    for p in primes:
-        d = multiplicative_order(2, p)
-        if d % 2 == 0 and d // 2 <= u:
-            events.append((d // 2, d))
-    sieved = _exponent_sieve_count(u, events)
-    lam = len(_small_fermat_primes(math.isqrt(x)))
-    formula = sieved + lam
-    oracle = sum(1 for q in range(1, u + 1) if is_prime((1 << q) + 1))
-    corrections = {
-        "exponent_bound": u,
-        "small_range_addend": lam,
-        "unit_exponents": 0,
-        "paper_literal_tail": lam - 1,
-    }
-    return CountReport(x, formula, oracle, corrections)
+    return _exponent_count(x, 1, table)

@@ -13,13 +13,14 @@ import math
 from dataclasses import dataclass, field
 
 from .counts import (
+    _shifted_power_primes,
     brute_pi,
     brute_tuple_count,
     brute_twin_count,
     multiplicative_order,
 )
 from .residues import AdmissibleTuple, tuple_forbidden
-from .sieve import PrimeTable, is_prime, shared_table, sieving_prime_set
+from .sieve import PrimeTable, sieving_prime_set, table_for
 
 __all__ = [
     "EstimateReport",
@@ -108,8 +109,7 @@ def omega_k_estimate(x: int, tup: AdmissibleTuple, table: PrimeTable | None = No
 
 def brute_ap_prime_count(x: int, a: int, b: int, table: PrimeTable | None = None) -> int:
     """Primes <= x among {a + k*b : k >= 0}."""
-    if table is None or table.limit < x:
-        table = shared_table(max(x, 4))
+    table = table_for(x, table)
     return sum(1 for n in range(a, x + 1, b) if n >= 2 and table.is_prime(n))
 
 
@@ -119,8 +119,7 @@ def brute_ap_twin_count(x: int, a: int, b: int, table: PrimeTable | None = None)
     Adjacent terms when every term is odd (step index 1), terms two apart
     when parity alternates (step index 2); both members prime, larger <= x.
     """
-    if table is None or table.limit < x:
-        table = shared_table(max(x, 4))
+    table = table_for(x, table)
     step = 1 if b % 2 == 0 else 2
     count = 0
     n = a
@@ -203,21 +202,12 @@ def ap_asymptotic(
 
 def brute_mersenne_count(x: int) -> int:
     """Mersenne primes 2^q - 1 <= x (q over all exponents; primality forces q prime)."""
-    count, q = 0, 1
-    while (1 << q) - 1 <= x:
-        if is_prime((1 << q) - 1):
-            count += 1
-        q += 1
-    return count
+    return len(_shifted_power_primes(x, -1))
 
 
 def brute_fermat_count(x: int) -> int:
-    count, q = 0, 1
-    while (1 << q) + 1 <= x:
-        if is_prime((1 << q) + 1):
-            count += 1
-        q += 1
-    return count
+    """Fermat-type primes 2^q + 1 <= x."""
+    return len(_shifted_power_primes(x, 1))
 
 
 def _mersenne_style_estimate(x: int, table: PrimeTable | None) -> float:
@@ -266,20 +256,14 @@ def twin_constant(x: int = 10**6, table: PrimeTable | None = None) -> float:
     return twin_constant_probe([x], table)[-1]["C"]
 
 
-def _order_is_maximal_by_factors(q: int, p: int) -> bool:
-    """Second, independent primitivity oracle: q^((p-1)/r) != 1 for all prime r | p-1."""
-    n = p - 1
-    r = 2
-    factors = []
-    while r * r <= n:
-        if n % r == 0:
-            factors.append(r)
-            while n % r == 0:
-                n //= r
-        r += 1
-    if n > 1:
-        factors.append(n)
-    return all(pow(q, (p - 1) // r, p) != 1 for r in factors)
+def _is_primitive_by_powers(q: int, p: int) -> bool:
+    """Second, independent primitivity oracle: q^i != 1 (mod p) for 0 < i < p - 1."""
+    power = 1
+    for _ in range(p - 2):
+        power = power * q % p
+        if power == 1:
+            return False
+    return True
 
 
 def primitive_root_census(
@@ -300,9 +284,10 @@ def primitive_root_census(
         raise ValueError("Q must differ from 0, 1, -1")
     if Q > 0 and math.isqrt(Q) ** 2 == Q:
         raise ValueError("Q must not be a perfect square")
+    if oracle not in ("order", "powers"):
+        raise ValueError(f"oracle must be 'order' or 'powers', not {oracle!r}")
     _check_ap(x, a, b)
-    if table is None or table.limit < x:
-        table = shared_table(max(x, 4))
+    table = table_for(x, table)
     count = 0
     for p in table.prefix_le(x):
         p = int(p)
@@ -311,7 +296,7 @@ def primitive_root_census(
         if oracle == "order":
             hit = multiplicative_order(Q % p, p) == p - 1
         else:
-            hit = _order_is_maximal_by_factors(Q % p, p)
+            hit = _is_primitive_by_powers(Q % p, p)
         if hit:
             count += 1
     t = (x - a) / b

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .crt import ChoiceSpec, choice_count, crt_enumerate
-from .sieve import PrimeTable, is_prime, shared_table, sieving_prime_set
+from .sieve import PrimeTable, factorize, is_prime, sieving_prime_set, table_for
 
 __all__ = [
     "SplitPlan",
@@ -101,8 +101,7 @@ def _verify_candidate(p: int, plan: SplitPlan, table: PrimeTable) -> None:
 def brute_goldbach_pairs(two_n: int, table: PrimeTable | None = None) -> list[tuple[int, int]]:
     """Oracle: all (p, q), p <= q prime, p + q = two_n, by direct scan."""
     _check_even_target(two_n)
-    if table is None or table.limit < two_n:
-        table = shared_table(max(two_n, 4))
+    table = table_for(two_n, table)
     return [
         (p, two_n - p)
         for p in range(2, two_n // 2 + 1)
@@ -126,8 +125,7 @@ def goldbach_enumerate(
     _check_even_target(two_n)
     if mode not in ("EXACT", "GUIDED"):
         raise ValueError(f"mode must be EXACT or GUIDED, not {mode!r}")
-    if table is None or table.limit < two_n:
-        table = shared_table(max(two_n, 4))
+    table = table_for(two_n, table)
     plan = build_split_plan(two_n, table)
     spec = plan.eta_spec()
     pairs: set[tuple[int, int]] = set()
@@ -276,12 +274,9 @@ def goldbach_refine(
             raise ValueError(f"{t} is not a suitable candidate (fails mod {p})")
     n = two_n // 2
     r = t - n
-    divisors = set()
-    d = 1
-    while d * d <= r:
-        if r % d == 0:
-            divisors.update((d, r // d))
-        d += 1
+    divisors = [1]
+    for q, e in factorize(r).items():
+        divisors = [d * q**i for d in divisors for i in range(e + 1)]
     for s in sorted(divisors):
         if any(s * s % p != 1 % p for p in plan.primes):
             continue
@@ -341,9 +336,6 @@ class TwinPair:
     lower: int
     upper: int
     certified: bool
-
-    def row(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper, "certified": self.certified}
 
 
 def twin_crt_search(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .sieve import PrimeTable, is_prime, shared_table
+from .sieve import PrimeTable, factorize, is_prime, table_for
 
 __all__ = [
     "ScanResult",
@@ -65,8 +65,7 @@ class ScanResult:
 
 def _pi_table(limit: int, table: PrimeTable | None) -> np.ndarray:
     """pi(0..limit) as a cumulative array."""
-    if table is None or table.limit < limit:
-        table = shared_table(max(limit, 4))
+    table = table_for(limit, table)
     flags = np.zeros(limit + 1, dtype=np.int64)
     primes = table.prefix_le(limit)
     flags[primes] = 1
@@ -105,8 +104,7 @@ def twin_bertrand_scan(
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     top = math.ceil(alpha * x_max) + 2
-    if table is None or table.limit < top:
-        table = shared_table(top)
+    table = table_for(top, table)
     primes = table.prefix_le(top)
     lowers = primes[:-1][np.diff(primes) == 2]  # lower twin members p
     # twin_count[v] = number of twin pairs with p + 2 <= v
@@ -148,21 +146,12 @@ def hl_inequality_scan(x_max: int, y_max: int, table: PrimeTable | None = None) 
 
 def big_omega(n: int) -> int:
     """Prime factors counted with multiplicity; Omega(1) = 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    count, d = 0, 2
-    while d * d <= n:
-        while n % d == 0:
-            n //= d
-            count += 1
-        d += 1 if d == 2 else 2
-    return count + (n > 1)
+    return sum(factorize(n).values())
 
 
 def big_omega_sieve(limit: int, table: PrimeTable | None = None) -> np.ndarray:
     """Omega(n) for n in [0, limit], by sieving (Omega of 0 and 1 set to 0)."""
-    if table is None or table.limit < limit:
-        table = shared_table(max(limit, 4))
+    table = table_for(limit, table)
     omega = np.zeros(limit + 1, dtype=np.int64)
     for p in table.prefix_le(limit):
         p = int(p)
@@ -202,8 +191,7 @@ def xi_euler_product(s: float, p_max: int, table: PrimeTable | None = None) -> f
     """prod_{p <= P} (1 - 2 / p^s)^(-1); every factor must converge (2/p^s < 1)."""
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
-    if table is None or table.limit < p_max:
-        table = shared_table(max(p_max, 4))
+    table = table_for(p_max, table)
     logs = []
     for p in table.prefix_le(p_max):
         ratio = 2 / float(p) ** s

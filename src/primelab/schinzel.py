@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .crt import ChoiceSpec
 from .residues import RemainderSequence, remainder_sequence
-from .sieve import PrimeTable, is_prime, shared_table
+from .sieve import PrimeTable, is_prime, sieving_prime_set
 
 __all__ = [
     "SchinzelResult",
@@ -38,12 +38,6 @@ class SchinzelResult:
     p: int
     q: int
     reduced: bool  # True when the input fraction was reduced first
-
-    def row(self) -> dict:
-        return {
-            "m": self.m, "n": self.n, "k": self.k,
-            "p": self.p, "q": self.q, "reduced": self.reduced,
-        }
 
 
 def lambda_filter(m: int, n: int, primes) -> ChoiceSpec:
@@ -71,10 +65,7 @@ def window_primes(value: int, table: PrimeTable | None = None) -> tuple[int, ...
     """Primes p with p * p < value -- the filter window for a shifted value."""
     if value < 5:
         return ()
-    root = math.isqrt(value - 1)
-    if table is None or table.limit < root:
-        table = shared_table(max(root, 4))
-    return tuple(int(p) for p in table.prefix_le(root))
+    return tuple(int(p) for p in sieving_prime_set(value - 1, table))
 
 
 def _filter_allows(m: int, n: int, k: int, primes) -> bool:

@@ -19,8 +19,10 @@ import numpy as np
 __all__ = [
     "PrimeTable",
     "sieve_primes",
+    "table_for",
     "is_prime",
     "sieving_prime_set",
+    "factorize",
     "count_congruent",
     "save_cache",
     "load_cache",
@@ -36,7 +38,7 @@ CACHE_MAGIC = b"PRIMSET1"
 SEGMENT_ODD_BITS = 1 << 20
 
 
-class CacheError(Exception):
+class CacheError(ValueError):
     """Base class for prime-cache file problems."""
 
 
@@ -160,6 +162,13 @@ def shared_table(at_least: int = 1 << 16) -> PrimeTable:
         return _shared_table
 
 
+def table_for(n: int, table: PrimeTable | None = None) -> PrimeTable:
+    """``table`` when it reaches ``n``, else the shared table grown to ``n``."""
+    if table is not None and table.limit >= n:
+        return table
+    return shared_table(n)
+
+
 def is_prime(n: int, table: PrimeTable | None = None) -> bool:
     """Deterministic primality by trial division up to sqrt(n).
 
@@ -172,11 +181,10 @@ def is_prime(n: int, table: PrimeTable | None = None) -> bool:
         return True
     if n % 2 == 0:
         return False
-    root = math.isqrt(n)
     if table is not None and n <= table.limit:
         return table.is_prime(n)
-    if table is None or table.limit < root:
-        table = shared_table(max(root, 1 << 16))
+    root = math.isqrt(n)
+    table = table_for(root, table)
     if n <= table.limit:
         return table.is_prime(n)
     for p in table.prefix_le(root):
@@ -190,9 +198,23 @@ def sieving_prime_set(x: int, table: PrimeTable | None = None) -> np.ndarray:
     if x < 4:
         raise ValueError("x must be >= 4")
     root = math.isqrt(x)
-    if table is None or table.limit < root:
-        table = shared_table(max(root, 1 << 16))
-    return table.prefix_le(root)
+    return table_for(root, table).prefix_le(root)
+
+
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by trial division (2, then odd d); keys ascend."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = 1
+    return factors
 
 
 def count_congruent(x: int, r: int, m: int) -> int:

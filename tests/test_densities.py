@@ -105,8 +105,10 @@ def test_twin_constant_single_point():
 
 def test_primitive_root_census_two_oracles_agree():
     by_order = primitive_root_census(2, 1, 2, 2000, oracle="order")
-    by_factors = primitive_root_census(2, 1, 2, 2000, oracle="factors")
-    assert by_order.oracle == by_factors.oracle
+    by_powers = primitive_root_census(2, 1, 2, 2000, oracle="powers")
+    assert by_order.oracle == by_powers.oracle
+    with pytest.raises(ValueError):
+        primitive_root_census(2, 1, 2, 2000, oracle="factors")
     assert by_order.oracle > 0
     assert by_order.params["fitted_A"] > 0
 

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from primelab.sieve import (
     CacheTruncatedError,
     PrimeTable,
     count_congruent,
+    factorize,
     is_prime,
     load_cache,
     save_cache,
     sieve_primes,
     sieving_prime_set,
+    table_for,
 )
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -77,6 +80,36 @@ def test_sieving_prime_set_boundaries():
     assert list(sieving_prime_set(100)) == [2, 3, 5, 7]
     with pytest.raises(ValueError):
         sieving_prime_set(3)
+
+
+def test_table_for_reuses_a_big_enough_table():
+    small = sieve_primes(100)
+    assert table_for(100, small) is small
+    grown = table_for(101, small)
+    assert grown is not small and grown.limit >= 101
+    assert table_for(5) is grown  # the shared table, already big enough
+
+
+CERT_TABLE = sieve_primes(math.isqrt(10**9))
+
+
+@given(st.integers(1, 10**9))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_factorize_product_primality_and_order(n):
+    factors = factorize(n)
+    assert math.prod(p**e for p, e in factors.items()) == n
+    assert all(e >= 1 and is_prime(p, CERT_TABLE) for p, e in factors.items())
+    assert list(factors) == sorted(factors)
+
+
+def test_factorize_edge_cases():
+    assert factorize(1) == {}
+    assert factorize(2) == {2: 1}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(2**31 - 1) == {2**31 - 1: 1}
+    for bad in (0, -6):
+        with pytest.raises(ValueError):
+            factorize(bad)
 
 
 @given(st.integers(1, 500), st.integers(1, 97))
