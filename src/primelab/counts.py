@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -65,26 +64,24 @@ def brute_pi(x: int, table: PrimeTable | None = None) -> int:
     return table_for(x, table).count_upto(x)
 
 
+def _pattern_count(x: int, offsets, table: PrimeTable | None) -> int:
+    # Private so that brute_twin_count is not a traced call of brute_tuple_count.
+    table = table_for(x, table)
+    starts = table.prefix_le(x - offsets[-1])
+    hits = np.ones(len(starts), dtype=bool)
+    for b in offsets:
+        hits &= table.is_prime_array(starts + b)
+    return int(hits.sum())
+
+
 def brute_twin_count(x: int, table: PrimeTable | None = None) -> int:
     """Twin pairs (p-2, p) with upper member p <= x."""
-    if x < 5:
-        return 0
-    table = table_for(x, table)
-    return sum(1 for p in table.prefix_le(x) if p >= 5 and table.is_prime(int(p) - 2))
+    return _pattern_count(x, (2,), table)
 
 
 def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
     """Count p with p, p+b_1, ..., p+b_last all prime and p + b_last <= x."""
-    last = offsets[-1]
-    if x < 2 + last:
-        return 0
-    table = table_for(x, table)
-    hits = 0
-    for p in table.prefix_le(x - last):
-        p = int(p)
-        if all(table.is_prime(p + b) for b in offsets):
-            hits += 1
-    return hits
+    return _pattern_count(x, offsets, table)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +237,7 @@ def legendre_pi(x: int, table: PrimeTable | None = None) -> CountReport:
     primes = sieving_prime_set(x, table)
     k = len(primes)
     if k <= _LEAF_COUNT:
-        # direct subset expansion; at most 2^7 terms
-        spec = ResidueSpec.primes_only(int(p) for p in primes)
-        phi_val = survivor_count_expanded(x, spec)
+        phi_val = _floor_sum(x, [int(p) for p in primes], (1,) * k)
     else:
         phi_val = _phi_spine(x, k, primes)
     formula = phi_val + k - 1
@@ -254,69 +249,43 @@ def legendre_pi(x: int, table: PrimeTable | None = None) -> CountReport:
 # Twin and k-tuple formulas (Lemma-2.2 style bookkeeping)
 
 
-def _paper_approx_twin(x: int, primes) -> int | None:
-    """Uniform-floor variant: every residue-class count replaced by [x/m].
-
-    This reproduces the worked arithmetic of the source example exactly
-    (e.g. 20 - 10 + 3 + 3 - 6 - 6 = 4); the exact variant uses true
-    residue-class counts instead.
-    """
-    odd = [int(p) for p in primes if p != 2]
-    if len(odd) > 20:  # subset enumeration is 2^len; refuse past ~10^6 terms
-        return None
-    total = 0
-    for mask in range(1 << len(odd)):
-        m = 1
-        bits = 0
-        for i, p in enumerate(odd):
-            if mask >> i & 1:
-                m *= p
-                bits += 1
-        sign = -1 if bits % 2 else 1
-        total += sign * (1 << bits) * (x // m)  # subset without the prime 2
-        total -= sign * (1 << bits) * (x // (2 * m))  # subset with the prime 2
+def _floor_sum(x: int, primes: list[int], weights) -> int:
+    """Sum over subsets S of the ascending primes of (-1)^|S| prod(w_p) [x / prod(S)], as
+    F(x, a) = F(x, a-1) - w_a F([x/p_a], a-1), F(x, 0) = x, pruned once [x/p_a] = 0."""
+    total = x
+    for i, p in enumerate(primes):
+        if x < p:
+            break
+        total -= weights[i] * _floor_sum(x // p, primes[:i], weights[:i])
     return total
 
 
 def twin_count_formula(x: int, table: PrimeTable | None = None) -> CountReport:
-    """Residue-survivor count plus the small-range addend, vs. brute pairs.
+    """tuple_count_formula for the offsets (2,), with the twin correction terms.
 
-    formula_value is the raw identity: survivors of the twin spec in [1, x]
-    plus the brute twin count up to sqrt(x).  The raw identity miscounts at
-    the boundary (the unit survivor 1; pairs straddling sqrt(x)); the
-    correction terms name each effect instead of hiding it.
+    The raw identity miscounts at the boundary (the unit survivor 1; pairs
+    straddling sqrt(x), whose upper member is root + 1 or root + 2).
+    paper_approx, every class count replaced by [x/m], reproduces the worked
+    arithmetic 20 - 10 + 3 + 3 - 6 - 6 = 4; it is published only for x < 79^2.
     """
     if x < 9:
         raise ValueError("x must be >= 9")
-    primes = sieving_prime_set(x, table)
-    spec = ResidueSpec.twins(int(p) for p in primes)
-    survivors = survivor_count(x, spec)
-    root = math.isqrt(x)
-    small = brute_twin_count(root, table)
-    formula = survivors + small
-    oracle = brute_twin_count(x, table)
-
-    # reconciliation bookkeeping
-    tab = table_for(x, table)
-    p_list = [int(p) for p in primes]
-    straddle = sum(
-        1
-        for p in tab.prefix_le(x)
-        if p >= 5 and tab.is_prime(int(p) - 2) and int(p) > root and int(p) - 2 <= root
-    )
+    report = tuple_count_formula(x, AdmissibleTuple((2,)), table)
+    small = report.corrections["small_range_addend"]
     corrections = {
         "unit_survivor": 1,
         "small_range_addend": small,
-        "pairs_straddling_sqrt": straddle,
+        "pairs_straddling_sqrt": brute_twin_count(math.isqrt(x) + 2, table) - small,
     }
-    approx = _paper_approx_twin(x, p_list)
-    if approx is not None:
-        corrections["paper_approx"] = approx + small
-    return CountReport(x, formula, oracle, corrections)
+    primes = [int(p) for p in sieving_prime_set(x, table)]
+    if len(primes) <= 21:  # an output rule (x < 79^2), not a cost limit
+        weights = ResidueSpec.twins(primes).cardinalities()
+        corrections["paper_approx"] = _floor_sum(x, primes, weights) + small
+    return CountReport(x, report.formula_value, report.oracle_value, corrections)
 
 
 def tuple_count_formula(x: int, tup: AdmissibleTuple, table: PrimeTable | None = None) -> CountReport:
-    """Same bookkeeping for a general admissible tuple.
+    """Raw identity: tuple-spec survivors in [1, x] plus the brute count up to sqrt(x).
 
     Survivors are counted in the shifted variable n = p + b_last; the
     oracle counts pattern starts p with p + b_last <= x.

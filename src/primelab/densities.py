@@ -144,6 +144,13 @@ def _check_ap(x: int, a: int, b: int):
         raise ValueError("x must exceed a")
 
 
+def _ap_sieving_primes(x: int, a: int, b: int, table: PrimeTable | None):
+    _check_ap(x, a, b)
+    primes = sieving_prime_set(x, table)
+    warnings = tuple(f"sieving prime {int(p)} divides b = {b}" for p in primes if b % int(p) == 0)
+    return primes, warnings
+
+
 def ap_psi_estimate(x: int, a: int, b: int, table: PrimeTable | None = None) -> EstimateReport:
     """((x-a)/b) * prod (1 - 1/p) against the brute count of primes in the progression.
 
@@ -151,11 +158,7 @@ def ap_psi_estimate(x: int, a: int, b: int, table: PrimeTable | None = None) -> 
     divides b (where the true local factor differs); a warning flags that
     case rather than silently fixing it.
     """
-    _check_ap(x, a, b)
-    primes = sieving_prime_set(x, table)
-    warnings = tuple(
-        f"sieving prime {int(p)} divides b = {b}" for p in primes if b % int(p) == 0
-    )
+    primes, warnings = _ap_sieving_primes(x, a, b, table)
     est = _ap_leading(x, a, b) * _product(1 - 1 / int(p) for p in primes)
     oracle = brute_ap_prime_count(x, a, b, table)
     return EstimateReport(x, est, oracle, {"a": a, "b": b}, warnings)
@@ -163,11 +166,7 @@ def ap_psi_estimate(x: int, a: int, b: int, table: PrimeTable | None = None) -> 
 
 def ap_omega_estimate(x: int, a: int, b: int, table: PrimeTable | None = None) -> EstimateReport:
     """Half the leading factor times prod_{2 < p} (1 - 2/p), vs. brute AP twins."""
-    _check_ap(x, a, b)
-    primes = sieving_prime_set(x, table)
-    warnings = tuple(
-        f"sieving prime {int(p)} divides b = {b}" for p in primes if b % int(p) == 0
-    )
+    primes, warnings = _ap_sieving_primes(x, a, b, table)
     est = _ap_leading(x, a, b) / 2 * _product(1 - 2 / int(p) for p in primes if p != 2)
     oracle = brute_ap_twin_count(x, a, b, table)
     return EstimateReport(x, est, oracle, {"a": a, "b": b}, warnings)

@@ -10,9 +10,10 @@ is still called on every emitted member as an independent certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .crt import ChoiceSpec, choice_count, crt_enumerate
+from .crt import ChoiceSpec, crt_enumerate
+from .residues import twin_forbidden
 from .sieve import PrimeTable, factorize, is_prime, sieving_prime_set, table_for
 
 __all__ = [
@@ -39,6 +40,10 @@ EXACT_SPAN_MAX_PRIME = 13
 def _check_even_target(two_n: int) -> None:
     if two_n < 6 or two_n % 2:
         raise ValueError("target must be an even integer >= 6")
+
+
+def _next_prime(n: int) -> int:
+    return next(m for m in range(n + 1, 2 * n + 1) if is_prime(m))  # Bertrand: n >= 1
 
 
 def split_remainder(beta: int, p: int) -> list[tuple[int, int]]:
@@ -304,17 +309,14 @@ def partition_probe(
     if part_a & part_b or not part_a or not part_b:
         raise ValueError("A and B must be disjoint and nonempty")
     union = sorted(part_a | part_b)
-    prefix, p = [], 2
+    prefix = [2]
     while len(prefix) < len(union):
-        prefix.append(p)
-        p += 1
-        while not is_prime(p):
-            p += 1
+        prefix.append(_next_prime(prefix[-1]))
     if union != prefix:
         raise ValueError(f"A union B = {union} is not the prime prefix {prefix}")
     if any(exponents.get(q, 0) < 1 for q in union):
         raise ValueError("every prefix prime needs an exponent >= 1")
-    next_prime = p  # first prime after the prefix
+    next_prime = _next_prime(prefix[-1])
     alpha = math.prod(q ** exponents[q] for q in sorted(part_a)) + sign * math.prod(
         q ** exponents[q] for q in sorted(part_b)
     )
@@ -352,13 +354,8 @@ def twin_crt_search(
     for i, p in enumerate(primes):
         if not is_prime(p) or (i and p <= primes[i - 1]):
             raise ValueError("primes must be ascending and prime")
-    next_p = primes[-1] + 1
-    while not is_prime(next_p):
-        next_p += 1
-    cert_bound = next_p * next_p
-    spec = ChoiceSpec.of(
-        (p, [r for r in range(p) if r not in (0, 2 % p)]) for p in primes
-    )
+    cert_bound = _next_prime(primes[-1]) ** 2
+    spec = ChoiceSpec.of((p, set(range(p)) - twin_forbidden(p)) for p in primes)
     pairs = []
     for n in crt_enumerate(spec, 5, bound):
         certified = n < cert_bound

@@ -10,7 +10,7 @@ the series a cross-check on smooth integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -162,15 +162,18 @@ def big_omega_sieve(limit: int, table: PrimeTable | None = None) -> np.ndarray:
     return omega
 
 
+def _xi_terms(s: float, n_max: int) -> np.ndarray:
+    n = np.arange(1, n_max + 1, dtype=np.float64)
+    return np.exp2(big_omega_sieve(n_max)[1:].astype(np.float64)) / n**s
+
+
 def xi_partial_sum(s: float, n_terms: int) -> float:
     """Sum_{n <= N} 2^Omega(n) / n^s for s > 1 (use the divergence probe otherwise)."""
     if s <= 1:
         raise ValueError("s must exceed 1; see xi_divergence_probe for s <= 1")
     if n_terms < 1:
         raise ValueError("need at least one term")
-    omega = big_omega_sieve(n_terms)
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    return float(np.sum(np.exp2(omega[1:].astype(np.float64)) / n**s))
+    return float(np.sum(_xi_terms(s, n_terms)))
 
 
 def xi_divergence_probe(s: float, n_grid) -> list[dict]:
@@ -180,10 +183,7 @@ def xi_divergence_probe(s: float, n_grid) -> list[dict]:
     grid = sorted(set(int(n) for n in n_grid))
     if not grid or grid[0] < 1:
         raise ValueError("grid must contain positive integers")
-    omega = big_omega_sieve(grid[-1])
-    n = np.arange(1, grid[-1] + 1, dtype=np.float64)
-    terms = np.exp2(omega[1:].astype(np.float64)) / n**s
-    sums = np.cumsum(terms)
+    sums = np.cumsum(_xi_terms(s, grid[-1]))
     return [{"N": g, "partial_sum": float(sums[g - 1])} for g in grid]
 
 

@@ -55,7 +55,7 @@ class ResidueSpec:
 
     @classmethod
     def twins(cls, primes: Iterable[int]) -> "ResidueSpec":
-        return cls.from_pairs((p, twin_forbidden(p)) for p in primes)
+        return cls.for_tuple((2,), primes)
 
     @classmethod
     def sophie_germain(cls, primes: Iterable[int]) -> "ResidueSpec":
@@ -151,13 +151,11 @@ def ap_residue_sequence(a: int, b: int, p: int) -> APResidueCycle:
 
 
 def twin_forbidden(p: int) -> frozenset[int]:
-    """Residues the upper twin member must avoid: {0, 2 mod p}.
+    """Residues the upper twin member must avoid: the tuple (2,), i.e. {0, 2 mod p}.
 
     For p = 2 the two coincide and the set collapses to {0}.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return frozenset({0, 2 % p})
+    return tuple_forbidden((2,), p)
 
 
 def sophie_forbidden(p: int) -> frozenset[int]:

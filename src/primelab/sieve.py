@@ -86,6 +86,15 @@ class PrimeTable:
             return n == 2
         return bool(self.odd_bits[n >> 1])
 
+    def is_prime_array(self, values: np.ndarray) -> np.ndarray:
+        """Elementwise membership test for an integer array with entries <= limit."""
+        if len(values) and values.max() > self.limit:
+            raise ValueError(f"{int(values.max())} exceeds table limit {self.limit}")
+        odd = (values > 0) & (values % 2 == 1)
+        out = values == 2
+        out[odd] = self.odd_bits[values[odd] >> 1]
+        return out
+
     def count_upto(self, x: int) -> int:
         """pi(x) for x <= limit."""
         if x > self.limit:
@@ -95,17 +104,6 @@ class PrimeTable:
     def prefix_le(self, bound: int) -> np.ndarray:
         """Primes p <= bound, as a slice of the table."""
         return self.primes[: np.searchsorted(self.primes, bound, side="right")]
-
-
-def _simple_sieve(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
 
 
 def sieve_primes(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS) -> PrimeTable:
@@ -120,8 +118,7 @@ def sieve_primes(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS) -> PrimeT
     if limit < 2:
         return PrimeTable(limit, np.array([], dtype=np.int64), odd_bits[:n_odd])
 
-    base = _simple_sieve(math.isqrt(limit))
-    odd_base = base[base > 2]
+    odd_base = sieve_primes(math.isqrt(limit)).primes[1:]
 
     lo_idx = 1  # index of odd number 3
     while lo_idx < n_odd:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from primelab.counts import (
     twin_count_formula,
 )
 from primelab.residues import AdmissibleTuple, ResidueSpec
-from primelab.sieve import is_prime, sieving_prime_set
+from primelab.sieve import is_prime, sieve_primes, sieving_prime_set
 
 
 def direct_survivors(x, spec):
@@ -100,6 +102,41 @@ def test_brute_twin_count_counts_upper_members():
     assert brute_twin_count(5) == 1  # (3, 5)
     assert brute_twin_count(7) == 2
     assert brute_twin_count(13) == 3
+
+
+def literal_pattern_count(x, offsets, table):
+    """Per-prime reference: p <= x - b_last with every p + b prime."""
+    return sum(1 for p in table.primes
+               if p + offsets[-1] <= x and all(table.is_prime(int(p) + b) for b in offsets))
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 100, 101, 1000, 1001])
+def test_brute_pattern_oracles_match_literal_loop(limit):
+    table = sieve_primes(limit)
+    for x in range(limit + 1):
+        assert brute_twin_count(x, table) == literal_pattern_count(x, (2,), table)
+        for offsets in ((2,), (2, 6), (2, 6, 8), (1,)):
+            want = literal_pattern_count(x, offsets, table)
+            assert brute_tuple_count(x, offsets, table) == want
+
+
+def subset_paper_approx(x):
+    """The uniform-floor twin sum as a literal 2^k loop over subsets of the odd primes."""
+    odd = [int(p) for p in sieving_prime_set(x) if p != 2]
+    total = 0
+    for mask in range(1 << len(odd)):
+        m = math.prod(p for i, p in enumerate(odd) if mask >> i & 1)
+        bits = bin(mask).count("1")
+        total += (-2) ** bits * (x // m - x // (2 * m))
+    return total
+
+
+@given(st.integers(9, 2000))
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_paper_approx_is_the_subset_sum(x):
+    r = twin_count_formula(x)
+    want = subset_paper_approx(x) + r.corrections["small_range_addend"]
+    assert r.corrections["paper_approx"] == want
 
 
 def test_tuple_counts_worked_values():

@@ -19,10 +19,16 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 COMMANDS = [
     "count pi --x 100000",
     "count pi --x 50",
+    "count pi --x 360",
+    "count pi --x 361",
     "count twin --x 500",
     "count twin --x 10000",
+    "count twin --x 9",
+    "count twin --x 6240",
+    "count twin --x 6241",
     "count tuple --x 10000 --offsets 2,6",
     "count tuple --x 2000 --offsets 2,6,8",
+    "count tuple --x 20 --offsets 2",
     "count mersenne --x 100000",
     "count fermat --x 100000",
     "count mersenne --x 1000000000",

@@ -49,8 +49,10 @@ def test_tuple_forbidden_for_2_6_8():
 
 
 def test_tuple_forbidden_reduces_to_twin():
-    for p in SMALL_PRIMES:
-        assert tuple_forbidden((2,), p) == twin_forbidden(p)
+    primes = [p for p in range(2, 101) if all(p % d for d in range(2, p))]
+    for p in primes:
+        assert tuple_forbidden((2,), p) == twin_forbidden(p) == {0, 2 % p}
+    assert ResidueSpec.twins(primes) == ResidueSpec.for_tuple((2,), primes)
 
 
 def test_ap_residue_sequence_permutation():

@@ -61,6 +61,17 @@ def test_membership_and_count():
         table.is_prime(1001)
 
 
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 99, 100, 1000])
+def test_is_prime_array_matches_is_prime(limit):
+    table = sieve_primes(limit)
+    values = np.arange(-3, limit + 1, dtype=np.int64)
+    got = table.is_prime_array(values)
+    assert got.dtype == bool
+    assert got.tolist() == [table.is_prime(int(v)) for v in values]
+    with pytest.raises(ValueError):
+        table.is_prime_array(np.array([limit + 1], dtype=np.int64))
+
+
 def test_table_is_write_protected():
     table = sieve_primes(100)
     with pytest.raises(ValueError):
