@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .residues import AdmissibleTuple, ResidueSpec
-from .sieve import PrimeTable, count_congruent, factorize, is_prime, sieving_prime_set, table_for
+from .sieve import (PrimeTable, avoiding_mask, count_congruent, factorize, is_prime,
+                    sieving_prime_set, table_for)
 
 __all__ = [
     "CountReport",
@@ -88,45 +90,37 @@ def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
 # Survivor counting: numbers in [1, x] avoiding per-prime forbidden residues
 
 
-_DIRECT_CUTOFF = 4096
+# Leaf size: a leaf mask holds at most 1 MiB, as one sieve segment does.  Below
+# that a leaf is faster than a split, which remaps every smaller prime's classes.
+_DIRECT_CUTOFF = 1 << 20
 
 
-def _count_avoiding(lo: int, hi: int, entries: tuple[tuple[int, tuple[int, ...]], ...]) -> int:
+def _count_avoiding(lo: int, hi: int, entries: Sequence[tuple[int, Iterable[int]]]) -> int:
     """Exact count of n in [lo, hi] with n mod p not in forbidden(p) for all entries.
 
     Inclusion-exclusion organised as a recursion: split on the largest
     prime, substituting n = r + p*t for each forbidden residue r, which
     shrinks the range by a factor p and remaps the remaining forbidden
-    sets through the inverse of p.  Exact at every step.
+    sets through the inverse of p.  Exact at every step.  Leaves are
+    ranges of at most _DIRECT_CUTOFF entries, counted on one strided mask
+    (sieve.avoiding_mask) that strikes each forbidden class directly.
     """
     if hi < lo:
         return 0
     if not entries:
         return hi - lo + 1
     if hi - lo < _DIRECT_CUTOFF:
-        n = np.arange(lo, hi + 1, dtype=np.int64)
-        mask = np.ones(len(n), dtype=bool)
-        for p, forb in entries:
-            res = n % p
-            for r in forb:
-                mask &= res != r
-        return int(mask.sum())
+        return int(np.count_nonzero(avoiding_mask(lo, hi, entries)))
     p, forb = entries[-1]
     rest = entries[:-1]
+    inv = [pow(p, -1, q) for q, _ in rest]
     total = _count_avoiding(lo, hi, rest)
     for r in forb:
         t_lo = -((r - lo) // p)  # ceil((lo - r) / p)
         t_hi = (hi - r) // p
         if t_hi < t_lo:
             continue
-        if rest:
-            inv = [pow(p, -1, q) for q, _ in rest]
-            mapped = tuple(
-                (q, tuple(sorted({((f - r) * iv) % q for f in fs})))
-                for (q, fs), iv in zip(rest, inv)
-            )
-        else:
-            mapped = ()
+        mapped = [(q, [(f - r) * iv % q for f in fs]) for (q, fs), iv in zip(rest, inv)]
         total -= _count_avoiding(t_lo, t_hi, mapped)
     return total
 
@@ -138,8 +132,7 @@ def survivor_count(x: int, spec: ResidueSpec) -> int:
     """
     if x < 1:
         return 0
-    entries = tuple((p, tuple(sorted(forb))) for p, forb in spec.entries)
-    return _count_avoiding(1, x, entries)
+    return _count_avoiding(1, x, spec.entries)
 
 
 def survivor_count_expanded(x: int, spec: ResidueSpec, term_cap: int = 1 << 20) -> int:

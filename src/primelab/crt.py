@@ -14,6 +14,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .sieve import avoiding_mask
+
 __all__ = [
     "CongruenceSystem",
     "CrtSolution",
@@ -152,15 +154,22 @@ def _enumerate_product(spec: ChoiceSpec, lo: int, hi: int) -> Iterator[int]:
 
 
 def _enumerate_scan(spec: ChoiceSpec, lo: int, hi: int, chunk: int = 1 << 18) -> Iterator[int]:
+    """Walk [lo, hi] in chunks of at most `chunk` entries, each one strided mask.
+
+    Each prime strikes its excluded residues, or, when fewer residues are
+    allowed than excluded, the allowed ones on a mask that is then inverted:
+    at most min(u, p - u) slices per prime and chunk, whatever the modulus.
+    """
+    kept = [(p, allowed) for p, allowed in spec.entries if 2 * len(allowed) < p]
+    struck = [(p, set(range(p)).difference(allowed))
+              for p, allowed in spec.entries if 2 * len(allowed) >= p]
     start = lo
     while start <= hi:
         stop = min(start + chunk - 1, hi)
-        n = np.arange(start, stop + 1, dtype=np.int64)
-        mask = np.ones(len(n), dtype=bool)
-        for p, allowed in spec.entries:
-            mask &= np.isin(n % p, np.array(allowed, dtype=np.int64))
-        for v in n[mask]:
-            yield int(v)
+        mask = avoiding_mask(start, stop, struck)
+        for entry in kept:
+            mask &= ~avoiding_mask(start, stop, (entry,))
+        yield from (np.flatnonzero(mask) + start).tolist()
         start = stop + 1
 
 

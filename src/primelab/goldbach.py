@@ -46,6 +46,14 @@ def _next_prime(n: int) -> int:
     return next(m for m in range(n + 1, 2 * n + 1) if is_prime(m))  # Bertrand: n >= 1
 
 
+def _prime_prefix(k: int) -> list[int]:
+    """The first k >= 1 primes, 2, 3, 5, ..., p_k."""
+    prefix = [2]
+    while len(prefix) < k:
+        prefix.append(_next_prime(prefix[-1]))
+    return prefix
+
+
 def split_remainder(beta: int, p: int) -> list[tuple[int, int]]:
     """All ordered pairs (eta, delta), both in [1, p-1], with eta + delta = beta mod p.
 
@@ -309,9 +317,7 @@ def partition_probe(
     if part_a & part_b or not part_a or not part_b:
         raise ValueError("A and B must be disjoint and nonempty")
     union = sorted(part_a | part_b)
-    prefix = [2]
-    while len(prefix) < len(union):
-        prefix.append(_next_prime(prefix[-1]))
+    prefix = _prime_prefix(len(union))
     if union != prefix:
         raise ValueError(f"A union B = {union} is not the prime prefix {prefix}")
     if any(exponents.get(q, 0) < 1 for q in union):
@@ -343,17 +349,15 @@ class TwinPair:
 def twin_crt_search(
     primes: tuple[int, ...], bound: int, table: PrimeTable | None = None
 ) -> list[TwinPair]:
-    """Twin pairs (n-2, n) with n avoiding {0, 2} modulo each given prime.
+    """Twin pairs (n-2, n) with n avoiding {0, 2} modulo each prime of the prefix 2, ..., p_k.
 
     Pairs with n below the square of the next prime are CERTIFIED: both
     members then carry empty trial-division certificates.  Beyond that the
     pair is kept only if both members pass is_prime, tagged uncertified.
+    The certificate needs every prime up to p_k, so any other set is rejected.
     """
-    if not primes:
-        raise ValueError("primes must be nonempty")
-    for i, p in enumerate(primes):
-        if not is_prime(p) or (i and p <= primes[i - 1]):
-            raise ValueError("primes must be ascending and prime")
+    if list(primes) != _prime_prefix(len(primes)):  # also rejects the empty set
+        raise ValueError(f"primes {tuple(primes)} are not the prime prefix 2, 3, 5, ..., p_k")
     cert_bound = _next_prime(primes[-1]) ** 2
     spec = ChoiceSpec.of((p, set(range(p)) - twin_forbidden(p)) for p in primes)
     pairs = []

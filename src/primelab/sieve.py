@@ -24,6 +24,7 @@ __all__ = [
     "sieving_prime_set",
     "factorize",
     "count_congruent",
+    "avoiding_mask",
     "save_cache",
     "load_cache",
     "CacheError",
@@ -231,6 +232,18 @@ def count_congruent(x: int, r: int, m: int) -> int:
     if r > x:
         return 0
     return (x - r) // m + 1
+
+
+def avoiding_mask(lo: int, hi: int, entries) -> np.ndarray:
+    """Mask over n in [lo, hi], True where n mod p avoids the struck residues of each (p, struck).
+
+    Each class is struck as a sieve strikes multiples, one slice per residue.
+    """
+    mask = np.ones(hi - lo + 1, dtype=bool)
+    for p, struck in entries:
+        for r in struck:
+            mask[(r - lo) % p :: p] = False
+    return mask
 
 
 def save_cache(table: PrimeTable, destination) -> None:

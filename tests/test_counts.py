@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primelab import counts
 from primelab.counts import (
     brute_pi,
     brute_tuple_count,
@@ -51,6 +52,47 @@ def test_survivor_count_vs_direct(x):
         ResidueSpec.for_tuple((2, 6), primes),
     ):
         assert survivor_count(x, spec) == direct_survivors(x, spec)
+
+
+SPEC_FACTORIES = {
+    "twin": ResidueSpec.twins,
+    "sophie-germain": ResidueSpec.sophie_germain,
+    "2-6": lambda primes: ResidueSpec.for_tuple((2, 6), primes),
+    "2-6-8": lambda primes: ResidueSpec.for_tuple((2, 6, 8), primes),
+}
+
+
+def modulo_survivors(x, spec):
+    """Running survivor counts over [1, x] from n % p on the whole range: no strided marking."""
+    n = np.arange(1, x + 1, dtype=np.int32)  # x < 2**31 here; int32 % halves the time
+    keep = np.ones(x, dtype=bool)
+    for p, forb in spec.entries:
+        res = n % p
+        for r in forb:
+            keep &= res != r
+    return np.cumsum(keep)
+
+
+@pytest.mark.parametrize("name", SPEC_FACTORIES)
+def test_survivor_count_across_the_leaf_cutoff(name):
+    cutoff = counts._DIRECT_CUTOFF
+    factory = SPEC_FACTORIES[name]
+    # each group shares one sieving-prime set, so one running count serves it
+    for group in ((cutoff - 1, cutoff, cutoff + 1), (2 * cutoff + 3,), (2 * 10**5,)):
+        spec = factory([int(p) for p in sieving_prime_set(group[-1])])
+        running = modulo_survivors(group[-1], spec)
+        for x in group:
+            assert factory([int(p) for p in sieving_prime_set(x)]) == spec
+            assert survivor_count(x, spec) == running[x - 1], x
+
+
+@pytest.mark.parametrize("name", SPEC_FACTORIES)
+def test_survivor_count_splits_with_a_small_cutoff(name, monkeypatch):
+    # with leaves of at most 16 entries every x here splits, down to the remaps of 2 and 3
+    monkeypatch.setattr(counts, "_DIRECT_CUTOFF", 16)
+    for x in [*range(4, 200), *range(200, 3001, 47), 2999, 3000]:
+        spec = SPEC_FACTORIES[name]([int(p) for p in sieving_prime_set(x)])
+        assert survivor_count(x, spec) == modulo_survivors(x, spec)[-1], x
 
 
 # capped at 1500: the flat expansion's term count grows exponentially in

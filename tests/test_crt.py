@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from primelab.crt import (
+    _enumerate_scan,
     ChoiceSpec,
     CongruenceSystem,
     NonCoprimeModuliError,
@@ -91,6 +92,41 @@ def test_modes_agree_randomized(primes, lo, width, seed):
     assert list(crt_enumerate(spec, lo, hi, mode="product")) == want
     assert list(crt_enumerate(spec, lo, hi, mode="scan")) == want
     assert list(crt_enumerate(spec, lo, hi)) == want
+
+
+@st.composite
+def scan_specs(draw):
+    """Choice specs mixing full residue sets, single residues and arbitrary subsets."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4,
+                           unique=True))
+    entries = []
+    for p in sorted(primes):
+        kind = draw(st.sampled_from(["full", "single", "subset"]))
+        if kind == "full":
+            allowed = range(p)
+        elif kind == "single":
+            allowed = [draw(st.integers(0, p - 1))]
+        else:
+            allowed = draw(st.lists(st.integers(0, p - 1), min_size=1, unique=True))
+        entries.append((p, allowed))
+    return ChoiceSpec.of(entries)
+
+
+@given(scan_specs(), st.integers(0, 10**6), st.integers(0, 120), st.integers(1, 7))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_scan_matches_filter_at_chunk_edges(spec, lo, width, chunk):
+    # chunks of 1-7 entries are shorter than most moduli, and lo is unaligned
+    hi = lo + width
+    got = list(_enumerate_scan(spec, lo, hi, chunk=chunk))
+    assert got == brute_enumerate(spec, lo, hi)
+    assert all(type(v) is int for v in got)
+
+
+def test_scan_strikes_from_unaligned_starts():
+    spec = ChoiceSpec.of([(7, range(7)), (11, [4]), (13, [0, 5, 12])])
+    for lo, chunk in ((1001, 1), (1003, 6), (999_999, 7), (12_345, 1 << 18)):
+        want = brute_enumerate(spec, lo, lo + 3000)
+        assert list(_enumerate_scan(spec, lo, lo + 3000, chunk=chunk)) == want
 
 
 def test_empty_range_and_empty_spec():

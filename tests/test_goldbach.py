@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from primelab.goldbach import (
     split_remainder,
     twin_crt_search,
 )
-from primelab.sieve import is_prime
+from primelab.sieve import is_prime, sieve_primes
 
 
 def test_split_remainder_listings():
@@ -140,6 +142,24 @@ def test_twin_crt_search_worked_examples():
     small = twin_crt_search((2, 3), 25)
     assert [(p.lower, p.upper) for p in small if p.certified] == [
         (5, 7), (11, 13), (17, 19)]
+
+
+@pytest.mark.parametrize("primes", [(3, 5, 7), (2, 5, 7), (2, 3, 7)])
+def test_twin_crt_search_rejects_a_set_that_is_not_the_prime_prefix(primes):
+    # the certificate (n below the next prime squared) needs every prime up to p_k
+    with pytest.raises(ValueError, match="prime prefix"):
+        twin_crt_search(primes, 2000)
+
+
+@pytest.mark.parametrize("two_n", [2**20, 10**6])
+def test_goldbach_enumerate_complete_at_large_targets(two_n):
+    table = sieve_primes(two_n)
+    want = brute_goldbach_pairs(two_n, table)
+    assert goldbach_enumerate(two_n, "EXACT", allow_zero_eta=True, table=table) == want
+    # without the zero parts, exactly the pairs whose smaller member is a sieving prime are missing
+    root = math.isqrt(two_n)
+    assert goldbach_enumerate(two_n, "EXACT", table=table) == [pq for pq in want if pq[0] > root]
+    assert any(pq[0] <= root for pq in want)
 
 
 def test_twin_crt_search_beyond_certification_filters():
