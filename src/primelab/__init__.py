@@ -93,6 +93,7 @@ from .sieve import (
     CacheTruncatedError,
     PrimeTable,
     count_congruent,
+    count_primes,
     is_prime,
     load_cache,
     save_cache,

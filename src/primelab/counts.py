@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .residues import AdmissibleTuple, ResidueSpec
-from .sieve import (PrimeTable, avoiding_mask, count_congruent, factorize, is_prime,
-                    sieving_prime_set, table_for)
+from .sieve import (PrimeTable, avoiding_mask, count_congruent, count_primes, factorize,
+                    is_prime, sieving_prime_set, table_for)
 
 __all__ = [
     "CountReport",
@@ -61,9 +61,15 @@ class CountReport:
 
 
 def brute_pi(x: int, table: PrimeTable | None = None) -> int:
-    if x < 2:
-        return 0
-    return table_for(x, table).count_upto(x)
+    """pi(x) by sieving, never by the phi formula it checks.
+
+    Two paths: ``table.count_upto(x)`` when the given table reaches x, else
+    sieve.count_primes(x), a segmented count that builds no table and leaves
+    the shared one as it is.
+    """
+    if table is not None and table.limit >= x:
+        return table.count_upto(x)
+    return count_primes(x)
 
 
 def _pattern_count(x: int, offsets, table: PrimeTable | None) -> int:
@@ -379,6 +385,26 @@ def _shifted_power_primes(bound: int, sign: int) -> list[int]:
     return out
 
 
+def _exponent_events(x: int, u: int, sign: int, table: PrimeTable | None) -> list[tuple[int, int]]:
+    """(residue, modulus) of the q with p | 2^q + sign, per odd sieving prime p, ascending p.
+
+    One doubling walk over all p at once: the first q <= u with 2^q = 1
+    (mod p) is d = ord_p(2), the event q = 0 (mod d); the first with
+    2^q = -1 is d/2, the event q = d/2 (mod d).  A prime whose first q
+    exceeds u makes no event in [1, u].
+    """
+    odd = sieving_prime_set(x, table)[1:]
+    target = 1 if sign < 0 else odd - 1
+    first = np.zeros(len(odd), dtype=np.int64)
+    power = np.ones(len(odd), dtype=np.int64)
+    for q in range(1, u + 1):
+        power = power * 2 % odd
+        first[(power == target) & (first == 0)] = q
+    if sign < 0:
+        return [(0, q) for q in first[first > 0].tolist()]
+    return [(q, 2 * q) for q in first[first > 0].tolist()]
+
+
 def _exponent_count(x: int, sign: int, table: PrimeTable | None) -> CountReport:
     """Exponent sieve for the events p | 2^q + sign, q <= u = [log2 x], vs. brute count.
 
@@ -390,16 +416,7 @@ def _exponent_count(x: int, sign: int, table: PrimeTable | None) -> CountReport:
     if x < 4:
         raise ValueError("x must be >= 4")
     u = x.bit_length() - 1  # floor(log2 x)
-    events = []
-    for p in sieving_prime_set(x, table):
-        if p == 2:
-            continue
-        d = multiplicative_order(2, int(p))
-        if sign > 0 and d % 2:
-            continue  # 2^q = -1 (mod p) needs an even order
-        first = d if sign < 0 else d // 2  # least q with p | 2^q + sign
-        if first <= u:
-            events.append((first % d, d))
+    events = _exponent_events(x, u, sign, table)
     sieved = _exponent_sieve_count(u, events)
     lam = len(_shifted_power_primes(math.isqrt(x), sign))
     units = 1 if sign < 0 else 0

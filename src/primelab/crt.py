@@ -88,16 +88,17 @@ def crt_solve(system: CongruenceSystem) -> CrtSolution:
 
 @dataclass(frozen=True)
 class ChoiceSpec:
-    """Ordered (prime, allowed residue set) pairs with distinct primes."""
+    """Ordered (prime, allowed residue set) pairs; the moduli must be pairwise coprime."""
 
     entries: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        seen = set()
+        before = 1  # product of the moduli so far
         for p, allowed in self.entries:
-            if p in seen:
-                raise ValueError(f"duplicate prime {p}")
-            seen.add(p)
+            g = math.gcd(before, p)
+            if g != 1:
+                raise NonCoprimeModuliError(f"modulus {p} shares factor {g} with an earlier modulus")
+            before *= p
             if not allowed:
                 raise ValueError(f"empty allowed set for prime {p}")
             if any(not 0 <= r < p for r in allowed):

@@ -2,8 +2,10 @@
 
 Everything here is exact integer arithmetic.  The central object is the
 immutable :class:`PrimeTable`: an ascending array of primes up to a limit
-together with a membership bitset over the odd integers.  Construction uses
-an odd-only segmented sieve so limits up to 1e9 fit in bounded memory.
+together with a membership bitset over the odd integers.  A table holds a
+bit per odd number and an int64 per prime (about 0.9 GB at 1e9), so its
+size grows with the limit; :func:`count_primes` is the bounded path, an
+odd-only segmented sieve that holds one segment (about 1 MiB) at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 __all__ = [
     "PrimeTable",
     "sieve_primes",
+    "count_primes",
     "table_for",
     "is_prime",
     "sieving_prime_set",
@@ -107,24 +110,20 @@ class PrimeTable:
         return self.primes[: np.searchsorted(self.primes, bound, side="right")]
 
 
-def sieve_primes(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS) -> PrimeTable:
-    """Segmented sieve of Eratosthenes up to ``limit`` (inclusive).
+def _odd_segments(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS):
+    """Sieve the odd numbers 3..limit (limit >= 2) a segment at a time.
 
-    Deterministic for a given limit; limit 0 or 1 yields an empty table.
+    Yields (lo_idx, seg): seg[i] is True iff 2*(lo_idx + i) + 1 is prime.
+    Every seg is a view of one reused buffer, valid until the next step.
     """
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
     n_odd = (limit + 1) // 2  # odd numbers 1, 3, ..., <= limit
-    odd_bits = np.zeros(max(n_odd, 1), dtype=bool)
-    if limit < 2:
-        return PrimeTable(limit, np.array([], dtype=np.int64), odd_bits[:n_odd])
-
     odd_base = sieve_primes(math.isqrt(limit)).primes[1:]
-
+    buffer = np.empty(min(segment_odd_bits, n_odd - 1), dtype=bool)
     lo_idx = 1  # index of odd number 3
     while lo_idx < n_odd:
         hi_idx = min(lo_idx + segment_odd_bits, n_odd)  # exclusive
-        seg = np.ones(hi_idx - lo_idx, dtype=bool)
+        seg = buffer[: hi_idx - lo_idx]
+        seg[:] = True
         lo_val = 2 * lo_idx + 1
         hi_val = 2 * hi_idx - 1  # last odd value in segment
         for p in odd_base:
@@ -135,12 +134,37 @@ def sieve_primes(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS) -> PrimeT
             if start > hi_val:
                 continue
             seg[(start - lo_val) // 2 :: p] = False
-        odd_bits[lo_idx:hi_idx] = seg
+        yield lo_idx, seg
         lo_idx = hi_idx
 
+
+def sieve_primes(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS) -> PrimeTable:
+    """Segmented sieve of Eratosthenes up to ``limit`` (inclusive).
+
+    Deterministic for a given limit; limit 0 or 1 yields an empty table.
+    """
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    n_odd = (limit + 1) // 2
+    odd_bits = np.zeros(max(n_odd, 1), dtype=bool)
+    if limit < 2:
+        return PrimeTable(limit, np.array([], dtype=np.int64), odd_bits[:n_odd])
+    for lo_idx, seg in _odd_segments(limit, segment_odd_bits):
+        odd_bits[lo_idx : lo_idx + len(seg)] = seg
     odd_primes = 2 * np.flatnonzero(odd_bits).astype(np.int64) + 1
     primes = np.concatenate(([2], odd_primes))
     return PrimeTable(limit, primes, odd_bits[:n_odd])
+
+
+def count_primes(x: int) -> int:
+    """pi(x) by the segmented sieve, holding one segment and the primes <= sqrt(x).
+
+    No PrimeTable is built or kept: memory is one segment (about 1 MiB) plus
+    the base primes, O(sqrt(x)), where a table to x takes O(x).
+    """
+    if x < 2:
+        return 0
+    return 1 + sum(int(np.count_nonzero(seg)) for _, seg in _odd_segments(x))
 
 
 # Shared table for is_prime / sieving_prime_set; grown on demand.

@@ -124,6 +124,39 @@ def test_corrupt_cache_exits_1_with_message(tmp_path):
     assert out == b""
 
 
+def test_non_coprime_crt_moduli_exit_1_with_message():
+    proc = spawn("crt", "--allow", "4=1", "--allow", "6=1", "--hi", "30")
+    out, err = proc.communicate()
+    assert proc.returncode == 1
+    assert err.decode() == "error: modulus 6 shares factor 2 with an earlier modulus\n"
+    assert out == b""
+
+
+# A child's peak RSS starts at its parent's, and this test process can be
+# large, so a small launcher starts the measured children and reads wait4.
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+
+def peak_kb(*argv):
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, argv
+    return usage.ru_maxrss
+
+print(peak_kb("-c", "import primelab.cli"),
+      peak_kb("-m", "primelab.cli", "--format", "json", "count", "pi", "--x", "30000000"))
+"""
+
+
+def test_count_pi_oracle_memory_stays_bounded():
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    out = subprocess.run([sys.executable, "-c", PEAK_RSS_LAUNCHER], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    import_kb, count_kb = map(int, out.split())
+    assert count_kb - import_kb < 25 * 1024  # sieving to x into a table costs about 53 MB
+
+
 def test_closed_pipe_exits_quietly():
     proc = spawn("primes", "--limit", "1000000", "--list")
     assert proc.stdout.readline().startswith(b"# primes")

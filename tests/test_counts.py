@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primelab import counts
+from primelab import counts, sieve
 from primelab.counts import (
     brute_pi,
     brute_tuple_count,
@@ -21,7 +22,7 @@ from primelab.counts import (
     twin_count_formula,
 )
 from primelab.residues import AdmissibleTuple, ResidueSpec
-from primelab.sieve import is_prime, sieve_primes, sieving_prime_set
+from primelab.sieve import SEGMENT_ODD_BITS, is_prime, sieve_primes, sieving_prime_set
 
 
 def direct_survivors(x, spec):
@@ -123,6 +124,39 @@ def test_legendre_pi_tail_is_k_minus_1():
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_legendre_pi_exact(x):
     assert legendre_pi(x).formula_value == brute_pi(x)
+
+
+def test_brute_pi_paths_agree_with_the_table():
+    table = sieve_primes(300)
+    for x in range(301):
+        expected = len(sieve_primes(x).primes)
+        assert brute_pi(x) == expected  # segmented count
+        assert brute_pi(x, table) == expected  # the table reaches x
+    assert brute_pi(-5) == 0
+
+
+@pytest.mark.parametrize("x", [2 * SEGMENT_ODD_BITS + d for d in (-1, 0, 1, 2)]
+                         + [4 * SEGMENT_ODD_BITS + 1])
+def test_brute_pi_at_segment_edges(x):
+    expected = len(sieve_primes(x).primes)
+    assert brute_pi(x) == expected
+    assert brute_pi(x, sieve_primes(1000)) == expected  # a table short of x is not grown
+
+
+def test_brute_pi_leaves_the_shared_table_alone():
+    before = sieve.shared_table()
+    assert brute_pi(before.limit + 1001) == len(sieve_primes(before.limit + 1001).primes)
+    assert sieve._shared_table is before
+
+
+def test_brute_pi_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        assert brute_pi(10**7) == 664_579
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # a PrimeTable to 1e7 peaks near 16 MB
 
 
 def test_twin_formula_example_arithmetic():
@@ -231,6 +265,39 @@ def test_fermat_exact_counts():
     assert r.formula_value == 5 and r.oracle_value == 5  # 3,5,17,257,65537
     # the paper's literal lambda - 1 tail would undercount by 1
     assert r.corrections["paper_literal_tail"] == r.corrections["small_range_addend"] - 1
+
+
+def reference_events(x, sign):
+    """The per-prime multiplicative_order loop that the doubling walk replaced."""
+    u = x.bit_length() - 1
+    events = []
+    for p in sieving_prime_set(x):
+        if p == 2:
+            continue
+        d = multiplicative_order(2, int(p))
+        if sign > 0 and d % 2:
+            continue  # 2^q = -1 (mod p) needs an even order
+        first = d if sign < 0 else d // 2  # least q with p | 2^q + sign
+        if first <= u:
+            events.append((first % d, d))
+    return events
+
+
+EXPONENT_XS = sorted(set(range(4, 5001))
+                     | {10**k + d for k in range(1, 11) for d in (-1, 1)}
+                     | {2**k + d for k in range(3, 37) for d in (-1, 1)})
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_exponent_walk_matches_the_order_loop(sign):
+    for x in EXPONENT_XS:
+        u = x.bit_length() - 1
+        assert counts._exponent_events(x, u, sign, None) == reference_events(x, sign), x
+        report = counts._exponent_count(x, sign, None)
+        # Known defect: 2^3 + 1 = 9 = 3^2 has no prime factor <= isqrt(8) = 2,
+        # so the Fermat sieve keeps q = 3 at x = 8 and counts one too many.
+        expected_delta = 1 if (sign, x) == (1, 8) else 0
+        assert report.delta == expected_delta, x
 
 
 @given(st.integers(16, 100_000))

@@ -51,6 +51,13 @@ def test_validation():
         ChoiceSpec.of([(3, [1]), (3, [2])])
 
 
+def test_choice_spec_rejects_moduli_that_share_a_factor():
+    with pytest.raises(NonCoprimeModuliError, match="modulus 6 shares factor 2"):
+        ChoiceSpec.of([(4, [1]), (6, [1])])
+    with pytest.raises(NonCoprimeModuliError):
+        ChoiceSpec.of([(3, [1]), (5, [1]), (15, [1])])
+
+
 def test_choice_count():
     spec = ChoiceSpec.of([(2, [1]), (3, [1, 2]), (5, [1, 3, 4])])
     assert choice_count(spec) == 6

@@ -9,8 +9,10 @@ from primelab.sieve import (
     CacheChecksumError,
     CacheMagicError,
     CacheTruncatedError,
+    SEGMENT_ODD_BITS,
     PrimeTable,
     count_congruent,
+    count_primes,
     factorize,
     is_prime,
     load_cache,
@@ -48,6 +50,17 @@ def test_segmentation_is_invisible():
     whole = sieve_primes(10_000)
     tiny_segments = sieve_primes(10_000, segment_odd_bits=64)
     assert np.array_equal(whole.primes, tiny_segments.primes)
+
+
+def test_count_primes_matches_the_table():
+    for x in range(301):
+        assert count_primes(x) == len(sieve_primes(x).primes)
+
+
+@pytest.mark.parametrize("x", [2 * SEGMENT_ODD_BITS + d for d in (-1, 0, 1, 2)]
+                         + [4 * SEGMENT_ODD_BITS + 1])
+def test_count_primes_at_segment_edges(x):
+    assert count_primes(x) == len(sieve_primes(x).primes)
 
 
 def test_membership_and_count():
