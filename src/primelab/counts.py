@@ -1,20 +1,22 @@
-"""Exact inclusion-exclusion counts, each paired with a brute-force oracle.
+"""Exact counting identities, each paired with a brute-force oracle.
 
 Legendre's prime count, the twin and k-tuple residue-survivor formulas, and
-the order-based Mersenne/Fermat exponent counts.  Every formula value here
-is an exact integer; approximation lives in :mod:`primelab.densities`.
+the order-based Mersenne/Fermat exponent counts.  The survivor count is a
+windowed residue sieve; survivor_count_expanded is the paper's literal
+inclusion-exclusion over CRT classes, kept as its test reference.  Every
+formula value here is an exact integer; approximation lives in
+:mod:`primelab.densities`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .residues import AdmissibleTuple, ResidueSpec
-from .sieve import (PrimeTable, avoiding_mask, count_congruent, count_primes, factorize,
+from .sieve import (PrimeTable, avoiding_windows, count_congruent, count_primes, factorize,
                     is_prime, sieving_prime_set, table_for)
 
 __all__ = [
@@ -96,57 +98,22 @@ def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
 # Survivor counting: numbers in [1, x] avoiding per-prime forbidden residues
 
 
-# Leaf size: a leaf mask holds at most 1 MiB, as one sieve segment does.  Below
-# that a leaf is faster than a split, which remaps every smaller prime's classes.
-_DIRECT_CUTOFF = 1 << 20
-
-
-def _count_avoiding(lo: int, hi: int, entries: Sequence[tuple[int, Iterable[int]]]) -> int:
-    """Exact count of n in [lo, hi] with n mod p not in forbidden(p) for all entries.
-
-    Inclusion-exclusion organised as a recursion: split on the largest
-    prime, substituting n = r + p*t for each forbidden residue r, which
-    shrinks the range by a factor p and remaps the remaining forbidden
-    sets through the inverse of p.  Exact at every step.  Leaves are
-    ranges of at most _DIRECT_CUTOFF entries, counted on one strided mask
-    (sieve.avoiding_mask) that strikes each forbidden class directly.
-    """
-    if hi < lo:
-        return 0
-    if not entries:
-        return hi - lo + 1
-    if hi - lo < _DIRECT_CUTOFF:
-        return int(np.count_nonzero(avoiding_mask(lo, hi, entries)))
-    p, forb = entries[-1]
-    rest = entries[:-1]
-    inv = [pow(p, -1, q) for q, _ in rest]
-    total = _count_avoiding(lo, hi, rest)
-    for r in forb:
-        t_lo = -((r - lo) // p)  # ceil((lo - r) / p)
-        t_hi = (hi - r) // p
-        if t_hi < t_lo:
-            continue
-        mapped = [(q, [(f - r) * iv % q for f in fs]) for (q, fs), iv in zip(rest, inv)]
-        total -= _count_avoiding(t_lo, t_hi, mapped)
-    return total
-
-
 def survivor_count(x: int, spec: ResidueSpec) -> int:
     """Exact |{n in [1, x] : n mod p not in forbidden(p) for all p in spec}|.
 
-    Empty spec returns x.
+    A windowed residue sieve: sieve.avoiding_windows strikes every forbidden
+    class across [1, x], one window of at most 1 Mi entries at a time, and
+    the survivors of each window are added up.  Empty spec returns x.
     """
-    if x < 1:
-        return 0
-    return _count_avoiding(1, x, spec.entries)
+    return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(1, x, spec.entries))
 
 
 def survivor_count_expanded(x: int, spec: ResidueSpec, term_cap: int = 1 << 20) -> int:
     """Flat subset/residue-combination expansion of the same count.
 
-    Literal inclusion-exclusion over CRT classes using count_congruent;
-    cost is prod(1 + u_i) terms, so this is only for small specs (it backs
-    the recursive route in tests).
+    The paper's literal inclusion-exclusion over CRT classes using
+    count_congruent; cost is prod(1 + u_i) terms, so this is only for small
+    specs (it is the reference for survivor_count in tests).
     """
     terms = [(1, 0, 1)]  # (sign, residue, modulus)
     n_terms = 1
@@ -385,15 +352,15 @@ def _shifted_power_primes(bound: int, sign: int) -> list[int]:
     return out
 
 
-def _exponent_events(x: int, u: int, sign: int, table: PrimeTable | None) -> list[tuple[int, int]]:
-    """(residue, modulus) of the q with p | 2^q + sign, per odd sieving prime p, ascending p.
+def _exponent_events(bound: int, u: int, sign: int, table: PrimeTable | None) -> list[tuple[int, int]]:
+    """(residue, modulus) of the q with p | 2^q + sign, per odd prime p <= sqrt(bound), ascending p.
 
     One doubling walk over all p at once: the first q <= u with 2^q = 1
     (mod p) is d = ord_p(2), the event q = 0 (mod d); the first with
     2^q = -1 is d/2, the event q = d/2 (mod d).  A prime whose first q
     exceeds u makes no event in [1, u].
     """
-    odd = sieving_prime_set(x, table)[1:]
+    odd = sieving_prime_set(bound, table)[1:]
     target = 1 if sign < 0 else odd - 1
     first = np.zeros(len(odd), dtype=np.int64)
     power = np.ones(len(odd), dtype=np.int64)
@@ -408,17 +375,20 @@ def _exponent_events(x: int, u: int, sign: int, table: PrimeTable | None) -> lis
 def _exponent_count(x: int, sign: int, table: PrimeTable | None) -> CountReport:
     """Exponent sieve for the events p | 2^q + sign, q <= u = [log2 x], vs. brute count.
 
-    The sieve keeps q whose 2^q + sign has no odd prime factor <= sqrt(x)
-    (the prime 2 never divides it and is excluded); adding the brute count
-    of such primes <= sqrt(x) and removing the unit q = 1 of the Mersenne
-    side (2^1 - 1 = 1) reproduces the true count exactly.
+    The sieve keeps q whose 2^q + sign has no odd prime factor <= sqrt(b)
+    (the prime 2 never divides it and is excluded), where b bounds every
+    2^q + sign: x on the Mersenne side, x + 1 on the Fermat side (2^3 + 1 =
+    9 = 3^2 at x = 8).  Adding the brute count of such primes <= sqrt(b)
+    and removing the unit q = 1 of the Mersenne side (2^1 - 1 = 1)
+    reproduces the true count exactly.
     """
     if x < 4:
         raise ValueError("x must be >= 4")
     u = x.bit_length() - 1  # floor(log2 x)
-    events = _exponent_events(x, u, sign, table)
+    bound = x + 1 if sign > 0 else x
+    events = _exponent_events(bound, u, sign, table)
     sieved = _exponent_sieve_count(u, events)
-    lam = len(_shifted_power_primes(math.isqrt(x), sign))
+    lam = len(_shifted_power_primes(math.isqrt(bound), sign))
     units = 1 if sign < 0 else 0
     oracle = sum(1 for q in range(1, u + 1) if is_prime((1 << q) + sign))
     corrections = {
@@ -439,7 +409,7 @@ def mersenne_exact_count(x: int, table: PrimeTable | None = None) -> CountReport
 
 
 def fermat_exact_count(x: int, table: PrimeTable | None = None) -> CountReport:
-    """Same sieve with the event 2^q = -1 (mod p).
+    """Same sieve with the event 2^q = -1 (mod p), over the odd primes <= sqrt(x + 1).
 
     There is no unit exponent on the Fermat side (2^q + 1 >= 3), so the
     small-range addend enters without the unit correction; the literal

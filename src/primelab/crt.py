@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .sieve import avoiding_mask
+from .sieve import avoiding_mask, avoiding_windows
 
 __all__ = [
     "CongruenceSystem",
@@ -154,24 +154,21 @@ def _enumerate_product(spec: ChoiceSpec, lo: int, hi: int) -> Iterator[int]:
                 yield n
 
 
-def _enumerate_scan(spec: ChoiceSpec, lo: int, hi: int, chunk: int = 1 << 18) -> Iterator[int]:
-    """Walk [lo, hi] in chunks of at most `chunk` entries, each one strided mask.
+def _enumerate_scan(spec: ChoiceSpec, lo: int, hi: int) -> Iterator[int]:
+    """Walk [lo, hi] one sieve.avoiding_windows window (at most 1 Mi entries) at a time.
 
     Each prime strikes its excluded residues, or, when fewer residues are
     allowed than excluded, the allowed ones on a mask that is then inverted:
-    at most min(u, p - u) slices per prime and chunk, whatever the modulus.
+    at most min(u, p - u) slices per prime and window, whatever the modulus.
     """
     kept = [(p, allowed) for p, allowed in spec.entries if 2 * len(allowed) < p]
     struck = [(p, set(range(p)).difference(allowed))
               for p, allowed in spec.entries if 2 * len(allowed) >= p]
-    start = lo
-    while start <= hi:
-        stop = min(start + chunk - 1, hi)
-        mask = avoiding_mask(start, stop, struck)
+    for start, mask in avoiding_windows(lo, hi, struck):
+        stop = start + len(mask) - 1
         for entry in kept:
             mask &= ~avoiding_mask(start, stop, (entry,))
         yield from (np.flatnonzero(mask) + start).tolist()
-        start = stop + 1
 
 
 def crt_enumerate(spec: ChoiceSpec, lo: int, hi: int, mode: str = "auto") -> Iterator[int]:

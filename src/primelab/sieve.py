@@ -28,6 +28,7 @@ __all__ = [
     "factorize",
     "count_congruent",
     "avoiding_mask",
+    "avoiding_windows",
     "save_cache",
     "load_cache",
     "CacheError",
@@ -268,6 +269,15 @@ def avoiding_mask(lo: int, hi: int, entries) -> np.ndarray:
         for r in struck:
             mask[(r - lo) % p :: p] = False
     return mask
+
+
+def avoiding_windows(lo: int, hi: int, entries, width: int = SEGMENT_ODD_BITS):
+    """Yield (start, avoiding_mask(start, stop, entries)) over [lo, hi], windows of width entries.
+
+    The last window ends at hi; memory is one window, whatever the range.
+    """
+    for start in range(lo, hi + 1, width):
+        yield start, avoiding_mask(start, min(start + width - 1, hi), entries)
 
 
 def save_cache(table: PrimeTable, destination) -> None:

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primelab import counts, sieve
+from primelab import counts, crt, sieve
 from primelab.counts import (
     brute_pi,
     brute_tuple_count,
@@ -21,6 +22,7 @@ from primelab.counts import (
     tuple_count_formula,
     twin_count_formula,
 )
+from primelab.goldbach import brute_goldbach_pairs
 from primelab.residues import AdmissibleTuple, ResidueSpec
 from primelab.sieve import SEGMENT_ODD_BITS, is_prime, sieve_primes, sieving_prime_set
 
@@ -64,22 +66,26 @@ SPEC_FACTORIES = {
 
 
 def modulo_survivors(x, spec):
-    """Running survivor counts over [1, x] from n % p on the whole range: no strided marking."""
-    n = np.arange(1, x + 1, dtype=np.int32)  # x < 2**31 here; int32 % halves the time
+    """Running survivor counts over [1, x]: no strided marking.
+
+    Each prime's keep pattern comes from n % p over one period, n = 1..p,
+    and is tiled across the range.
+    """
     keep = np.ones(x, dtype=bool)
     for p, forb in spec.entries:
-        res = n % p
-        for r in forb:
-            keep &= res != r
+        period = np.isin(np.arange(1, p + 1) % p, list(forb), invert=True)
+        keep &= np.tile(period, -(-x // p))[:x]
     return np.cumsum(keep)
 
 
 @pytest.mark.parametrize("name", SPEC_FACTORIES)
 def test_survivor_count_across_the_leaf_cutoff(name):
-    cutoff = counts._DIRECT_CUTOFF
+    # around the window width W: one window, one full window, a 1-entry
+    # second window, and a third window after two full ones
+    width = SEGMENT_ODD_BITS
     factory = SPEC_FACTORIES[name]
     # each group shares one sieving-prime set, so one running count serves it
-    for group in ((cutoff - 1, cutoff, cutoff + 1), (2 * cutoff + 3,), (2 * 10**5,)):
+    for group in ((width - 1, width, width + 1), (2 * width + 3,)):
         spec = factory([int(p) for p in sieving_prime_set(group[-1])])
         running = modulo_survivors(group[-1], spec)
         for x in group:
@@ -89,18 +95,52 @@ def test_survivor_count_across_the_leaf_cutoff(name):
 
 @pytest.mark.parametrize("name", SPEC_FACTORIES)
 def test_survivor_count_splits_with_a_small_cutoff(name, monkeypatch):
-    # with leaves of at most 16 entries every x here splits, down to the remaps of 2 and 3
-    monkeypatch.setattr(counts, "_DIRECT_CUTOFF", 16)
+    # windows of 16 entries: every x here spans several, each shorter than most sieving primes
+    monkeypatch.setattr(counts, "avoiding_windows", partial(sieve.avoiding_windows, width=16))
     for x in [*range(4, 200), *range(200, 3001, 47), 2999, 3000]:
         spec = SPEC_FACTORIES[name]([int(p) for p in sieving_prime_set(x)])
         assert survivor_count(x, spec) == modulo_survivors(x, spec)[-1], x
+
+
+def test_survivor_counts_at_large_x():
+    x = 10**7
+    primes = [int(p) for p in sieving_prime_set(x)]
+    assert len(primes) == 446
+    pinned = {"twin": 58_898, "sophie-germain": 57_126, "2-6": 8_514, "2-6-8": 891}
+    for name, value in pinned.items():
+        assert survivor_count(x, SPEC_FACTORIES[name](primes)) == value, name
+    # the unit and the primes above sqrt(x) survive: pi(x) - 446 + 1
+    primes_only = survivor_count(x, ResidueSpec.primes_only(primes))
+    assert primes_only == 664_134 == brute_pi(x) - len(primes) + 1
+    # 1229 sieving primes, more than Python's default recursion limit;
+    # pi(10^8) = 5 761 455 is the published value
+    primes = [int(p) for p in sieving_prime_set(10**8)]
+    assert survivor_count(10**8, ResidueSpec.primes_only(primes)) == 5_761_455 - 1229 + 1
+
+
+def test_oracles_do_not_use_the_residue_windows(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle reached the residue-window core")
+
+    for module in (sieve, counts, crt):
+        for name in ("avoiding_mask", "avoiding_windows"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    table = sieve_primes(20_000)
+    assert brute_pi(10**5) == 9_592
+    assert brute_pi(10**4, table) == 1_229
+    assert brute_twin_count(10**4, table) == 205
+    assert brute_tuple_count(10**4, (2, 6), table) == 55
+    assert len(brute_goldbach_pairs(10_000, table)) == 127
+    with pytest.raises(AssertionError):  # the patch is live
+        survivor_count(100, ResidueSpec.twins([2, 3, 5, 7]))
 
 
 # capped at 1500: the flat expansion's term count grows exponentially in
 # the number of sieving primes and hits its cap shortly after 40^2
 @given(st.integers(4, 1500))
 @settings(max_examples=60, derandomize=True, deadline=None)
-def test_expanded_agrees_with_recursive(x):
+def test_expanded_agrees_with_windowed(x):
     primes = [int(p) for p in sieving_prime_set(x)]
     for spec in (ResidueSpec.twins(primes), ResidueSpec.primes_only(primes)):
         assert survivor_count_expanded(x, spec) == survivor_count(x, spec)
@@ -267,11 +307,10 @@ def test_fermat_exact_counts():
     assert r.corrections["paper_literal_tail"] == r.corrections["small_range_addend"] - 1
 
 
-def reference_events(x, sign):
+def reference_events(bound, u, sign):
     """The per-prime multiplicative_order loop that the doubling walk replaced."""
-    u = x.bit_length() - 1
     events = []
-    for p in sieving_prime_set(x):
+    for p in sieving_prime_set(bound):
         if p == 2:
             continue
         d = multiplicative_order(2, int(p))
@@ -292,12 +331,18 @@ EXPONENT_XS = sorted(set(range(4, 5001))
 def test_exponent_walk_matches_the_order_loop(sign):
     for x in EXPONENT_XS:
         u = x.bit_length() - 1
-        assert counts._exponent_events(x, u, sign, None) == reference_events(x, sign), x
-        report = counts._exponent_count(x, sign, None)
-        # Known defect: 2^3 + 1 = 9 = 3^2 has no prime factor <= isqrt(8) = 2,
-        # so the Fermat sieve keeps q = 3 at x = 8 and counts one too many.
-        expected_delta = 1 if (sign, x) == (1, 8) else 0
-        assert report.delta == expected_delta, x
+        bound = x + 1 if sign > 0 else x  # 2^u + 1 can be x + 1
+        assert counts._exponent_events(bound, u, sign, None) == reference_events(bound, u, sign), x
+        assert counts._exponent_count(x, sign, None).delta == 0, x
+
+
+def test_fermat_sieves_to_the_root_of_x_plus_1():
+    # 2^3 + 1 = 9 = 3^2 at x = 8; the addend moves only where x + 1 is the
+    # square of a Fermat prime
+    for x, addend in ((7, 0), (8, 1), (23, 1), (24, 2), (287, 2), (288, 3), (66_047, 3), (66_048, 4)):
+        report = fermat_exact_count(x)
+        assert report.corrections["small_range_addend"] == addend, x
+        assert report.formula_value == report.oracle_value, x
 
 
 @given(st.integers(16, 100_000))

@@ -1,8 +1,11 @@
 import math
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primelab import crt, sieve
 from primelab.crt import (
     _enumerate_scan,
     ChoiceSpec,
@@ -119,21 +122,27 @@ def scan_specs(draw):
     return ChoiceSpec.of(entries)
 
 
+def scan_in_windows(spec, lo, hi, width):
+    """_enumerate_scan's stream with residue windows of `width` entries."""
+    with mock.patch.object(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width)):
+        return list(_enumerate_scan(spec, lo, hi))
+
+
 @given(scan_specs(), st.integers(0, 10**6), st.integers(0, 120), st.integers(1, 7))
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_scan_matches_filter_at_chunk_edges(spec, lo, width, chunk):
-    # chunks of 1-7 entries are shorter than most moduli, and lo is unaligned
+    # windows of 1-7 entries are shorter than most moduli, and lo is unaligned
     hi = lo + width
-    got = list(_enumerate_scan(spec, lo, hi, chunk=chunk))
+    got = scan_in_windows(spec, lo, hi, chunk)
     assert got == brute_enumerate(spec, lo, hi)
     assert all(type(v) is int for v in got)
 
 
 def test_scan_strikes_from_unaligned_starts():
     spec = ChoiceSpec.of([(7, range(7)), (11, [4]), (13, [0, 5, 12])])
-    for lo, chunk in ((1001, 1), (1003, 6), (999_999, 7), (12_345, 1 << 18)):
+    for lo, chunk in ((1001, 1), (1003, 6), (999_999, 7), (12_345, sieve.SEGMENT_ODD_BITS)):
         want = brute_enumerate(spec, lo, lo + 3000)
-        assert list(_enumerate_scan(spec, lo, lo + 3000, chunk=chunk)) == want
+        assert scan_in_windows(spec, lo, lo + 3000, chunk) == want
 
 
 def test_empty_range_and_empty_spec():

@@ -11,6 +11,8 @@ from primelab.sieve import (
     CacheTruncatedError,
     SEGMENT_ODD_BITS,
     PrimeTable,
+    avoiding_mask,
+    avoiding_windows,
     count_congruent,
     count_primes,
     factorize,
@@ -190,3 +192,15 @@ def test_cache_checksum():
 def test_prefix_le_matches_count(limit):
     table = sieve_primes(5000)
     assert len(table.prefix_le(limit)) == table.count_upto(limit)
+
+
+@given(st.integers(0, 500), st.integers(-1, 200), st.integers(1, 40))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_avoiding_windows_tile_the_range(lo, span, width):
+    entries = [(3, {0}), (7, {2, 5}), (11, {4})]
+    hi = lo + span  # span -1 is the empty range
+    windows = list(avoiding_windows(lo, hi, entries, width=width))
+    assert [start for start, _ in windows] == list(range(lo, hi + 1, width))
+    assert all(0 < len(mask) <= width for _, mask in windows)
+    joined = np.concatenate([mask for _, mask in windows]) if windows else np.ones(0, bool)
+    assert np.array_equal(joined, avoiding_mask(lo, hi, entries))
