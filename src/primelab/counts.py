@@ -17,7 +17,7 @@ import numpy as np
 
 from .residues import AdmissibleTuple, ResidueSpec
 from .sieve import (PrimeTable, avoiding_windows, count_congruent, count_primes, factorize,
-                    is_prime, sieving_prime_set, table_for)
+                    is_prime, pattern_starts, sieving_prime_set)
 
 __all__ = [
     "CountReport",
@@ -74,24 +74,14 @@ def brute_pi(x: int, table: PrimeTable | None = None) -> int:
     return count_primes(x)
 
 
-def _pattern_count(x: int, offsets, table: PrimeTable | None) -> int:
-    # Private so that brute_twin_count is not a traced call of brute_tuple_count.
-    table = table_for(x, table)
-    starts = table.prefix_le(x - offsets[-1])
-    hits = np.ones(len(starts), dtype=bool)
-    for b in offsets:
-        hits &= table.is_prime_array(starts + b)
-    return int(hits.sum())
-
-
 def brute_twin_count(x: int, table: PrimeTable | None = None) -> int:
-    """Twin pairs (p-2, p) with upper member p <= x."""
-    return _pattern_count(x, (2,), table)
+    """Twin pairs (p-2, p) with upper member p <= x: the forms (n, n + 2)."""
+    return len(pattern_starts(2, x - 2, ((1, 0), (1, 2)), table))
 
 
 def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
-    """Count p with p, p+b_1, ..., p+b_last all prime and p + b_last <= x."""
-    return _pattern_count(x, offsets, table)
+    """Count p with p, p+b_1, ..., p+b_last all prime and p + b_last <= x: the forms (n, n + b_i)."""
+    return len(pattern_starts(2, x - offsets[-1], ((1, 0), *((1, b) for b in offsets)), table))
 
 
 # ---------------------------------------------------------------------------
@@ -306,50 +296,10 @@ def fermat_event_count(u: int, p: int) -> int:
     return count_congruent(u, (d // 2) % d, d) if u >= 1 else 0
 
 
-def _progression_intersect(r1, d1, r2, d2):
-    """Intersect q = r1 (mod d1) with q = r2 (mod d2); None if empty."""
-    g = math.gcd(d1, d2)
-    if (r2 - r1) % g:
-        return None
-    lcm = d1 // g * d2
-    step = d1 // g
-    t = (r2 - r1) // g * pow(step, -1, d2 // g) % (d2 // g)
-    return ((r1 + d1 * t) % lcm, lcm)
-
-
-def _exponent_sieve_count(u: int, events: list[tuple[int, int]]) -> int:
-    """Inclusion-exclusion count of q in [1, u] avoiding every progression.
-
-    events: (residue, modulus) pairs, one per sieving prime (the exponents
-    q for which that prime divides 2^q -+ 1).
-    """
-
-    def recurse(i: int, r: int, d: int, sign: int) -> int:
-        cnt = count_congruent(u, r % d, d) if u >= 1 else 0
-        total = sign * cnt
-        if cnt == 0:
-            # every further intersection is a sub-progression: also empty
-            return total
-        for j in range(i, len(events)):
-            rj, dj = events[j]
-            merged = _progression_intersect(r, d, rj, dj)
-            if merged is None:
-                continue
-            total += recurse(j + 1, merged[0], merged[1], -sign)
-        return total
-
-    return recurse(0, 0, 1, 1)
-
-
 def _shifted_power_primes(bound: int, sign: int) -> list[int]:
     """Primes 2^q + sign <= bound over q >= 1 (sign -1: Mersenne, +1: Fermat)."""
-    out = []
-    q = 1
-    while (value := (1 << q) + sign) <= bound:
-        if is_prime(value):
-            out.append(value)
-        q += 1
-    return out
+    values = ((1 << q) + sign for q in range(1, bound.bit_length() + 1))
+    return [v for v in values if v <= bound and is_prime(v)]
 
 
 def _exponent_events(bound: int, u: int, sign: int, table: PrimeTable | None) -> list[tuple[int, int]]:
@@ -378,16 +328,17 @@ def _exponent_count(x: int, sign: int, table: PrimeTable | None) -> CountReport:
     The sieve keeps q whose 2^q + sign has no odd prime factor <= sqrt(b)
     (the prime 2 never divides it and is excluded), where b bounds every
     2^q + sign: x on the Mersenne side, x + 1 on the Fermat side (2^3 + 1 =
-    9 = 3^2 at x = 8).  Adding the brute count of such primes <= sqrt(b)
-    and removing the unit q = 1 of the Mersenne side (2^1 - 1 = 1)
-    reproduces the true count exactly.
+    9 = 3^2 at x = 8).  There are only u candidates, so each q in [1, u] is
+    checked against every event progression directly.  Adding the brute
+    count of such primes <= sqrt(b) and removing the unit q = 1 of the
+    Mersenne side (2^1 - 1 = 1) reproduces the true count exactly.
     """
     if x < 4:
         raise ValueError("x must be >= 4")
     u = x.bit_length() - 1  # floor(log2 x)
     bound = x + 1 if sign > 0 else x
     events = _exponent_events(bound, u, sign, table)
-    sieved = _exponent_sieve_count(u, events)
+    sieved = sum(all(q % d != r for r, d in events) for q in range(1, u + 1))
     lam = len(_shifted_power_primes(math.isqrt(bound), sign))
     units = 1 if sign < 0 else 0
     oracle = sum(1 for q in range(1, u + 1) if is_prime((1 << q) + sign))

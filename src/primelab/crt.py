@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as cartesian
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -118,34 +117,22 @@ def choice_count(spec: ChoiceSpec) -> int:
     return math.prod(len(allowed) for _, allowed in spec.entries)
 
 
-def _canonical_values_numpy(spec: ChoiceSpec) -> np.ndarray:
+def _canonical_values(spec: ChoiceSpec) -> list[int]:
     m = spec.modulus
-    vals = np.zeros(1, dtype=np.int64)
+    dtype = np.int64 if m < _NUMPY_MOD_CAP else object  # object: exact Python ints
+    vals = np.zeros(1, dtype=dtype)
     for p, allowed in spec.entries:
         rest = m // p
         basis = rest * pow(rest, -1, p) % m  # = 1 mod p, 0 mod others
-        contrib = np.array([r * basis % m for r in allowed], dtype=np.int64)
+        contrib = np.array([r * basis % m for r in allowed], dtype=dtype)
         vals = (vals[:, None] + contrib[None, :]).ravel() % m
     vals.sort()
-    return vals
-
-
-def _canonical_values_bigint(spec: ChoiceSpec) -> list[int]:
-    m = spec.modulus
-    bases = []
-    for p, allowed in spec.entries:
-        rest = m // p
-        basis = rest * pow(rest, -1, p) % m
-        bases.append([r * basis % m for r in allowed])
-    return sorted(sum(parts) % m for parts in cartesian(*bases))
+    return vals.tolist()
 
 
 def _enumerate_product(spec: ChoiceSpec, lo: int, hi: int) -> Iterator[int]:
     m = spec.modulus
-    if m < _NUMPY_MOD_CAP:
-        canonical = [int(v) for v in _canonical_values_numpy(spec)]
-    else:
-        canonical = _canonical_values_bigint(spec)
+    canonical = _canonical_values(spec)
     for k in range(lo // m, hi // m + 1):
         base = k * m
         for v in canonical:

@@ -20,7 +20,7 @@ from .counts import (
     multiplicative_order,
 )
 from .residues import AdmissibleTuple, tuple_forbidden
-from .sieve import PrimeTable, sieving_prime_set, table_for
+from .sieve import PrimeTable, pattern_starts, sieving_prime_set, table_for
 
 __all__ = [
     "EstimateReport",
@@ -108,27 +108,22 @@ def omega_k_estimate(x: int, tup: AdmissibleTuple, table: PrimeTable | None = No
 
 
 def brute_ap_prime_count(x: int, a: int, b: int, table: PrimeTable | None = None) -> int:
-    """Primes <= x among {a + k*b : k >= 0}."""
-    table = table_for(x, table)
-    return sum(1 for n in range(a, x + 1, b) if n >= 2 and table.is_prime(n))
+    """Primes <= x among {a + k*b : k >= 0}: the pattern oracle's form (b*k + a)."""
+    if b < 1:
+        raise ValueError("b must be positive")
+    return len(pattern_starts(0, (x - a) // b, ((b, a),), table))
 
 
 def brute_ap_twin_count(x: int, a: int, b: int, table: PrimeTable | None = None) -> int:
-    """Generalized twin pairs <= x in the progression a + k*b.
+    """Generalized twin pairs <= x in a + k*b: the pattern oracle's forms (b*k + a, b*k + a + step*b).
 
     Adjacent terms when every term is odd (step index 1), terms two apart
     when parity alternates (step index 2); both members prime, larger <= x.
     """
-    table = table_for(x, table)
+    if b < 1:
+        raise ValueError("b must be positive")
     step = 1 if b % 2 == 0 else 2
-    count = 0
-    n = a
-    while n + step * b <= x:
-        m = n + step * b
-        if n >= 2 and table.is_prime(n) and table.is_prime(m):
-            count += 1
-        n += b
-    return count
+    return len(pattern_starts(0, (x - a) // b - step, ((b, a), (b, a + step * b)), table))
 
 
 def _ap_leading(x: int, a: int, b: int) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .crt import ChoiceSpec, crt_enumerate
 from .residues import twin_forbidden
-from .sieve import PrimeTable, factorize, is_prime, sieving_prime_set, table_for
+from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set, table_for
 
 __all__ = [
     "SplitPlan",
@@ -112,14 +112,10 @@ def _verify_candidate(p: int, plan: SplitPlan, table: PrimeTable) -> None:
 
 
 def brute_goldbach_pairs(two_n: int, table: PrimeTable | None = None) -> list[tuple[int, int]]:
-    """Oracle: all (p, q), p <= q prime, p + q = two_n, by direct scan."""
+    """Oracle: all (p, q), p <= q prime, p + q = two_n: the pattern oracle's forms (n, two_n - n)."""
     _check_even_target(two_n)
-    table = table_for(two_n, table)
-    return [
-        (p, two_n - p)
-        for p in range(2, two_n // 2 + 1)
-        if table.is_prime(p) and table.is_prime(two_n - p)
-    ]
+    starts = pattern_starts(2, two_n // 2, ((1, 0), (-1, two_n)), table_for(two_n, table))
+    return [(p, two_n - p) for p in starts.tolist()]
 
 
 def goldbach_enumerate(

@@ -1,4 +1,4 @@
-"""Prime generation, primality certificates, and residue-class counting.
+"""Prime generation, primality certificates, the pattern oracle and residue-class counting.
 
 Everything here is exact integer arithmetic.  The central object is the
 immutable :class:`PrimeTable`: an ascending array of primes up to a limit
@@ -27,6 +27,7 @@ __all__ = [
     "sieving_prime_set",
     "factorize",
     "count_congruent",
+    "pattern_starts",
     "avoiding_mask",
     "avoiding_windows",
     "save_cache",
@@ -257,6 +258,29 @@ def count_congruent(x: int, r: int, m: int) -> int:
     if r > x:
         return 0
     return (x - r) // m + 1
+
+
+def pattern_starts(lo: int, hi: int, forms, table: PrimeTable | None = None) -> np.ndarray:
+    """Ascending n in [lo, hi] at which every linear form a*n + b in ``forms`` is prime.
+
+    The one pattern oracle (twins: (n, n + 2); Goldbach pairs of 2m: (n, 2m - n)).
+    It reads only the table, grown to the largest form value: the first form
+    (a >= 1) takes its primes by searchsorted and keeps those = b (mod a);
+    each further form is one is_prime_array lookup.  An empty range builds no table.
+    """
+    (a, b), rest = forms[0], forms[1:]
+    if a < 1:
+        raise ValueError("the first form needs a >= 1")
+    if hi < lo:
+        return np.array([], dtype=np.int64)
+    table = table_for(max(max(c * lo + d, c * hi + d) for c, d in forms), table)
+    starts = table.primes[np.searchsorted(table.primes, a * lo + b):
+                          np.searchsorted(table.primes, a * hi + b, side="right")]
+    if (a, b) != (1, 0):  # n = (p - b) / a; the form n itself reads the primes in place
+        starts = (starts[(starts - b) % a == 0] - b) // a
+    for c, d in rest:
+        starts = starts[table.is_prime_array(c * starts + d)]
+    return starts
 
 
 def avoiding_mask(lo: int, hi: int, entries) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primelab import counts, crt, sieve
+from primelab import counts, crt, densities, goldbach, residues, sieve
 from primelab.counts import (
     brute_pi,
     brute_tuple_count,
@@ -122,8 +122,9 @@ def test_oracles_do_not_use_the_residue_windows(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle reached the residue-window core")
 
-    for module in (sieve, counts, crt):
-        for name in ("avoiding_mask", "avoiding_windows"):
+    for module in (sieve, counts, crt, residues, densities, goldbach):
+        for name in ("avoiding_mask", "avoiding_windows",
+                     "tuple_forbidden", "twin_forbidden", "sophie_forbidden"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     table = sieve_primes(20_000)
@@ -132,8 +133,13 @@ def test_oracles_do_not_use_the_residue_windows(monkeypatch):
     assert brute_twin_count(10**4, table) == 205
     assert brute_tuple_count(10**4, (2, 6), table) == 55
     assert len(brute_goldbach_pairs(10_000, table)) == 127
+    assert densities.brute_ap_prime_count(10**4, 1, 4, table) == 609
+    assert densities.brute_ap_twin_count(10**4, 1, 6, table) == 200  # step 1
+    assert densities.brute_ap_twin_count(10**4, 2, 3, table) == 211  # step 2
     with pytest.raises(AssertionError):  # the patch is live
         survivor_count(100, ResidueSpec.twins([2, 3, 5, 7]))
+    with pytest.raises(AssertionError):
+        residues.tuple_forbidden((2, 6), 5)
 
 
 # capped at 1500: the flat expansion's term count grows exponentially in

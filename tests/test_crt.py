@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import partial
 from unittest import mock
@@ -41,6 +42,22 @@ def test_big_moduli_stay_exact():
     assert sol.modulus == math.prod(primes)
     assert sol.modulus > 2**64  # must not have wrapped
     assert sol.value == sol.modulus - 1
+
+
+def test_product_mode_past_int64_yields_exact_python_ints():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    allowed = [(p, [1, p - 1] if p % 4 == 1 else [p - 1]) for p in primes]
+    spec = ChoiceSpec.of(allowed)
+    m = spec.modulus
+    assert m > crt._NUMPY_MOD_CAP and choice_count(spec) == 128
+    classes = [crt_solve(CongruenceSystem.of(zip(rs, primes))).value
+               for rs in itertools.product(*(residues for _, residues in allowed))]
+    for lo, hi in ((0, m), (m // 2, m + m // 2)):  # one period, then across its end
+        want = sorted(v + k * m for v in classes for k in (0, 1) if lo <= v + k * m <= hi)
+        got = list(crt_enumerate(spec, lo, hi, mode="product"))
+        assert got == want
+        assert all(type(v) is int for v in got)
+        assert list(crt_enumerate(spec, lo, hi)) == want  # auto picks product here too
 
 
 def test_validation():

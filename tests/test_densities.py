@@ -21,6 +21,7 @@ from primelab.densities import (
     twin_constant_probe,
 )
 from primelab.residues import AdmissibleTuple
+from primelab.sieve import sieve_primes
 
 
 def test_psi_estimate_carries_exact_oracle():
@@ -51,6 +52,42 @@ def test_ap_brute_counts():
     assert brute_ap_prime_count(100, 1, 4) == 11
     # adjacent-term pairs in 3 + 4k: (3,7), (7,11), (19,23), (39? no) ...
     assert brute_ap_twin_count(30, 3, 4) >= 2
+
+
+def literal_ap_prime_count(x, a, b, table):
+    """Per-integer reference: walk a, a + b, ... <= x."""
+    return sum(1 for n in range(a, x + 1, b) if n >= 2 and table.is_prime(n))
+
+
+def literal_ap_twin_count(x, a, b, table):
+    """Per-integer reference: n and n + step*b both prime, n + step*b <= x."""
+    step = 1 if b % 2 == 0 else 2
+    count = 0
+    n = a
+    while n + step * b <= x:
+        m = n + step * b
+        if n >= 2 and table.is_prime(n) and table.is_prime(m):
+            count += 1
+        n += b
+    return count
+
+
+def test_ap_oracles_match_the_literal_walks():
+    table = sieve_primes(600)
+    # even b (step 1), odd b (step 2), a = 0, a negative; a > x below
+    progressions = [(1, 4), (3, 4), (0, 6), (5, 6), (1, 2), (1, 3), (2, 3), (0, 1), (1, 1),
+                    (0, 5), (2, 5), (-3, 4), (-4, 3)]
+    for x in range(601):
+        for a, b in progressions + [(x + 1, 2), (x + 7, 3)]:
+            assert brute_ap_prime_count(x, a, b, table) == literal_ap_prime_count(x, a, b, table)
+            assert brute_ap_twin_count(x, a, b, table) == literal_ap_twin_count(x, a, b, table)
+
+
+@pytest.mark.parametrize("oracle", [brute_ap_prime_count, brute_ap_twin_count])
+@pytest.mark.parametrize("b", [0, -2])
+def test_ap_oracles_reject_a_nonpositive_difference(oracle, b):
+    with pytest.raises(ValueError, match="b must be positive"):
+        oracle(30, 3, b)
 
 
 def test_ap_psi_warns_when_prime_divides_difference():

@@ -151,6 +151,19 @@ def test_twin_crt_search_rejects_a_set_that_is_not_the_prime_prefix(primes):
         twin_crt_search(primes, 2000)
 
 
+def literal_goldbach_pairs(two_n, table):
+    """Per-integer reference: every p <= two_n / 2 with p and two_n - p prime."""
+    return [(p, two_n - p) for p in range(2, two_n // 2 + 1)
+            if table.is_prime(p) and table.is_prime(two_n - p)]
+
+
+def test_brute_goldbach_pairs_match_the_literal_scan():
+    table = sieve_primes(2_000)
+    for two_n in range(6, 2_001, 2):
+        assert brute_goldbach_pairs(two_n, table) == literal_goldbach_pairs(two_n, table), two_n
+    assert brute_goldbach_pairs(2_000, table) == brute_goldbach_pairs(2_000)  # the shared table
+
+
 @pytest.mark.parametrize("two_n", [2**20, 10**6])
 def test_goldbach_enumerate_complete_at_large_targets(two_n):
     table = sieve_primes(two_n)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primelab import sieve
 from primelab.sieve import (
     CacheChecksumError,
     CacheMagicError,
@@ -18,6 +19,7 @@ from primelab.sieve import (
     factorize,
     is_prime,
     load_cache,
+    pattern_starts,
     save_cache,
     sieve_primes,
     sieving_prime_set,
@@ -204,3 +206,46 @@ def test_avoiding_windows_tile_the_range(lo, span, width):
     assert all(0 < len(mask) <= width for _, mask in windows)
     joined = np.concatenate([mask for _, mask in windows]) if windows else np.ones(0, bool)
     assert np.array_equal(joined, avoiding_mask(lo, hi, entries))
+
+
+@given(st.integers(-20, 120), st.integers(-1, 150), st.integers(1, 6), st.integers(-10, 10),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-30, 300)), max_size=3))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_pattern_starts_matches_a_literal_scan(lo, span, a, b, rest):
+    hi = lo + span  # span -1 is the empty range
+    forms = [(a, b), *rest]
+    want = [n for n in range(lo, hi + 1) if all(is_prime(c * n + d) for c, d in forms)]
+    got = pattern_starts(lo, hi, forms)
+    assert got.tolist() == want
+
+
+def test_pattern_starts_on_an_empty_range_builds_no_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was asked for")
+
+    monkeypatch.setattr(sieve, "table_for", refuse)
+    assert pattern_starts(10, 9, ((1, 0), (1, 2))).tolist() == []
+    assert pattern_starts(0, -5, ((6, 1),)).tolist() == []
+
+
+@pytest.mark.parametrize("forms", [((0, 3),), ((-1, 100), (1, 0))])
+def test_pattern_starts_rejects_a_first_form_below_one(forms):
+    with pytest.raises(ValueError):
+        pattern_starts(2, 50, forms)
+    with pytest.raises(ValueError):  # checked before the range
+        pattern_starts(50, 2, forms)
+
+
+def test_pattern_starts_reaches_the_table_limit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shared table was asked for")
+
+    twins, goldbach = sieve_primes(103), sieve_primes(98)  # 103 is prime, 98 = 100 - 2
+    monkeypatch.setattr(sieve, "shared_table", refuse)  # the given tables must suffice
+    # (101, 103): the increasing form's largest value is the limit
+    assert pattern_starts(2, 101, ((1, 0), (1, 2)), twins).tolist() == [
+        3, 5, 11, 17, 29, 41, 59, 71, 101]
+    # the decreasing form 100 - n peaks at n = lo = 2
+    assert pattern_starts(2, 50, ((1, 0), (-1, 100)), goldbach).tolist() == [3, 11, 17, 29, 41, 47]
+    with pytest.raises(AssertionError):  # one past the limit needs a bigger table
+        pattern_starts(2, 102, ((1, 0), (1, 2)), twins)
