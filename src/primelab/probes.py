@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .sieve import PrimeTable, factorize, is_prime, table_for
@@ -237,6 +236,8 @@ def xi_sigma_probe(sigma_grid, rel_tol: float = 1e-8) -> list[dict]:
     many primes as sigma shrinks).  The residual subtracts 2 * P(1+sigma),
     the n = 1 term, which the series representation says stays bounded.
     """
+    import mpmath  # only this probe needs it; a cold CLI process skips the import
+
     rows = []
     previous = None
     for sigma in sigma_grid:

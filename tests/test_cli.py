@@ -157,6 +157,14 @@ def test_count_pi_oracle_memory_stays_bounded():
     assert count_kb - import_kb < 25 * 1024  # sieving to x into a table costs about 53 MB
 
 
+def test_cold_cli_import_skips_mpmath():
+    """mpmath is imported by xi --sigma alone; the xi golden file pins that path."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    out = subprocess.run([sys.executable, "-c", "import primelab.cli, sys; print('mpmath' in sys.modules)"],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
 def test_closed_pipe_exits_quietly():
     proc = spawn("primes", "--limit", "1000000", "--list")
     assert proc.stdout.readline().startswith(b"# primes")

@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from primelab import counts, crt, densities, goldbach, residues, sieve
 from primelab.counts import (
@@ -170,6 +170,62 @@ def test_legendre_pi_tail_is_k_minus_1():
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_legendre_pi_exact(x):
     assert legendre_pi(x).formula_value == brute_pi(x)
+
+
+def memo_phi(x, primes):
+    """phi(x, k) by legendre_pi's route at or below 2^24: the subset sum, or the memo over the wheel."""
+    k = len(primes)
+    if k <= counts._LEAF_COUNT:
+        return counts._floor_sum(x, [int(p) for p in primes], (1,) * k)
+    return counts._phi_spine(x, k, primes)
+
+
+@pytest.mark.parametrize("k, pi", [(5, 9_592), (6, 78_498), (7, 664_579), (8, 5_761_455),
+                                   (9, 50_847_534), (10, 455_052_511), (11, 4_118_054_813)])
+def test_phi_floor_gives_the_published_pi_of_powers_of_ten(k, pi):
+    primes = sieving_prime_set(10**k)
+    assert counts._phi_floor(10**k, primes) + len(primes) - 1 == pi
+
+
+def test_phi_floor_matches_the_memo_phi_on_small_x():
+    for x in range(4, 3001):
+        primes = sieving_prime_set(x)
+        assert counts._phi_floor(x, primes) == memo_phi(x, primes), x
+
+
+@given(st.integers(3, 24).flatmap(lambda e: st.integers(1 << (e - 1), 1 << e)))  # every octave to 2^24
+@example((1 << 24) - 1)
+@example(1 << 24)
+@example(12_582_917)
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_phi_floor_matches_the_memo_phi_below_the_route(x):
+    primes = sieving_prime_set(x)
+    assert counts._phi_floor(x, primes) == memo_phi(x, primes)
+
+
+@pytest.mark.parametrize("x", [(1 << 24) - 1, 1 << 24, (1 << 24) + 1, 33_554_467, 71_234_567, 10**8])
+def test_legendre_pi_across_the_route(x):
+    report = legendre_pi(x)
+    assert report.formula_value == report.oracle_value
+
+
+def test_floor_route_touches_neither_the_memo_nor_the_oracle(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(counts, "_phi_memo", memo)
+    monkeypatch.setattr(counts, "_leaf_cumulative", None)
+    report = legendre_pi((1 << 24) + 1)
+    assert report.formula_value == report.oracle_value
+    assert memo == {} and counts._leaf_cumulative is None
+    assert legendre_pi(1 << 24).formula_value == 1_077_871 and memo  # 2^24 itself takes the memo route
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the formula reached the oracle")
+
+    primes = sieving_prime_set(10**8)
+    monkeypatch.setattr(counts, "count_primes", refuse)
+    monkeypatch.setattr(counts, "brute_pi", refuse)
+    monkeypatch.setattr(sieve.PrimeTable, "count_upto", refuse)
+    assert counts._phi_floor(10**8, primes) == 5_761_455 - 1_229 + 1
 
 
 def test_brute_pi_paths_agree_with_the_table():

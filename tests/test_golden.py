@@ -21,6 +21,8 @@ COMMANDS = [
     "count pi --x 50",
     "count pi --x 360",
     "count pi --x 361",
+    "count pi --x 16777216",
+    "count pi --x 16777217",
     "count twin --x 500",
     "count twin --x 10000",
     "count twin --x 9",
