@@ -100,7 +100,7 @@ class ChoiceSpec:
             before *= p
             if not allowed:
                 raise ValueError(f"empty allowed set for prime {p}")
-            if any(not 0 <= r < p for r in allowed):
+            if min(allowed) < 0 or max(allowed) >= p:
                 raise ValueError(f"residue out of range mod {p}")
 
     @classmethod

@@ -3,14 +3,18 @@
 The pipeline: split the remainders of the even target 2n into nonzero parts
 at every sieving prime, enumerate the resulting CRT classes, and read off
 prime pairs.  A candidate p in (1, 2n) coprime to every sieving prime is
-automatically prime (its trial-division certificate is vacuous); is_prime
-is still called on every emitted member as an independent certificate.
+automatically prime (its trial-division certificate is vacuous); a per-chunk
+array certificate plus is_prime_array still checks every emitted candidate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .crt import ChoiceSpec, crt_enumerate
 from .residues import twin_forbidden
@@ -76,39 +80,48 @@ class SplitPlan:
     two_n: int
     primes: tuple[int, ...]
     beta: tuple[int, ...]
-    splits: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def u(self) -> tuple[int, ...]:
         """Residues removed per prime: 1 where beta = 0, else 2."""
-        return tuple(p - len(s) for p, s in zip(self.primes, self.splits))
+        return tuple(1 if b == 0 else 2 for b in self.beta)
 
     @property
     def class_count(self) -> int:
-        return math.prod(len(s) for s in self.splits)
+        return math.prod(p - u for p, u in zip(self.primes, self.u))
+
+    @cached_property
+    def splits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple(split_remainder(b, p)) for b, p in zip(self.beta, self.primes))
 
     def eta_spec(self) -> ChoiceSpec:
-        """Allowed first-part residues per prime, as a CRT choice spec."""
-        return ChoiceSpec.of(
-            (p, sorted({eta for eta, _ in s})) for p, s in zip(self.primes, self.splits)
-        )
+        """Allowed first-part residues per prime (nonzero, not beta), as a CRT choice spec."""
+        return ChoiceSpec(tuple(
+            (p, (*range(1, b), *range(b + 1, p))) for p, b in zip(self.primes, self.beta)))
 
 
 def build_split_plan(two_n: int, table: PrimeTable | None = None) -> SplitPlan:
     _check_even_target(two_n)
-    primes = tuple(int(p) for p in sieving_prime_set(two_n, table))
-    beta = tuple(two_n % p for p in primes)
-    splits = tuple(tuple(split_remainder(b, p)) for b, p in zip(beta, primes))
-    return SplitPlan(two_n, primes, beta, splits)
+    primes = tuple(sieving_prime_set(two_n, table).tolist())
+    return SplitPlan(two_n, primes, tuple(two_n % p for p in primes))
 
 
-def _verify_candidate(p: int, plan: SplitPlan, table: PrimeTable) -> None:
-    # every in-range candidate is coprime to the sieving set, hence prime
-    for q in plan.primes:
-        if p % q == 0:
-            raise AssertionError(f"candidate {p} divisible by sieving prime {q}")
-    if p > plan.primes[-1] and not is_prime(p, table):
-        raise AssertionError(f"candidate {p} in range yet composite")
+# CRT stream chunks start at _CHUNK and double up to _BLOCK (so GUIDED reads few candidates
+# past its answer); one certificate block holds at most _BLOCK remainders.
+_CHUNK = 256
+_BLOCK = 1 << 16
+
+
+def _certify(chunk: np.ndarray, primes: np.ndarray) -> None:
+    """The paper's certificate, by plain remainders: no candidate has a sieving-prime factor."""
+    step = max(1, _BLOCK // len(chunk))
+    divisible = np.zeros(len(chunk), dtype=bool)
+    for i in range(0, len(primes), step):
+        divisible |= (np.remainder(chunk, primes[i:i + step, None]) == 0).any(axis=0)
+    if divisible.any():
+        p = int(chunk[divisible.argmax()])
+        q = next(int(q) for q in primes if p % q == 0)
+        raise AssertionError(f"candidate {p} divisible by sieving prime {q}")
 
 
 def brute_goldbach_pairs(two_n: int, table: PrimeTable | None = None) -> list[tuple[int, int]]:
@@ -126,30 +139,36 @@ def goldbach_enumerate(
 ) -> list[tuple[int, int]]:
     """Prime pairs (p, q), p <= q, p + q = two_n, from the split-plan classes.
 
-    EXACT walks every CRT candidate in (1, two_n); GUIDED walks ascending
-    and stops at the first verified pair.  The unit candidate 1 is skipped
-    (not prime).  allow_zero_eta additionally admits pairs whose smaller
-    member is itself a sieving prime (the zero-part splits the plan omits).
+    EXACT walks every CRT candidate in (1, two_n), skipping the unit 1; GUIDED stops at
+    the first chunk holding a verified pair and returns its smallest.  Each chunk gets a
+    per-chunk array certificate plus is_prime_array on p and two_n - p.  allow_zero_eta
+    additionally admits pairs whose smaller member is itself a sieving prime (the
+    zero-part splits the plan omits).
     """
     _check_even_target(two_n)
     if mode not in ("EXACT", "GUIDED"):
         raise ValueError(f"mode must be EXACT or GUIDED, not {mode!r}")
     table = table_for(two_n, table)
     plan = build_split_plan(two_n, table)
-    spec = plan.eta_spec()
+    primes = np.array(plan.primes, dtype=np.int64)
+    stream = crt_enumerate(plan.eta_spec(), 2, two_n - 1)
     pairs: set[tuple[int, int]] = set()
-    for p in crt_enumerate(spec, 2, two_n - 1):
-        _verify_candidate(p, plan, table)
-        q = two_n - p
-        if q >= 2 and is_prime(p, table) and is_prime(q, table):
-            pairs.add((min(p, q), max(p, q)))
-            if mode == "GUIDED":
-                break
-    if allow_zero_eta:
-        for p in plan.primes:
-            q = two_n - p
-            if q >= 2 and is_prime(q, table):
-                pairs.add((min(p, q), max(p, q)))
+    size = _CHUNK
+    while len(chunk := np.fromiter(itertools.islice(stream, size), np.int64)):
+        _certify(chunk, primes)
+        prime, partner = table.is_prime_array(np.stack((chunk, two_n - chunk)))
+        composite = ~prime & (chunk > plan.primes[-1])
+        if composite.any():
+            raise AssertionError(f"candidate {int(chunk[composite.argmax()])} in range yet composite")
+        hit = np.flatnonzero(prime & partner)[: 1 if mode == "GUIDED" else None]
+        low = np.minimum(chunk[hit], two_n - chunk[hit])
+        pairs.update(zip(low.tolist(), (two_n - low).tolist()))
+        if len(chunk) < size or (mode == "GUIDED" and len(hit)):
+            break
+        size = min(2 * size, _BLOCK)
+    if allow_zero_eta:  # every q = two_n - p exceeds the sieving prime p
+        zero = primes[table.is_prime_array(two_n - primes)]
+        pairs.update(zip(zero.tolist(), (two_n - zero).tolist()))
     return sorted(pairs)
 
 
@@ -253,14 +272,10 @@ def fixed_prefix_candidates(
     if len(fixed) >= len(plan.primes):
         raise ValueError("fixed prefix must leave at least one free prime")
     entries = []
-    for i, (p, s) in enumerate(zip(plan.primes, plan.splits)):
-        if i < len(fixed):
-            allowed = sorted({eta for eta, _ in s})
-            if fixed[i] not in allowed:
-                raise ValueError(f"residue {fixed[i]} not an allowed split part mod {p}")
-            entries.append((p, [fixed[i]]))
-        else:
-            entries.append((p, list(range(1, p))))
+    for i, (p, allowed) in enumerate(plan.eta_spec().entries):
+        if i < len(fixed) and fixed[i] not in allowed:
+            raise ValueError(f"residue {fixed[i]} not an allowed split part mod {p}")
+        entries.append((p, [fixed[i]] if i < len(fixed) else list(range(1, p))))
     m = math.prod(plan.primes)
     return list(crt_enumerate(ChoiceSpec.of(entries), 1, m))
 

@@ -142,6 +142,27 @@ def test_oracles_do_not_use_the_residue_windows(monkeypatch):
         residues.tuple_forbidden((2, 6), 5)
 
 
+def test_goldbach_oracle_and_certificate_stand_apart_from_the_stream(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached the CRT stream")
+
+    # the candidate certificate binds neither residue-window function
+    assert not hasattr(goldbach, "avoiding_mask") and not hasattr(goldbach, "avoiding_windows")
+    for module in (sieve, crt):
+        for name in ("avoiding_mask", "avoiding_windows"):
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(goldbach, "crt_enumerate", refuse)
+    monkeypatch.setattr(goldbach, "ChoiceSpec", refuse)
+    table = sieve_primes(20_000)
+    assert len(brute_goldbach_pairs(10_000, table)) == 127
+    primes = np.array([2, 3, 5, 7])
+    goldbach._certify(np.array([11, 13, 97]), primes)
+    with pytest.raises(AssertionError, match="candidate 91 divisible by sieving prime 7"):
+        goldbach._certify(np.array([11, 91, 97]), primes)
+    with pytest.raises(AssertionError, match="reached the CRT stream"):  # the patches are live
+        goldbach.goldbach_enumerate(100, table=table)
+
+
 # capped at 1500: the flat expansion's term count grows exponentially in
 # the number of sieving primes and hits its cap shortly after 40^2
 @given(st.integers(4, 1500))

@@ -78,6 +78,13 @@ def test_choice_spec_rejects_moduli_that_share_a_factor():
         ChoiceSpec.of([(3, [1]), (5, [1]), (15, [1])])
 
 
+@pytest.mark.parametrize("entries", [((5, (4, 5, 1)),), ((7, (3, -1)),)])
+def test_choice_spec_rejects_an_out_of_range_residue_in_an_unsorted_set(entries):
+    # built directly, so the residues are neither sorted nor deduplicated
+    with pytest.raises(ValueError, match=f"residue out of range mod {entries[0][0]}"):
+        ChoiceSpec(entries)
+
+
 def test_choice_count():
     spec = ChoiceSpec.of([(2, [1]), (3, [1, 2]), (5, [1, 3, 4])])
     assert choice_count(spec) == 6

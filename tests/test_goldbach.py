@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primelab import crt, goldbach
 from primelab.goldbach import (
     brute_goldbach_pairs,
     build_split_plan,
@@ -180,3 +181,60 @@ def test_twin_crt_search_beyond_certification_filters():
     for p in pairs:
         assert is_prime(p.lower) and is_prime(p.upper)
         assert p.certified == (p.upper < 49)
+
+
+def injecting(position, value):
+    """A crt_enumerate stand-in that swaps the candidate at one stream position for value."""
+    def stream(spec, lo, hi):
+        for i, n in enumerate(crt.crt_enumerate(spec, lo, hi)):
+            yield value if i == position else n
+    return stream
+
+
+# with a chunk constant of 3 the chunks hold stream positions 0-2, 3-8, 9-20, ...;
+# GUIDED at 1000 finds its pair in the first chunk and reads no further
+@pytest.mark.parametrize("mode, position", [("EXACT", 0), ("EXACT", 1), ("EXACT", 2), ("EXACT", 3),
+                                            ("EXACT", 6), ("EXACT", 8), ("GUIDED", 0),
+                                            ("GUIDED", 1), ("GUIDED", 2)])
+def test_certificate_rejects_a_sieving_prime_multiple_anywhere_in_a_chunk(monkeypatch, position, mode):
+    monkeypatch.setattr(goldbach, "_CHUNK", 3)
+    # 1000's sieving primes run 2, ..., 31; 31 * 37 has no other factor among them.
+    # A block of 8 remainders splits the 11 primes into blocks of 2 (chunk 3) or 1 (chunks >= 6).
+    for block in (goldbach._BLOCK, 8):
+        monkeypatch.setattr(goldbach, "_BLOCK", block)
+        for value, q in ((7 * 13, 7), (31 * 37, 31)):
+            monkeypatch.setattr(goldbach, "crt_enumerate", injecting(position, value))
+            with pytest.raises(AssertionError, match=f"^candidate {value} divisible by sieving prime {q}$"):
+                goldbach_enumerate(1000, mode)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_certificate_rejects_a_coprime_composite(monkeypatch, position):
+    # 121 = 11^2 has no factor among 2n = 100's sieving primes 2, 3, 5, 7
+    monkeypatch.setattr(goldbach, "_CHUNK", 3)
+    monkeypatch.setattr(goldbach, "crt_enumerate", injecting(position, 121))
+    with pytest.raises(AssertionError, match="^candidate 121 in range yet composite$"):
+        goldbach_enumerate(100, table=sieve_primes(1000))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, goldbach._CHUNK])
+def test_chunk_edges_keep_every_pair(monkeypatch, chunk):
+    monkeypatch.setattr(goldbach, "_CHUNK", chunk)
+    table = sieve_primes(3000)
+    for two_n in range(6, 3001, 2):
+        want = brute_goldbach_pairs(two_n, table)
+        root = math.isqrt(two_n)
+        exact = goldbach_enumerate(two_n, "EXACT", table=table)
+        assert exact == [pq for pq in want if pq[0] > root], two_n
+        assert goldbach_enumerate(two_n, "GUIDED", table=table) == exact[:1], two_n
+        assert goldbach_enumerate(two_n, "EXACT", allow_zero_eta=True, table=table) == want, two_n
+
+
+def test_split_plan_derives_its_splits_from_beta():
+    plan = build_split_plan(3000)
+    assert "splits" not in plan.__dict__  # computed only on demand
+    for p, b, u, s, (q, allowed) in zip(plan.primes, plan.beta, plan.u, plan.splits,
+                                        plan.eta_spec().entries):
+        assert s == tuple(split_remainder(b, p)) and q == p
+        assert len(s) == p - u and allowed == tuple(sorted(eta for eta, _ in s))
+    assert plan.class_count == math.prod(len(s) for s in plan.splits)
