@@ -23,8 +23,9 @@ print(f"1. Splitting {TWO_N} across residues of 2, 3, 5, 7")
 print("=" * 70)
 plan = build_split_plan(TWO_N)
 print(f"remainders of {TWO_N}: {dict(zip(plan.primes, plan.beta))}")
+eta = plan.eta_spec()  # struck {0, beta} per prime; print what survives
 print(f"allowed eta classes per prime: "
-      f"{[(p, a) for p, a in plan.eta_spec().entries]}")
+      f"{[(p, tuple(sorted(eta.allowed(p)))) for p in plan.primes]}")
 print(f"total candidate classes: {plan.class_count}")
 
 print()

@@ -21,9 +21,9 @@ print("=" * 70)
 for m, n in [(11, 13), (1, 2), (3, 7)]:
     r = schinzel_search(m, n)
     print(f"{m}/{n} = ({r.p}+1)/({r.q}+1)   (multiplier k = {r.k})")
-spec = lambda_filter(11, 13, [2, 3, 5, 7])
+spec = lambda_filter(11, 13, [2, 3, 5, 7])  # the struck multipliers per prime
 print(f"multiplier residues that survive the pre-filter: "
-      f"{[(p, a) for p, a in spec.entries]}")
+      f"{[(p, tuple(sorted(spec.allowed(p)))) for p, _ in spec.entries]}")
 filtered = schinzel_search(11, 13)
 naive = naive_schinzel_search(11, 13)
 print(f"filtered search and naive search agree: k = {filtered.k} = {naive.k}")

@@ -21,7 +21,6 @@ from .counts import (
     twin_count_formula,
 )
 from .crt import (
-    ChoiceSpec,
     CongruenceSystem,
     CrtSolution,
     NonCoprimeModuliError,

@@ -13,8 +13,8 @@ import sys
 import time
 
 from . import counts, densities, goldbach, probes, schinzel
-from .crt import ChoiceSpec, CongruenceSystem, crt_enumerate, crt_solve
-from .residues import AdmissibleTuple, tight_tuples
+from .crt import CongruenceSystem, crt_enumerate, crt_solve
+from .residues import AdmissibleTuple, ResidueSpec, tight_tuples
 from .reporting import FORMATS, Report, format_report
 from .sieve import PrimeTable, load_cache, save_cache, sieve_primes, table_for
 
@@ -93,12 +93,25 @@ def _cmd_estimate(args, report: Report) -> int:
     return 0
 
 
-def _parse_allow(tokens) -> ChoiceSpec:
+# --allow lists m - u struck residues per modulus; this bounds that list (and its memory)
+_ALLOW_MAX_MODULUS = 10**6
+
+
+def _parse_allow(tokens) -> ResidueSpec:
+    """--allow m=r,r,... tokens as a struck-residue spec: the complement, taken once, by modulus."""
     entries = []
     for token in tokens:
         head, _, tail = token.partition("=")
-        entries.append((int(head), [int(r) for r in tail.split(",")]))
-    return ChoiceSpec.of(entries)
+        try:
+            m, allowed = int(head), {int(r) for r in tail.split(",")}
+        except ValueError:
+            raise ValueError(f"malformed --allow token {token!r}: want m=r,r,...") from None
+        if any(not 0 <= r < m for r in allowed):
+            raise ValueError(f"residue out of range mod {m}")
+        if m > _ALLOW_MAX_MODULUS:
+            raise ValueError(f"--allow modulus {m} exceeds {_ALLOW_MAX_MODULUS}")
+        entries.append((m, [r for r in range(m) if r not in allowed]))
+    return ResidueSpec.from_pairs(sorted(entries))
 
 
 def _cmd_crt(args, report: Report) -> int:
@@ -247,10 +260,10 @@ def _golden_checks() -> list[tuple[str, object, object]]:
     checks.append(("twin search {2,3,5,7} last pair",
                    (pairs_121[-1].lower, pairs_121[-1].upper), (107, 109)))
 
-    filt5 = schinzel.lambda_filter(11, 13, [5]).entries[0][1]
-    checks.append(("shifted-quotient allowed residues mod 5", list(filt5), [0, 2, 4]))
-    filt7 = schinzel.lambda_filter(11, 13, [7]).entries[0][1]
-    checks.append(("shifted-quotient allowed residues mod 7", list(filt7), [0, 2, 4, 5, 6]))
+    filt5 = sorted(schinzel.lambda_filter(11, 13, [5]).allowed(5))
+    checks.append(("shifted-quotient allowed residues mod 5", filt5, [0, 2, 4]))
+    filt7 = sorted(schinzel.lambda_filter(11, 13, [7]).allowed(7))
+    checks.append(("shifted-quotient allowed residues mod 7", filt7, [0, 2, 4, 5, 6]))
     result = schinzel.schinzel_search(11, 13, 100)
     checks.append(("shifted-quotient 11/13 multiplier", result.k if result else None, 9))
     checks.append(("shifted-quotient 11/13 primes",

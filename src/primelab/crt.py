@@ -1,4 +1,4 @@
-"""Chinese remainder solving and streaming enumeration over residue choices.
+"""Chinese remainder solving and streaming enumeration over a struck-residue spec.
 
 Moduli products are kept as arbitrary-precision Python integers throughout:
 products of primes overflow 64 bits very quickly, and the Goldbach span
@@ -13,12 +13,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .residues import NonCoprimeModuliError, ResidueSpec
 from .sieve import avoiding_mask, avoiding_windows
 
 __all__ = [
     "CongruenceSystem",
     "CrtSolution",
-    "ChoiceSpec",
     "NonCoprimeModuliError",
     "crt_solve",
     "crt_enumerate",
@@ -31,10 +31,6 @@ PRODUCT_MODE_CAP = 1_000_000
 
 # numpy int64 is safe for the vectorized combine only below this modulus
 _NUMPY_MOD_CAP = 1 << 62
-
-
-class NonCoprimeModuliError(ValueError):
-    """Raised when a congruence system's moduli are not pairwise coprime."""
 
 
 @dataclass(frozen=True)
@@ -85,52 +81,25 @@ def crt_solve(system: CongruenceSystem) -> CrtSolution:
     return sol
 
 
-@dataclass(frozen=True)
-class ChoiceSpec:
-    """Ordered (prime, allowed residue set) pairs; the moduli must be pairwise coprime."""
-
-    entries: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        before = 1  # product of the moduli so far
-        for p, allowed in self.entries:
-            g = math.gcd(before, p)
-            if g != 1:
-                raise NonCoprimeModuliError(f"modulus {p} shares factor {g} with an earlier modulus")
-            before *= p
-            if not allowed:
-                raise ValueError(f"empty allowed set for prime {p}")
-            if min(allowed) < 0 or max(allowed) >= p:
-                raise ValueError(f"residue out of range mod {p}")
-
-    @classmethod
-    def of(cls, pairs: Iterable[tuple[int, Iterable[int]]]) -> "ChoiceSpec":
-        return cls(tuple((int(p), tuple(sorted(set(int(r) for r in rs)))) for p, rs in pairs))
-
-    @property
-    def modulus(self) -> int:
-        return math.prod(p for p, _ in self.entries)
+def choice_count(spec: ResidueSpec) -> int:
+    """prod (m - |struck(m)|) -- the number of distinct CRT classes."""
+    return math.prod(m - len(struck) for m, struck in spec.entries)
 
 
-def choice_count(spec: ChoiceSpec) -> int:
-    """prod |allowed(p)| -- the number of distinct CRT classes."""
-    return math.prod(len(allowed) for _, allowed in spec.entries)
-
-
-def _canonical_values(spec: ChoiceSpec) -> list[int]:
+def _canonical_values(spec: ResidueSpec) -> list[int]:
     m = spec.modulus
     dtype = np.int64 if m < _NUMPY_MOD_CAP else object  # object: exact Python ints
     vals = np.zeros(1, dtype=dtype)
-    for p, allowed in spec.entries:
+    for p, struck in spec.entries:
         rest = m // p
         basis = rest * pow(rest, -1, p) % m  # = 1 mod p, 0 mod others
-        contrib = np.array([r * basis % m for r in allowed], dtype=dtype)
+        contrib = np.array([r * basis % m for r in range(p) if r not in struck], dtype=dtype)
         vals = (vals[:, None] + contrib[None, :]).ravel() % m
     vals.sort()
     return vals.tolist()
 
 
-def _enumerate_product(spec: ChoiceSpec, lo: int, hi: int) -> Iterator[int]:
+def _enumerate_product(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
     m = spec.modulus
     canonical = _canonical_values(spec)
     for k in range(lo // m, hi // m + 1):
@@ -141,16 +110,15 @@ def _enumerate_product(spec: ChoiceSpec, lo: int, hi: int) -> Iterator[int]:
                 yield n
 
 
-def _enumerate_scan(spec: ChoiceSpec, lo: int, hi: int) -> Iterator[int]:
+def _enumerate_scan(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
     """Walk [lo, hi] one sieve.avoiding_windows window (at most 1 Mi entries) at a time.
 
-    Each prime strikes its excluded residues, or, when fewer residues are
-    allowed than excluded, the allowed ones on a mask that is then inverted:
-    at most min(u, p - u) slices per prime and window, whatever the modulus.
+    Each modulus strikes its struck residues, or, when more residues are
+    struck than kept, the kept ones on a mask that is then inverted: at most
+    min(u, m - u) slices per modulus and window, whatever the modulus.
     """
-    kept = [(p, allowed) for p, allowed in spec.entries if 2 * len(allowed) < p]
-    struck = [(p, set(range(p)).difference(allowed))
-              for p, allowed in spec.entries if 2 * len(allowed) >= p]
+    kept = [(m, [r for r in range(m) if r not in s]) for m, s in spec.entries if 2 * len(s) > m]
+    struck = [(m, s) for m, s in spec.entries if 2 * len(s) <= m]
     for start, mask in avoiding_windows(lo, hi, struck):
         stop = start + len(mask) - 1
         for entry in kept:
@@ -158,8 +126,8 @@ def _enumerate_scan(spec: ChoiceSpec, lo: int, hi: int) -> Iterator[int]:
         yield from (np.flatnonzero(mask) + start).tolist()
 
 
-def crt_enumerate(spec: ChoiceSpec, lo: int, hi: int, mode: str = "auto") -> Iterator[int]:
-    """Ascending stream of n in [lo, hi] with n mod p in allowed(p) for all entries.
+def crt_enumerate(spec: ResidueSpec, lo: int, hi: int, mode: str = "auto") -> Iterator[int]:
+    """Ascending stream of n in [lo, hi] with n mod m outside struck(m) for every entry.
 
     Product mode builds every CRT class once (good for wide ranges over a
     small class count); range-scan walks the interval (good for narrow

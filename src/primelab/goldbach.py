@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .crt import ChoiceSpec, crt_enumerate
-from .residues import twin_forbidden
+from .crt import crt_enumerate
+from .residues import ResidueSpec
 from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set, table_for
 
 __all__ = [
@@ -94,10 +94,9 @@ class SplitPlan:
     def splits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return tuple(tuple(split_remainder(b, p)) for b, p in zip(self.beta, self.primes))
 
-    def eta_spec(self) -> ChoiceSpec:
-        """Allowed first-part residues per prime (nonzero, not beta), as a CRT choice spec."""
-        return ChoiceSpec(tuple(
-            (p, (*range(1, b), *range(b + 1, p))) for p, b in zip(self.primes, self.beta)))
+    def eta_spec(self) -> ResidueSpec:
+        """First-part residues struck per prime, {0, beta}: the split parts must both be nonzero."""
+        return ResidueSpec(tuple((p, frozenset((0, b))) for p, b in zip(self.primes, self.beta)))
 
 
 def build_split_plan(two_n: int, table: PrimeTable | None = None) -> SplitPlan:
@@ -271,13 +270,13 @@ def fixed_prefix_candidates(
     plan = build_split_plan(two_n, table)
     if len(fixed) >= len(plan.primes):
         raise ValueError("fixed prefix must leave at least one free prime")
-    entries = []
-    for i, (p, allowed) in enumerate(plan.eta_spec().entries):
-        if i < len(fixed) and fixed[i] not in allowed:
-            raise ValueError(f"residue {fixed[i]} not an allowed split part mod {p}")
-        entries.append((p, [fixed[i]] if i < len(fixed) else list(range(1, p))))
-    m = math.prod(plan.primes)
-    return list(crt_enumerate(ChoiceSpec.of(entries), 1, m))
+    pinned = []  # each pinned prime strikes every residue but its own
+    for r, p, b in zip(fixed, plan.primes, plan.beta):
+        if not 0 < r < p or r == b:
+            raise ValueError(f"residue {r} not an allowed split part mod {p}")
+        pinned.append((p, [s for s in range(p) if s != r]))
+    spec = ResidueSpec.from_pairs(pinned + [(p, (0,)) for p in plan.primes[len(fixed):]])
+    return list(crt_enumerate(spec, 1, spec.modulus))
 
 
 def goldbach_refine(
@@ -370,9 +369,8 @@ def twin_crt_search(
     if list(primes) != _prime_prefix(len(primes)):  # also rejects the empty set
         raise ValueError(f"primes {tuple(primes)} are not the prime prefix 2, 3, 5, ..., p_k")
     cert_bound = _next_prime(primes[-1]) ** 2
-    spec = ChoiceSpec.of((p, set(range(p)) - twin_forbidden(p)) for p in primes)
     pairs = []
-    for n in crt_enumerate(spec, 5, bound):
+    for n in crt_enumerate(ResidueSpec.twins(primes), 5, bound):
         certified = n < cert_bound
         if is_prime(n, table) and is_prime(n - 2, table):
             pairs.append(TwinPair(n - 2, n, certified))

@@ -1,12 +1,16 @@
-"""Forbidden/allowed residue machinery.
+"""Struck-residue machinery.
 
-Residue periodicity in arithmetic progressions, forbidden residue sets for
-twin, Sophie Germain, and k-tuple patterns, admissibility testing, and
-remainder sequences.  All operations are pure and stateless.
+One spec type, ResidueSpec, holds the struck (forbidden) residues per
+modulus; it feeds both the survivor counts and the CRT enumeration, and
+allowed residues are derived from it where they are read.  Also: residue
+periodicity in arithmetic progressions, forbidden residue sets for twin,
+Sophie Germain, and k-tuple patterns, admissibility testing, and remainder
+sequences.  All operations are pure and stateless.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -15,6 +19,7 @@ from .sieve import is_prime
 
 __all__ = [
     "ResidueSpec",
+    "NonCoprimeModuliError",
     "AdmissibleTuple",
     "RemainderSequence",
     "APResidueCycle",
@@ -28,26 +33,36 @@ __all__ = [
 ]
 
 
+class NonCoprimeModuliError(ValueError):
+    """Raised when a congruence system's moduli are not pairwise coprime."""
+
+
 @dataclass(frozen=True)
 class ResidueSpec:
-    """Per-prime forbidden residue sets, primes strictly increasing.
+    """Struck (forbidden) residue sets per modulus; moduli pairwise coprime, strictly increasing.
 
-    Forbidden sets are stored deduplicated ({0, 2} mod 2 collapses to {0})
-    so that each cardinality is the count of distinct residues.
+    The moduli are the sieving primes, except that the CLI's ``crt --allow``
+    also admits composite ones.  Struck sets are stored deduplicated
+    ({0, 2} mod 2 collapses to {0}) so that each cardinality is the count of
+    distinct residues.
     """
 
     entries: tuple[tuple[int, frozenset[int]], ...]
 
     def __post_init__(self):
-        last = 0
+        outside = [p for p, forb in self.entries for r in forb if not 0 <= r < p]
+        if outside:
+            raise ValueError(f"residue out of range mod {outside[0]}")
+        last, before = 0, 1  # the previous modulus and the product of all before it
         for p, forb in self.entries:
+            g = math.gcd(before, p)
+            if g != 1:
+                raise NonCoprimeModuliError(f"modulus {p} shares factor {g} with an earlier modulus")
             if p <= last:
-                raise ValueError("primes must be strictly increasing")
-            last = p
-            if any(not 0 <= r < p for r in forb):
-                raise ValueError(f"residue out of range mod {p}")
+                raise ValueError("moduli must be strictly increasing")
             if len(forb) >= p:
                 raise ValueError(f"no residue survives mod {p}")
+            last, before = p, before * p
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, Iterable[int]]]) -> "ResidueSpec":
@@ -73,12 +88,16 @@ class ResidueSpec:
     def allowed(self, p: int) -> frozenset[int]:
         for q, forb in self.entries:
             if q == p:
-                return frozenset(range(p)) - forb
+                return frozenset(r for r in range(p) if r not in forb)
         raise KeyError(p)
 
     def cardinalities(self) -> tuple[int, ...]:
         """The u_i sequence: distinct forbidden residues per prime."""
         return tuple(len(forb) for _, forb in self.entries)
+
+    @property
+    def modulus(self) -> int:
+        return math.prod(p for p, _ in self.entries)
 
 
 @dataclass(frozen=True)

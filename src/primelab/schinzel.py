@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .crt import ChoiceSpec
-from .residues import RemainderSequence, remainder_sequence
+from .residues import RemainderSequence, ResidueSpec, remainder_sequence
 from .sieve import PrimeTable, is_prime, sieving_prime_set
 
 __all__ = [
@@ -40,25 +39,19 @@ class SchinzelResult:
     reduced: bool  # True when the input fraction was reduced first
 
 
-def lambda_filter(m: int, n: int, primes) -> ChoiceSpec:
-    """Allowed multiplier residues per prime.
+def lambda_filter(m: int, n: int, primes) -> ResidueSpec:
+    """Multiplier residues struck per prime.
 
-    lambda is disallowed mod p when (2m mod p) * lambda = 1 or
+    lambda is struck mod p when (2m mod p) * lambda = 1 or
     (2n mod p) * lambda = 1: either congruence makes p divide the
     corresponding shifted value 2mk - 1 or 2nk - 1.  When p divides 2m
-    (or 2n) that side removes nothing.  Between 0 and 2 residues are
-    removed per prime.
+    (or 2n) that side strikes nothing.  Between 0 and 2 residues are
+    struck per prime.
     """
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
-    entries = []
-    for p in primes:
-        disallowed = set()
-        for a in (2 * m % p, 2 * n % p):
-            if a:
-                disallowed.add(pow(a, -1, p))
-        entries.append((p, [r for r in range(p) if r not in disallowed]))
-    return ChoiceSpec.of(entries)
+    return ResidueSpec(tuple(
+        (p, frozenset(pow(a, -1, p) for a in (2 * m % p, 2 * n % p) if a)) for p in primes))
 
 
 def window_primes(value: int, table: PrimeTable | None = None) -> tuple[int, ...]:

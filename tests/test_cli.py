@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import primelab
+from primelab import cli, crt
 from primelab.cli import reproduce_paper, run_command
 from primelab.reporting import Report, format_report
 
@@ -130,6 +131,42 @@ def test_non_coprime_crt_moduli_exit_1_with_message():
     assert proc.returncode == 1
     assert err.decode() == "error: modulus 6 shares factor 2 with an earlier modulus\n"
     assert out == b""
+
+
+def run_error(capsys, *argv):
+    code = run_command(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_allow_residue_out_of_range_is_checked_before_the_complement(capsys):
+    # the struck-residue spec would reduce 5 mod 3 silently; the parser must not
+    assert run_error(capsys, "crt", "--allow", "3=5") == (1, "error: residue out of range mod 3\n")
+
+
+@pytest.mark.parametrize("token", ["3", "3=", "x=1", "3=1,,2"])
+def test_malformed_allow_token_exits_1_naming_it(capsys, token):
+    code, err = run_error(capsys, "crt", "--allow", token)
+    assert code == 1
+    assert err == f"error: malformed --allow token {token!r}: want m=r,r,...\n"
+
+
+def test_allow_modulus_beyond_the_complement_bound_exits_1(capsys):
+    code, err = run_error(capsys, "crt", "--allow", "1000003=1", "--hi", "10")
+    assert (code, err) == (1, "error: --allow modulus 1000003 exceeds 1000000\n")
+
+
+@pytest.mark.parametrize("mode", ["product", "scan"])
+@pytest.mark.parametrize("order", [("9=1,2", "4=3"), ("4=3", "9=1,2")])
+def test_allow_composite_unordered_moduli_match_a_brute_filter(capsys, monkeypatch, mode, order):
+    monkeypatch.setattr(cli, "crt_enumerate",
+                        lambda spec, lo, hi: crt.crt_enumerate(spec, lo, hi, mode=mode))
+    argv = [a for token in order for a in ("--allow", token)]
+    code, doc = run_json(capsys, "crt", *argv, "--lo", "0", "--hi", "200")
+    assert code == 0
+    want = [n for n in range(201) if n % 9 in (1, 2) and n % 4 == 3]
+    assert [r["n"] for r in doc["rows"]] == want
 
 
 # A child's peak RSS starts at its parent's, and this test process can be

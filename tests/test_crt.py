@@ -9,13 +9,18 @@ from hypothesis import given, settings, strategies as st
 from primelab import crt, sieve
 from primelab.crt import (
     _enumerate_scan,
-    ChoiceSpec,
     CongruenceSystem,
     NonCoprimeModuliError,
     choice_count,
     crt_enumerate,
     crt_solve,
 )
+from primelab.residues import ResidueSpec
+
+
+def allow_spec(pairs):
+    """The ResidueSpec keeping only the given allowed residues: each modulus strikes the rest."""
+    return ResidueSpec.from_pairs((m, [r for r in range(m) if r not in rs]) for m, rs in pairs)
 
 
 def test_classic_solution():
@@ -47,7 +52,7 @@ def test_big_moduli_stay_exact():
 def test_product_mode_past_int64_yields_exact_python_ints():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     allowed = [(p, [1, p - 1] if p % 4 == 1 else [p - 1]) for p in primes]
-    spec = ChoiceSpec.of(allowed)
+    spec = allow_spec(allowed)
     m = spec.modulus
     assert m > crt._NUMPY_MOD_CAP and choice_count(spec) == 128
     classes = [crt_solve(CongruenceSystem.of(zip(rs, primes))).value
@@ -66,27 +71,29 @@ def test_validation():
     with pytest.raises(ValueError):
         crt_solve(CongruenceSystem.of([]))
     with pytest.raises(ValueError):
-        ChoiceSpec.of([(3, [])])
+        allow_spec([(3, [])])
     with pytest.raises(ValueError):
-        ChoiceSpec.of([(3, [1]), (3, [2])])
+        allow_spec([(3, [1]), (3, [2])])
 
 
-def test_choice_spec_rejects_moduli_that_share_a_factor():
+def test_residue_spec_rejects_moduli_that_share_a_factor():
     with pytest.raises(NonCoprimeModuliError, match="modulus 6 shares factor 2"):
-        ChoiceSpec.of([(4, [1]), (6, [1])])
+        allow_spec([(4, [1]), (6, [1])])
     with pytest.raises(NonCoprimeModuliError):
-        ChoiceSpec.of([(3, [1]), (5, [1]), (15, [1])])
+        allow_spec([(3, [1]), (5, [1]), (15, [1])])
+    with pytest.raises(NonCoprimeModuliError, match="modulus 3 shares factor 3"):
+        allow_spec([(3, [1]), (3, [2])])  # checked before "strictly increasing"
 
 
 @pytest.mark.parametrize("entries", [((5, (4, 5, 1)),), ((7, (3, -1)),)])
-def test_choice_spec_rejects_an_out_of_range_residue_in_an_unsorted_set(entries):
+def test_residue_spec_rejects_an_out_of_range_residue_in_an_unsorted_set(entries):
     # built directly, so the residues are neither sorted nor deduplicated
     with pytest.raises(ValueError, match=f"residue out of range mod {entries[0][0]}"):
-        ChoiceSpec(entries)
+        ResidueSpec(entries)
 
 
 def test_choice_count():
-    spec = ChoiceSpec.of([(2, [1]), (3, [1, 2]), (5, [1, 3, 4])])
+    spec = allow_spec([(2, [1]), (3, [1, 2]), (5, [1, 3, 4])])
     assert choice_count(spec) == 6
     assert spec.modulus == 30
 
@@ -94,12 +101,12 @@ def test_choice_count():
 def brute_enumerate(spec, lo, hi):
     return [
         n for n in range(lo, hi + 1)
-        if all(n % p in allowed for p, allowed in spec.entries)
+        if all(n % m not in struck for m, struck in spec.entries)
     ]
 
 
 def test_modes_agree_on_worked_example():
-    spec = ChoiceSpec.of([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])])
+    spec = allow_spec([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])])
     want = brute_enumerate(spec, 1, 210)
     assert list(crt_enumerate(spec, 1, 210, mode="product")) == want
     assert list(crt_enumerate(spec, 1, 210, mode="scan")) == want
@@ -120,7 +127,7 @@ def test_modes_agree_randomized(primes, lo, width, seed):
     for i, p in enumerate(sorted(primes)):
         allowed = [(seed + i + j) % p for j in range(1 + (seed + i) % p)]
         entries.append((p, sorted(set(allowed))))
-    spec = ChoiceSpec.of(entries)
+    spec = allow_spec(entries)
     hi = lo + width
     want = brute_enumerate(spec, lo, hi)
     assert list(crt_enumerate(spec, lo, hi, mode="product")) == want
@@ -130,7 +137,7 @@ def test_modes_agree_randomized(primes, lo, width, seed):
 
 @st.composite
 def scan_specs(draw):
-    """Choice specs mixing full residue sets, single residues and arbitrary subsets."""
+    """Specs whose allowed sets mix full residue sets, single residues and arbitrary subsets."""
     primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=4,
                            unique=True))
     entries = []
@@ -143,7 +150,7 @@ def scan_specs(draw):
         else:
             allowed = draw(st.lists(st.integers(0, p - 1), min_size=1, unique=True))
         entries.append((p, allowed))
-    return ChoiceSpec.of(entries)
+    return allow_spec(entries)
 
 
 def scan_in_windows(spec, lo, hi, width):
@@ -163,20 +170,20 @@ def test_scan_matches_filter_at_chunk_edges(spec, lo, width, chunk):
 
 
 def test_scan_strikes_from_unaligned_starts():
-    spec = ChoiceSpec.of([(7, range(7)), (11, [4]), (13, [0, 5, 12])])
+    spec = allow_spec([(7, range(7)), (11, [4]), (13, [0, 5, 12])])
     for lo, chunk in ((1001, 1), (1003, 6), (999_999, 7), (12_345, sieve.SEGMENT_ODD_BITS)):
         want = brute_enumerate(spec, lo, lo + 3000)
         assert scan_in_windows(spec, lo, lo + 3000, chunk) == want
 
 
 def test_empty_range_and_empty_spec():
-    spec = ChoiceSpec.of([(3, [1])])
+    spec = allow_spec([(3, [1])])
     assert list(crt_enumerate(spec, 10, 5)) == []
-    assert list(crt_enumerate(ChoiceSpec(()), 3, 6)) == [3, 4, 5, 6]
+    assert list(crt_enumerate(ResidueSpec(()), 3, 6)) == [3, 4, 5, 6]
 
 
 def test_stream_is_ascending_and_periodic():
-    spec = ChoiceSpec.of([(2, [1]), (3, [2]), (5, [2])])
+    spec = allow_spec([(2, [1]), (3, [2]), (5, [2])])
     first = list(crt_enumerate(spec, 1, 30))
     second = list(crt_enumerate(spec, 31, 60))
     assert second == [v + 30 for v in first]

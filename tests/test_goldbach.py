@@ -42,7 +42,7 @@ def test_build_split_plan_worked_examples():
     assert plan.primes == (2, 3, 5, 7)
     assert plan.beta == (0, 1, 0, 2)
     assert plan.class_count == 20
-    eta = {p: allowed for p, allowed in plan.eta_spec().entries}
+    eta = {p: tuple(sorted(plan.eta_spec().allowed(p))) for p in plan.primes}
     assert eta[2] == (1,) and eta[3] == (2,)
     assert eta[5] == (1, 2, 3, 4) and eta[7] == (1, 3, 4, 5, 6)
 
@@ -109,6 +109,9 @@ def test_fixed_prefix_group_members():
     assert members == [17, 47, 107, 137, 167, 197]
     gaps = {b - a for a, b in zip(members, members[1:])}
     assert all(g % 30 == 0 for g in gaps)  # separated by the pinned product
+    for bad in ((1, 1), (1, 3), (0,)):  # beta mod 3, out of range mod 3, zero mod 2
+        with pytest.raises(ValueError, match="not an allowed split part"):
+            fixed_prefix_candidates(100, bad)
 
 
 def test_refine_worked_examples():
@@ -233,8 +236,8 @@ def test_chunk_edges_keep_every_pair(monkeypatch, chunk):
 def test_split_plan_derives_its_splits_from_beta():
     plan = build_split_plan(3000)
     assert "splits" not in plan.__dict__  # computed only on demand
-    for p, b, u, s, (q, allowed) in zip(plan.primes, plan.beta, plan.u, plan.splits,
-                                        plan.eta_spec().entries):
+    spec = plan.eta_spec()
+    for p, b, u, s, (q, _) in zip(plan.primes, plan.beta, plan.u, plan.splits, spec.entries):
         assert s == tuple(split_remainder(b, p)) and q == p
-        assert len(s) == p - u and allowed == tuple(sorted(eta for eta, _ in s))
+        assert len(s) == p - u and sorted(spec.allowed(p)) == sorted(eta for eta, _ in s)
     assert plan.class_count == math.prod(len(s) for s in plan.splits)

@@ -15,16 +15,14 @@ from primelab.schinzel import (
 
 def test_lambda_filter_worked_values():
     spec = lambda_filter(11, 13, [2, 3, 5, 7])
-    allowed = {p: a for p, a in spec.entries}
-    assert allowed[5] == (0, 2, 4)
-    assert allowed[7] == (0, 2, 4, 5, 6)
+    assert sorted(spec.allowed(5)) == [0, 2, 4]
+    assert sorted(spec.allowed(7)) == [0, 2, 4, 5, 6]
 
 
 def test_lambda_filter_side_divisible_by_p_removes_nothing():
     # 2m = 0 mod p: that side's congruence has no solution
     spec = lambda_filter(5, 3, [5])
-    allowed = dict(spec.entries)[5]
-    assert len(allowed) == 4  # only the n-side removes one residue
+    assert len(spec.allowed(5)) == 4  # only the n-side removes one residue
 
 
 def test_lambda_filter_requires_coprime():
@@ -38,9 +36,22 @@ def test_disallowed_lambda_really_divides(m, n, k):
     if math.gcd(m, n) != 1:
         return
     for p in (3, 5, 7, 11):
-        allowed = dict(lambda_filter(m, n, [p]).entries)[p]
+        allowed = lambda_filter(m, n, [p]).allowed(p)
         if k % p not in allowed:
             assert (2 * m * k - 1) % p == 0 or (2 * n * k - 1) % p == 0
+
+
+def test_lambda_is_struck_exactly_when_p_divides_a_shifted_value():
+    # the converse of the test above, over every residue lambda mod p
+    for m in range(1, 31):
+        for n in range(1, 31):
+            if math.gcd(m, n) != 1:
+                continue
+            for p in (2, 3, 5, 7, 11, 13):
+                allowed = lambda_filter(m, n, [p]).allowed(p)
+                for lam in range(p):
+                    divides = (2 * m * lam - 1) % p == 0 or (2 * n * lam - 1) % p == 0
+                    assert (lam not in allowed) == divides, (m, n, p, lam)
 
 
 def test_search_worked_examples():
