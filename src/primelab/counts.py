@@ -1,12 +1,13 @@
 """Exact counting identities, each paired with a brute-force oracle.
 
-Legendre's prime count (phi over the floor values [x/i] above 2^24, a
-memoised wheel recursion at or below it), the twin and k-tuple
-residue-survivor formulas, and the order-based Mersenne/Fermat exponent
-counts.  The survivor count is a windowed residue sieve;
-survivor_count_expanded is the paper's literal inclusion-exclusion over CRT
-classes, kept as its test reference.  Every formula value here is an exact
-integer; approximation lives in :mod:`primelab.densities`.
+Legendre's prime count (phi over the floor values [x/i], or stepped from
+the previous call's x when that is at most 64 away with the same sieving
+primes; neither reads the oracle), the twin and k-tuple residue-survivor
+formulas, and the order-based Mersenne/Fermat exponent counts.  The
+survivor count is a windowed residue sieve; survivor_count_expanded is the
+paper's literal inclusion-exclusion over CRT classes, kept as its test
+reference.  Every formula value here is an exact integer; approximation
+lives in :mod:`primelab.densities`.
 """
 
 from __future__ import annotations
@@ -127,56 +128,6 @@ def survivor_count_expanded(x: int, spec: ResidueSpec, term_cap: int = 1 << 20) 
 # Legendre's prime-counting formula
 
 
-_LEAF_COUNT = 7  # first 7 primes folded into the wheel table
-_LEAF_PRIMES = (2, 3, 5, 7, 11, 13, 17)
-_LEAF_MOD = 510510
-_LEAF_TOTIENT = 92160
-
-_leaf_cumulative: np.ndarray | None = None
-_FLOOR_ROUTE_ABOVE = 1 << 24  # legendre_pi's memo route ends here
-
-
-def _leaf_table() -> np.ndarray:
-    global _leaf_cumulative
-    if _leaf_cumulative is None:
-        coprime = np.ones(_LEAF_MOD + 1, dtype=bool)
-        coprime[0] = False
-        for p in _LEAF_PRIMES:
-            coprime[p::p] = False
-        _leaf_cumulative = np.cumsum(coprime).astype(np.int64)
-    return _leaf_cumulative
-
-
-def _phi_leaf(x: int) -> int:
-    return (x // _LEAF_MOD) * _LEAF_TOTIENT + int(_leaf_table()[x % _LEAF_MOD])
-
-
-_phi_memo: dict[tuple[int, int], int] = {}
-
-
-def _phi_spine(x: int, a: int, primes: np.ndarray) -> int:
-    """phi(x, a) without memoizing the (unique) top-level argument."""
-    total = _phi_leaf(x)
-    for i in range(_LEAF_COUNT, a):
-        total -= _phi(x // int(primes[i]), i, primes)
-    return total
-
-
-def _phi(x: int, a: int, primes: np.ndarray) -> int:
-    """Count of n in [1, x] coprime to the first a primes (a >= leaf level)."""
-    if a == _LEAF_COUNT:
-        return _phi_leaf(x)
-    if x < _LEAF_PRIMES[0]:
-        return max(x, 0)
-    key = (x, a)
-    hit = _phi_memo.get(key)
-    if hit is not None:
-        return hit
-    total = _phi_spine(x, a, primes)
-    _phi_memo[key] = total
-    return total
-
-
 def _phi_floor(x: int, primes: np.ndarray) -> int:
     """phi(x, a) for the first a primes (ascending, none above x), breadth first over the floor values.
 
@@ -198,27 +149,44 @@ def _phi_floor(x: int, primes: np.ndarray) -> int:
     return int(large[1]) - len(primes)
 
 
+_phi_last = (0, 0, 0)  # (k, x, phi(x, k)) of the last _phi call, replaced whole
+
+
+def _phi(x: int, primes: np.ndarray) -> int:
+    """phi(x, k) for the first k = len(primes) primes (ascending, none above x).
+
+    When the last call had the same k and an x at most 64 away, phi
+    moves by the count of n between the two x coprime to every prime (one
+    remainder table, the definition of phi); any other call is _phi_floor.
+    The last call is one tuple, read once and replaced in one assignment, so
+    a thread never sees half of it.
+    """
+    global _phi_last
+    k, last_x, last_phi = _phi_last
+    if k == len(primes) and abs(x - last_x) <= 64:
+        lo, hi = sorted((last_x, x))
+        coprime = int(np.count_nonzero((np.arange(lo + 1, hi + 1)[:, None] % primes).all(axis=1)))
+        phi = last_phi + coprime if x >= last_x else last_phi - coprime
+    else:
+        phi = _phi_floor(x, primes)
+    _phi_last = (len(primes), x, phi)
+    return phi
+
+
 def legendre_pi(x: int, table: PrimeTable | None = None) -> CountReport:
     """Legendre's prime count pi(x) = phi(x, k) + k - 1 over the k sieving primes.
 
     phi counts 1 and omits the k primes themselves, hence the trailing term
-    (k - 1); the source's printed (p_k - 1) does not reproduce pi(20).  Above
-    2^24, phi is _phi_floor over the ~2 sqrt(x) floor values [x/i].  At or
-    below it, the memoised wheel recursion (_phi_spine), whose process-wide
-    memo serves runs of nearby x about twice as fast; the cutover sits where
-    a cold memo already costs about 0.5 s and the floor route about 10 ms.
+    (k - 1); the source's printed (p_k - 1) does not reproduce pi(20).  phi
+    is _phi: a step from the previous call when it had the same k and an x
+    at most 64 away, else _phi_floor over the ~2 sqrt(x) floor values [x/i].
+    Both read only the sieving primes, never the oracle's table or count.
     """
     if x < 4:
         raise ValueError("x must be >= 4")
     primes = sieving_prime_set(x, table)
     k = len(primes)
-    if x > _FLOOR_ROUTE_ABOVE:
-        phi_val = _phi_floor(x, primes)
-    elif k <= _LEAF_COUNT:
-        phi_val = _floor_sum(x, [int(p) for p in primes], (1,) * k)
-    else:
-        phi_val = _phi_spine(x, k, primes)
-    formula = phi_val + k - 1
+    formula = _phi(x, primes) + k - 1
     oracle = brute_pi(x, table)
     return CountReport(x, formula, oracle, {"tail_term": k - 1, "sieving_primes": k})
 

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 from functools import partial
 
@@ -193,14 +195,6 @@ def test_legendre_pi_exact(x):
     assert legendre_pi(x).formula_value == brute_pi(x)
 
 
-def memo_phi(x, primes):
-    """phi(x, k) by legendre_pi's route at or below 2^24: the subset sum, or the memo over the wheel."""
-    k = len(primes)
-    if k <= counts._LEAF_COUNT:
-        return counts._floor_sum(x, [int(p) for p in primes], (1,) * k)
-    return counts._phi_spine(x, k, primes)
-
-
 @pytest.mark.parametrize("k, pi", [(5, 9_592), (6, 78_498), (7, 664_579), (8, 5_761_455),
                                    (9, 50_847_534), (10, 455_052_511), (11, 4_118_054_813)])
 def test_phi_floor_gives_the_published_pi_of_powers_of_ten(k, pi):
@@ -208,10 +202,10 @@ def test_phi_floor_gives_the_published_pi_of_powers_of_ten(k, pi):
     assert counts._phi_floor(10**k, primes) + len(primes) - 1 == pi
 
 
-def test_phi_floor_matches_the_memo_phi_on_small_x():
+def test_phi_floor_matches_the_literal_legendre_sum_on_small_x():
     for x in range(4, 3001):
         primes = sieving_prime_set(x)
-        assert counts._phi_floor(x, primes) == memo_phi(x, primes), x
+        assert counts._phi_floor(x, primes) == counts._floor_sum(x, primes.tolist(), (1,) * len(primes)), x
 
 
 @given(st.integers(3, 24).flatmap(lambda e: st.integers(1 << (e - 1), 1 << e)))  # every octave to 2^24
@@ -219,34 +213,93 @@ def test_phi_floor_matches_the_memo_phi_on_small_x():
 @example(1 << 24)
 @example(12_582_917)
 @settings(max_examples=40, derandomize=True, deadline=None)
-def test_phi_floor_matches_the_memo_phi_below_the_route(x):
+def test_phi_floor_gives_pi_in_every_octave(x):
     primes = sieving_prime_set(x)
-    assert counts._phi_floor(x, primes) == memo_phi(x, primes)
+    assert counts._phi_floor(x, primes) + len(primes) - 1 == brute_pi(x)
 
 
 @pytest.mark.parametrize("x", [(1 << 24) - 1, 1 << 24, (1 << 24) + 1, 33_554_467, 71_234_567, 10**8])
-def test_legendre_pi_across_the_route(x):
+def test_legendre_pi_exact_up_to_1e8(x):
     report = legendre_pi(x)
     assert report.formula_value == report.oracle_value
 
 
-def test_floor_route_touches_neither_the_memo_nor_the_oracle(monkeypatch):
-    memo = {}
-    monkeypatch.setattr(counts, "_phi_memo", memo)
-    monkeypatch.setattr(counts, "_leaf_cumulative", None)
-    report = legendre_pi((1 << 24) + 1)
-    assert report.formula_value == report.oracle_value
-    assert memo == {} and counts._leaf_cumulative is None
-    assert legendre_pi(1 << 24).formula_value == 1_077_871 and memo  # 2^24 itself takes the memo route
-
+def test_phi_reads_no_oracle_on_either_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the formula reached the oracle")
 
-    primes = sieving_prime_set(10**8)
-    monkeypatch.setattr(counts, "count_primes", refuse)
+    x = 10**6
+    primes = sieving_prime_set(x + 65)  # 168 primes from 997^2 < x - 3 to 1009^2 > x + 65
+    floor_calls = []
+
+    def floor(*args):
+        floor_calls.append(args[0])
+        return phi_floor(*args)
+
+    phi_floor = counts._phi_floor
+    monkeypatch.setattr(counts, "_phi_floor", floor)
+    monkeypatch.setattr(counts, "_phi_last", (0, 0, 0))
+    for target in (counts, sieve):
+        monkeypatch.setattr(target, "count_primes", refuse)
+        monkeypatch.setattr(target, "is_prime", refuse)
     monkeypatch.setattr(counts, "brute_pi", refuse)
-    monkeypatch.setattr(sieve.PrimeTable, "count_upto", refuse)
-    assert counts._phi_floor(10**8, primes) == 5_761_455 - 1_229 + 1
+    for method in ("count_upto", "is_prime", "is_prime_array"):
+        monkeypatch.setattr(sieve.PrimeTable, method, refuse)
+    pi = {x: 78_498, x + 1: 78_498, x + 64: 78_502, x - 3: 78_498, x + 65: 78_502}
+    for n, expected in pi.items():  # floor, steps of +1 and +63, then |dx| = 67 and 68
+        assert counts._phi(n, primes) + len(primes) - 1 == expected, n
+    assert floor_calls == [x, x - 3, x + 65]
+    last = counts._phi_last
+    assert type(last) is tuple and len(last) == 3 and last[:2] == (168, x + 65)
+
+
+_SQUARE_PRIMES = sieve_primes(1000).primes.tolist()
+_around_square = st.builds(lambda p, d: max(4, p * p + d), st.sampled_from(_SQUARE_PRIMES), st.integers(-70, 70))
+_near = st.builds(lambda base, ds: [max(4, base + d) for d in ds],
+                  _around_square, st.lists(st.integers(-70, 70), min_size=1, max_size=6))
+
+
+@pytest.fixture(scope="module")
+def table_to_1e6():
+    return sieve_primes(1001**2)
+
+
+@given(st.lists(st.one_of(_near, st.builds(lambda x: [x], st.integers(4, 10**6))), min_size=2, max_size=8))
+@example([[10_131, 10_195, 10_131, 10_196, 10_204, 10_268, 10_203]])
+@example([[961 - 64, 961, 961 + 64, 961], [10**6], [10**6 - 65, 10**6 - 1]])
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_phi_steps_and_floors_in_any_order_match_the_table(table_to_1e6, runs):
+    # The examples step by +64 and -64, take floors at |dx| = 65 and where k
+    # changes within 64 (across 101^2 and 31^2), and jump far.
+    counts._phi_last = (0, 0, 0)
+    for x in (x for run in runs for x in run):
+        assert legendre_pi(x, table_to_1e6).formula_value == table_to_1e6.count_upto(x), x
+
+
+def test_phi_under_two_interleaved_threads():
+    table = sieve_primes(5 * 10**5 + 300)
+    mismatches = []
+
+    def run(start):
+        for x in range(start, start + 300):
+            report = legendre_pi(x, table)
+            if report.formula_value != report.oracle_value:
+                mismatches.append(x)
+
+    def yield_inside_phi(frame, event, arg):  # hand the GIL over at every C call _phi makes
+        if event == "c_call" and frame.f_code is counts._phi.__code__:
+            time.sleep(0)
+
+    threading.setprofile(yield_inside_phi)
+    try:
+        threads = [threading.Thread(target=run, args=(start,)) for start in (10**5, 5 * 10**5)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        threading.setprofile(None)
+    assert mismatches == []
 
 
 def test_brute_pi_paths_agree_with_the_table():
