@@ -1,13 +1,14 @@
 """Exact counting identities, each paired with a brute-force oracle.
 
-Legendre's prime count (phi over the floor values [x/i], or stepped from
-the previous call's x when that is at most 64 away with the same sieving
-primes; neither reads the oracle), the twin and k-tuple residue-survivor
-formulas, and the order-based Mersenne/Fermat exponent counts.  The
-survivor count is a windowed residue sieve; survivor_count_expanded is the
-paper's literal inclusion-exclusion over CRT classes, kept as its test
-reference.  Every formula value here is an exact integer; approximation
-lives in :mod:`primelab.densities`.
+Legendre's prime count (phi over the floor values [x/i], looping over the
+primes p <= cbrt(x) and gathering the rest, whose [x/p] only q <= sqrt(x/p)
+< cbrt(x) rewrite; or stepped from the previous call's x when that is at
+most 64 away with the same sieving primes; neither reads the oracle), the
+twin and k-tuple residue-survivor formulas, and the order-based
+Mersenne/Fermat exponent counts.  The survivor count is a windowed residue
+sieve; survivor_count_expanded is the paper's literal inclusion-exclusion
+over CRT classes, kept as its test reference.  Every formula value here is
+an exact integer; approximation lives in :mod:`primelab.densities`.
 """
 
 from __future__ import annotations
@@ -129,31 +130,34 @@ def survivor_count_expanded(x: int, spec: ResidueSpec, term_cap: int = 1 << 20) 
 
 
 def _phi_floor(x: int, primes: np.ndarray) -> int:
-    """phi(x, a) for the first a primes (ascending, none above x), breadth first over the floor values.
+    """phi(x, a) for the first a primes (ascending, none above sqrt(x)), breadth first over the floor values.
 
     phi(v, a) = phi(v, a-1) - phi([v/p_a], a-1) only needs the v = [x/i], so
     two int64 arrays hold c(v) = phi(v, a) + #{first a primes <= v}: small[v]
     for v <= sqrt(x), large[i] for v = [x/i], i <= sqrt(x).  Below p_a^2 the
     step leaves c as it is (phi loses 1, p_a is counted), so each prime
-    rewrites only the v >= p_a^2: c(v) -= c([v/p_a]) - a.
+    rewrites only the v >= p_a^2: c(v) -= c([v/p_a]) - a.  For p_a^3 > x the
+    step of large[1] reads large[p_a], which only q <= sqrt(x/p_a) < cbrt(x)
+    rewrite, so the loop stops there and large[1] -= sum(large[p_a] - a).
     """
     r = math.isqrt(x)
     small = np.arange(r + 1, dtype=np.int64)
     large = x // small.clip(1)  # large[0] is unused
-    for a, p in enumerate(primes.tolist(), 1):
+    cut = int(np.count_nonzero(primes <= x // (primes * primes)))  # the p with p^3 <= x, in integers
+    for a, p in enumerate(primes[:cut].tolist(), 1):
         top = min(r, x // (p * p))  # the i with [x/i] >= p^2
         inner = min(top, r // p)  # [x/(ip)] is large[ip] while ip <= r, else small[x // (ip)]
         outer = x // (np.arange(inner + 1, top + 1, dtype=np.int64) * p)
         large[1:top + 1] -= np.concatenate((large[p:inner * p + 1:p], small[outer])) - a
         small[p * p:] -= small[np.arange(p * p, r + 1) // p] - a
-    return int(large[1]) - len(primes)
+    return int(large[1] - (large[primes[cut:]] - np.arange(cut + 1, len(primes) + 1)).sum()) - len(primes)
 
 
 _phi_last = (0, 0, 0)  # (k, x, phi(x, k)) of the last _phi call, replaced whole
 
 
 def _phi(x: int, primes: np.ndarray) -> int:
-    """phi(x, k) for the first k = len(primes) primes (ascending, none above x).
+    """phi(x, k) for the first k = len(primes) primes (ascending, none above sqrt(x)).
 
     When the last call had the same k and an x at most 64 away, phi
     moves by the count of n between the two x coprime to every prime (one
@@ -179,8 +183,9 @@ def legendre_pi(x: int, table: PrimeTable | None = None) -> CountReport:
     phi counts 1 and omits the k primes themselves, hence the trailing term
     (k - 1); the source's printed (p_k - 1) does not reproduce pi(20).  phi
     is _phi: a step from the previous call when it had the same k and an x
-    at most 64 away, else _phi_floor over the ~2 sqrt(x) floor values [x/i].
-    Both read only the sieving primes, never the oracle's table or count.
+    at most 64 away, else _phi_floor over the ~2 sqrt(x) floor values [x/i]
+    (a loop to cbrt(x), then one gather of the [x/p], which only q < cbrt(x)
+    rewrite).  Both read only the sieving primes, never the oracle's table or count.
     """
     if x < 4:
         raise ValueError("x must be >= 4")

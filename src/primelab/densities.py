@@ -19,7 +19,7 @@ from .counts import (
     brute_twin_count,
     multiplicative_order,
 )
-from .residues import AdmissibleTuple, tuple_forbidden
+from .residues import AdmissibleTuple, ResidueSpec
 from .sieve import PrimeTable, pattern_starts, sieving_prime_set, table_for
 
 __all__ = [
@@ -98,13 +98,10 @@ def omega_k_estimate(x: int, tup: AdmissibleTuple, table: PrimeTable | None = No
     """
     if x < 9:
         raise ValueError("x must be >= 9")
-    primes = sieving_prime_set(x, table)
-    u_seq = [(int(p), len(tuple_forbidden(tup.offsets, int(p)))) for p in primes]
-    est = x * _product(1 - u / p for p, u in u_seq)
+    spec = ResidueSpec.for_tuple(tup.offsets, sieving_prime_set(x, table))
+    est = x * _product(1 - len(struck) / p for p, struck in spec.entries)
     oracle = brute_tuple_count(x, tup.offsets, table)
-    return EstimateReport(
-        x, est, oracle, {"offsets": tup.offsets, "u": tuple(u for _, u in u_seq)}
-    )
+    return EstimateReport(x, est, oracle, {"offsets": tup.offsets, "u": spec.cardinalities()})
 
 
 def brute_ap_prime_count(x: int, a: int, b: int, table: PrimeTable | None = None) -> int:

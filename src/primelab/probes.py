@@ -149,15 +149,22 @@ def big_omega(n: int) -> int:
 
 
 def big_omega_sieve(limit: int, table: PrimeTable | None = None) -> np.ndarray:
-    """Omega(n) for n in [0, limit], by sieving (Omega of 0 and 1 set to 0)."""
+    """Omega(n) for n in [0, limit], by sieving (Omega of 0 and 1 set to 0).
+
+    Each p <= sqrt(limit) adds 1 along its powers; a larger p adds 1 only at
+    each m*p, so one step per m <= limit // (isqrt(limit) + 1) adds them all.
+    """
     table = table_for(limit, table)
     omega = np.zeros(limit + 1, dtype=np.int64)
-    for p in table.prefix_le(limit):
-        p = int(p)
+    primes, root = table.prefix_le(limit), math.isqrt(limit)
+    split = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:split].tolist():
         pk = p
         while pk <= limit:
             omega[pk::pk] += 1
             pk *= p
+    for m in range(1, limit // (root + 1) + 1):  # the p > root with m*p <= limit
+        omega[primes[split:np.searchsorted(primes, limit // m, side="right")] * m] += 1
     return omega
 
 

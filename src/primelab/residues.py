@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .sieve import is_prime
+from .sieve import checked_primes, is_prime
 
 __all__ = [
     "ResidueSpec",
@@ -74,7 +74,7 @@ class ResidueSpec:
 
     @classmethod
     def sophie_germain(cls, primes: Iterable[int]) -> "ResidueSpec":
-        return cls.from_pairs((p, sophie_forbidden(p)) for p in primes)
+        return cls(_sophie_entries(checked_primes(primes)))
 
     @classmethod
     def primes_only(cls, primes: Iterable[int]) -> "ResidueSpec":
@@ -83,7 +83,7 @@ class ResidueSpec:
 
     @classmethod
     def for_tuple(cls, offsets: Sequence[int], primes: Iterable[int]) -> "ResidueSpec":
-        return cls.from_pairs((p, tuple_forbidden(offsets, p)) for p in primes)
+        return cls(_tuple_entries(offsets, checked_primes(primes)))
 
     def allowed(self, p: int) -> frozenset[int]:
         for q, forb in self.entries:
@@ -177,13 +177,20 @@ def twin_forbidden(p: int) -> frozenset[int]:
     return tuple_forbidden((2,), p)
 
 
+def _sophie_entries(primes: Iterable[int]) -> tuple[tuple[int, frozenset[int]], ...]:
+    return tuple((p, frozenset({0} if p == 2 else {0, (p - 1) // 2})) for p in primes)
+
+
+def _tuple_entries(offsets: Sequence[int], primes: Iterable[int]) -> tuple[tuple[int, frozenset[int]], ...]:
+    shifts = [offsets[-1] - b for b in (0, *offsets)]
+    return tuple((p, frozenset([s % p for s in shifts])) for p in primes)
+
+
 def sophie_forbidden(p: int) -> frozenset[int]:
     """Residues p must avoid for (p, 2p+1) both prime: {0, beta}, 2*beta+1 = 0 mod p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2:
-        return frozenset({0})
-    return frozenset({0, (p - 1) // 2})
+    return _sophie_entries((p,))[0][1]
 
 
 def tuple_forbidden(offsets: Sequence[int], p: int) -> frozenset[int]:
@@ -194,8 +201,7 @@ def tuple_forbidden(offsets: Sequence[int], p: int) -> frozenset[int]:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    last = offsets[-1]
-    return frozenset((last - b) % p for b in (0, *offsets))
+    return _tuple_entries(offsets, (p,))[0][1]
 
 
 def is_admissible(offsets: Sequence[int]) -> bool:
@@ -235,7 +241,5 @@ def remainder_sequence(x: int, primes: Sequence[int]) -> RemainderSequence:
     """The vector of x mod p over the given primes (the tabular form of the text)."""
     if not primes:
         raise ValueError("primes must be nonempty")
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+    checked_primes(primes)
     return RemainderSequence(x, tuple(primes), tuple(x % p for p in primes))

@@ -202,6 +202,29 @@ def test_phi_floor_gives_the_published_pi_of_powers_of_ten(k, pi):
     assert counts._phi_floor(10**k, primes) + len(primes) - 1 == pi
 
 
+def loop_only_phi(x, primes):
+    """phi(x, k) by the floor-value recursion run over every prime, as _phi_floor was before it
+    stopped at cbrt(x): the reference that checks its gather of the larger primes."""
+    r = math.isqrt(x)
+    small = np.arange(r + 1, dtype=np.int64)
+    large = x // small.clip(1)
+    for a, p in enumerate(primes.tolist(), 1):
+        top = min(r, x // (p * p))
+        inner = min(top, r // p)
+        outer = x // (np.arange(inner + 1, top + 1, dtype=np.int64) * p)
+        large[1:top + 1] -= np.concatenate((large[p:inner * p + 1:p], small[outer])) - a
+        small[p * p:] -= small[np.arange(p * p, r + 1) // p] - a
+    return int(large[1]) - len(primes)
+
+
+def test_phi_floor_matches_the_loop_only_recursion_at_cubes_and_squares():
+    cubes = [p**3 + d for p in sieve_primes(216).primes.tolist() for d in (-1, 0, 1)]
+    squares = [p * p + d for p in sieve_primes(1000).primes.tolist() for d in (-1, 0, 1)]
+    for x in sorted(set(cubes + squares) - {3}):
+        primes = sieving_prime_set(x)
+        assert counts._phi_floor(x, primes) == loop_only_phi(x, primes), x
+
+
 def test_phi_floor_matches_the_literal_legendre_sum_on_small_x():
     for x in range(4, 3001):
         primes = sieving_prime_set(x)

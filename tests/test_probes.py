@@ -90,6 +90,14 @@ def test_big_omega_sieve_matches_direct():
         assert sieved[n] == big_omega(n)
 
 
+def test_big_omega_sieve_at_every_small_limit_and_around_prime_squares():
+    # Omega(0) = Omega(1) = 0; the limits p^2 - 1, p^2, p^2 + 1 move a prime across isqrt(limit)
+    direct = [0] + [big_omega(n) for n in range(1, 100**2 + 2)]
+    squares = [p * p + d for p in range(2, 101) if big_omega(p) == 1 for d in (-1, 0, 1)]
+    for limit in [*range(2001), *squares]:
+        assert big_omega_sieve(limit).tolist() == direct[:limit + 1], limit
+
+
 def test_xi_partial_sum_values():
     assert xi_partial_sum(2, 1) == 1.0
     assert xi_partial_sum(2, 4) == pytest.approx(1 + 2 / 4 + 2 / 9 + 4 / 16)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primelab import sieve
 from primelab.residues import (
     AdmissibleTuple,
     ResidueSpec,
@@ -14,6 +15,7 @@ from primelab.residues import (
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+PRIMES_TO_2000 = sieve.sieve_primes(2000).primes.tolist()
 
 
 def test_twin_forbidden_values():
@@ -120,9 +122,41 @@ def test_residue_spec_validation_and_allowed():
         ResidueSpec.from_pairs([(3, (0,)), (2, (0,))])  # not increasing
 
 
+@given(st.lists(st.sampled_from(PRIMES_TO_2000), unique=True, max_size=80).map(sorted))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_spec_builders_match_the_per_prime_build(primes):
+    per_prime = ResidueSpec.from_pairs
+    assert ResidueSpec.twins(primes) == per_prime((p, twin_forbidden(p)) for p in primes)
+    assert ResidueSpec.sophie_germain(primes) == per_prime((p, sophie_forbidden(p)) for p in primes)
+    assert ResidueSpec.for_tuple((2, 6, 8), primes) == per_prime((p, tuple_forbidden((2, 6, 8), p)) for p in primes)
+
+
+BUILDERS = [ResidueSpec.twins, ResidueSpec.sophie_germain, lambda ps: ResidueSpec.for_tuple((2, 6, 8), ps)]
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+def test_spec_builders_name_the_first_composite(build, monkeypatch):
+    monkeypatch.setattr(sieve, "_shared_table", sieve.sieve_primes(1 << 16))
+    with pytest.raises(ValueError, match=r"^9 is not prime$"):
+        build([2, 3, 9, 11])
+    with pytest.raises(ValueError, match=r"^1000001 is not prime$"):  # 101 * 9901, above the table
+        build([2, 3, 1_000_001, 1_000_003])
+    with pytest.raises(ValueError, match=r"^9 is not prime$"):
+        build([2, 9, 1_000_001])
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+def test_spec_builders_sieve_no_table_up_to_a_modulus(build, monkeypatch):
+    monkeypatch.setattr(sieve, "_shared_table", sieve.sieve_primes(1 << 16))
+    assert build([2, 3, 5, 1_000_003]).entries[-1][0] == 1_000_003
+    assert sieve._shared_table.limit < 1_000_003
+
+
 def test_remainder_sequence_tabular_form():
     seq = remainder_sequence(22, (2, 3, 5, 7))
     assert seq.remainders == (0, 1, 2, 1)
     rows = seq.rows()
     assert rows[0]["row"] == "mod"
     assert rows[1]["7"] == 1
+    with pytest.raises(ValueError, match=r"^9 is not prime$"):
+        remainder_sequence(22, (2, 3, 9, 15))
