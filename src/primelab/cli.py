@@ -45,7 +45,7 @@ def _cmd_primes(args, report: Report) -> int:
     largest = int(primes[-1]) if len(primes) else None
     report.rows.append({"limit": args.limit, "count": len(primes), "largest": largest})
     if args.list:
-        report.rows.extend({"p": int(p)} for p in primes)
+        report.rows.extend({"p": p} for p in primes.tolist())
     return 0
 
 

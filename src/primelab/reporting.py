@@ -2,7 +2,9 @@
 
 Integers serialize exactly (lossless round-trip); floats are rendered
 with 12 significant digits in every format so JSON and CSV carry
-identical numeric values.
+identical numeric values. JSON rows are encoded a chunk at a time:
+with ``indent`` set, ``json.dumps`` bypasses the C encoder and holds every
+fragment of the whole report in one list, many times the size of the text.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 __all__ = ["Report", "format_report", "FORMATS"]
 
 FORMATS = ("json", "csv", "table")
+_JSON_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -50,16 +53,17 @@ def _cell(value) -> str:
 
 
 def _to_json(report: Report) -> str:
-    return json.dumps(
-        {
-            "command": report.command,
-            "params": _round_floats(report.params),
-            "rows": _round_floats(report.rows),
-            "warnings": list(report.warnings),
-            "runtime_ms": report.runtime_ms,
-        },
-        indent=2,
-    )
+    rows = report.rows
+    head = json.dumps({"command": report.command, "params": _round_floats(report.params)}, indent=2)
+    tail = json.dumps({"warnings": list(report.warnings), "runtime_ms": report.runtime_ms}, indent=2)
+    parts = [head[:-2], ',\n  "rows": [']
+    # json.dumps(chunk, indent=2) is "[\n" + ",\n".join(rows at depth 1) + "\n]": strip
+    # the brackets and indent once more, and the chunks join to the whole report's "rows"
+    for i in range(0, len(rows), _JSON_CHUNK_ROWS):
+        chunk = json.dumps(_round_floats(rows[i:i + _JSON_CHUNK_ROWS]), indent=2)
+        parts += ("," if i else "", chunk[1:-2].replace("\n", "\n  "))
+    parts += ("\n  ]" if rows else "]", ",\n", tail[2:])
+    return "".join(parts)
 
 
 def _fieldnames(rows: list) -> list[str]:

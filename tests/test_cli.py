@@ -5,11 +5,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import primelab
-from primelab import cli, crt
+from primelab import cli, crt, reporting
 from primelab.cli import reproduce_paper, run_command
 from primelab.reporting import Report, format_report
 
@@ -227,6 +228,48 @@ def test_report_float_formatting():
     assert doc["rows"][0]["n"] == 7
     table = format_report(rep, "table")
     assert "0.333333333333" in table
+
+
+def _whole_report_json(report: Report) -> str:
+    """The whole report in one json.dumps(..., indent=2) call: the reference that the
+    chunk-by-chunk JSON encoding must equal byte for byte."""
+    return json.dumps(
+        {
+            "command": report.command,
+            "params": reporting._round_floats(report.params),
+            "rows": reporting._round_floats(report.rows),
+            "warnings": list(report.warnings),
+            "runtime_ms": report.runtime_ms,
+        },
+        indent=2,
+    )
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 6, 7])
+def test_json_chunks_join_to_the_whole_report(monkeypatch, count):
+    monkeypatch.setattr(reporting, "_JSON_CHUNK_ROWS", 3)
+    kinds = [
+        {"big": 2**64 + 1, "third": 1 / 3, "tiny": 1e-20, "neg_zero": -0.0},
+        {"nested": {"a": [1, (2, 3.5)], "b": {"c": None}}, "ok": True},
+        {"name": "π(x) ≤ x — 素数", "flag": False, "none": None},
+        {"t": (1, [2, {"d": 1 / 7}]), "empty_list": [], "empty_dict": {}},
+    ]
+    rows = [{"i": i, **kinds[i % len(kinds)]} for i in range(count)]
+    rep = Report("demo", params={"allow": [(5, [1, 2]), {"7": (3,)}], "x": 2 / 3}, rows=rows,
+                 warnings=["plain", {"detail": [1, (2, None)]}], runtime_ms=12)
+    assert format_report(rep, "json") == _whole_report_json(rep)
+
+
+def test_json_report_memory_is_bounded():
+    rep = Report("primes", rows=[{"p": n} for n in range(100_000)])
+    tracemalloc.start()
+    try:
+        text = format_report(rep, "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_900_000
+    assert peak < 8 * 2**20  # 5.8 MiB chunked; one whole-report json.dumps peaks near 48 MiB
 
 
 def test_reproduce_clean_and_forced_mismatch():
