@@ -22,6 +22,7 @@ __all__ = [
     "NonCoprimeModuliError",
     "crt_solve",
     "crt_enumerate",
+    "scan_windows",
     "choice_count",
     "PRODUCT_MODE_CAP",
 ]
@@ -110,8 +111,8 @@ def _enumerate_product(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
                 yield n
 
 
-def _enumerate_scan(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
-    """Walk [lo, hi] one sieve.avoiding_windows window (at most 1 Mi entries) at a time.
+def scan_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """crt_enumerate's values, one ascending int64 array (maybe empty) per avoiding_windows window.
 
     Each modulus strikes its struck residues, or, when more residues are
     struck than kept, the kept ones on a mask that is then inverted: at most
@@ -123,7 +124,7 @@ def _enumerate_scan(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
         stop = start + len(mask) - 1
         for entry in kept:
             mask &= ~avoiding_mask(start, stop, (entry,))
-        yield from (np.flatnonzero(mask) + start).tolist()
+        yield np.flatnonzero(mask) + start
 
 
 def crt_enumerate(spec: ResidueSpec, lo: int, hi: int, mode: str = "auto") -> Iterator[int]:
@@ -150,5 +151,5 @@ def crt_enumerate(spec: ResidueSpec, lo: int, hi: int, mode: str = "auto") -> It
     if mode == "scan":
         if hi > (1 << 62):
             raise ValueError("range-scan bounds must fit in int64")
-        return _enumerate_scan(spec, lo, hi)
+        return (n for window in scan_windows(spec, lo, hi) for n in window.tolist())
     raise ValueError(f"unknown mode {mode!r}")

@@ -3,20 +3,19 @@
 The pipeline: split the remainders of the even target 2n into nonzero parts
 at every sieving prime, enumerate the resulting CRT classes, and read off
 prime pairs.  A candidate p in (1, 2n) coprime to every sieving prime is
-automatically prime (its trial-division certificate is vacuous); a per-chunk
-array certificate plus is_prime_array still checks every emitted candidate.
+automatically prime (its trial-division certificate is vacuous); an array
+certificate plus is_prime_array still checks what is read of each scan window.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .crt import crt_enumerate
+from .crt import crt_enumerate, scan_windows
 from .residues import ResidueSpec
 from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set, table_for
 
@@ -105,20 +104,18 @@ def build_split_plan(two_n: int, table: PrimeTable | None = None) -> SplitPlan:
     return SplitPlan(two_n, primes, tuple(two_n % p for p in primes))
 
 
-# CRT stream chunks start at _CHUNK and double up to _BLOCK (so GUIDED reads few candidates
-# past its answer); one certificate block holds at most _BLOCK remainders.
-_CHUNK = 256
+# one certificate block holds at most _BLOCK remainders
 _BLOCK = 1 << 16
 
 
-def _certify(chunk: np.ndarray, primes: np.ndarray) -> None:
+def _certify(candidates: np.ndarray, primes: np.ndarray) -> None:
     """The paper's certificate, by plain remainders: no candidate has a sieving-prime factor."""
-    step = max(1, _BLOCK // len(chunk))
-    divisible = np.zeros(len(chunk), dtype=bool)
+    step = max(1, _BLOCK // len(candidates))
+    divisible = np.zeros(len(candidates), dtype=bool)
     for i in range(0, len(primes), step):
-        divisible |= (np.remainder(chunk, primes[i:i + step, None]) == 0).any(axis=0)
+        divisible |= (np.remainder(candidates, primes[i:i + step, None]) == 0).any(axis=0)
     if divisible.any():
-        p = int(chunk[divisible.argmax()])
+        p = int(candidates[divisible.argmax()])
         q = next(int(q) for q in primes if p % q == 0)
         raise AssertionError(f"candidate {p} divisible by sieving prime {q}")
 
@@ -138,11 +135,11 @@ def goldbach_enumerate(
 ) -> list[tuple[int, int]]:
     """Prime pairs (p, q), p <= q, p + q = two_n, from the split-plan classes.
 
-    EXACT walks every CRT candidate in (1, two_n), skipping the unit 1; GUIDED stops at
-    the first chunk holding a verified pair and returns its smallest.  Each chunk gets a
-    per-chunk array certificate plus is_prime_array on p and two_n - p.  allow_zero_eta
-    additionally admits pairs whose smaller member is itself a sieving prime (the
-    zero-part splits the plan omits).
+    EXACT walks every CRT candidate in (1, two_n), skipping the unit 1; GUIDED stops in
+    the first scan window holding a verified pair, just after that pair's candidate, and
+    returns it.  The candidates read from each window get the array certificate plus
+    is_prime_array on p and two_n - p.  allow_zero_eta additionally admits pairs whose
+    smaller member is itself a sieving prime (the zero-part splits the plan omits).
     """
     _check_even_target(two_n)
     if mode not in ("EXACT", "GUIDED"):
@@ -150,25 +147,25 @@ def goldbach_enumerate(
     table = table_for(two_n, table)
     plan = build_split_plan(two_n, table)
     primes = np.array(plan.primes, dtype=np.int64)
-    stream = crt_enumerate(plan.eta_spec(), 2, two_n - 1)
-    pairs: set[tuple[int, int]] = set()
-    size = _CHUNK
-    while len(chunk := np.fromiter(itertools.islice(stream, size), np.int64)):
-        _certify(chunk, primes)
-        prime, partner = table.is_prime_array(np.stack((chunk, two_n - chunk)))
-        composite = ~prime & (chunk > plan.primes[-1])
+    # zero parts first: each q = two_n - p and each CRT candidate exceeds every sieving prime
+    lows = [primes[table.is_prime_array(two_n - primes)] if allow_zero_eta else primes[:0]]
+    for window in scan_windows(plan.eta_spec(), 2, two_n - 1):
+        if not len(window):  # is_prime_array and _certify need a candidate
+            continue
+        prime, partner = table.is_prime_array(np.stack((window, two_n - window)))
+        hit = np.flatnonzero(prime & partner)
+        if guided_hit := mode == "GUIDED" and len(hit):  # read up to the first pair only
+            window, prime, hit = window[: hit[0] + 1], prime[: hit[0] + 1], hit[:1]
+        _certify(window, primes)
+        composite = ~prime & (window > plan.primes[-1])
         if composite.any():
-            raise AssertionError(f"candidate {int(chunk[composite.argmax()])} in range yet composite")
-        hit = np.flatnonzero(prime & partner)[: 1 if mode == "GUIDED" else None]
-        low = np.minimum(chunk[hit], two_n - chunk[hit])
-        pairs.update(zip(low.tolist(), (two_n - low).tolist()))
-        if len(chunk) < size or (mode == "GUIDED" and len(hit)):
+            raise AssertionError(f"candidate {int(window[composite.argmax()])} in range yet composite")
+        found = window[hit]  # both members of a pair are candidates: keep the smaller
+        lows.append(found[2 * found <= two_n])
+        if guided_hit:
             break
-        size = min(2 * size, _BLOCK)
-    if allow_zero_eta:  # every q = two_n - p exceeds the sieving prime p
-        zero = primes[table.is_prime_array(two_n - primes)]
-        pairs.update(zip(zero.tolist(), (two_n - zero).tolist()))
-    return sorted(pairs)
+    low = np.concatenate(lows)  # ascending
+    return list(zip(low.tolist(), (two_n - low).tolist()))
 
 
 @dataclass(frozen=True)
@@ -235,11 +232,11 @@ def span_report(two_n: int, table: PrimeTable | None = None) -> SpanReport:
                 f"full-period enumeration cap {EXACT_SPAN_MAX_PRIME}",
             ),
         )
-    candidates = list(crt_enumerate(plan.eta_spec(), 1, m))
+    candidates = np.concatenate(list(scan_windows(plan.eta_spec(), 1, m)))
+    lo, hi = int(candidates[0]), int(candidates[-1])
     notes = []
-    if candidates and candidates[0] == 1:
+    if lo == 1:
         notes.append("unit candidate 1 present (excluded from prime pairs)")
-    lo, hi = candidates[0], candidates[-1]
     span = hi - lo
     exceeds = span > threshold
     flag = exceeds

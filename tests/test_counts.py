@@ -154,6 +154,7 @@ def test_goldbach_oracle_and_certificate_stand_apart_from_the_stream(monkeypatch
         for name in ("avoiding_mask", "avoiding_windows"):
             monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(goldbach, "crt_enumerate", refuse)
+    monkeypatch.setattr(goldbach, "scan_windows", refuse)
     monkeypatch.setattr(goldbach, "ResidueSpec", refuse)
     table = sieve_primes(20_000)
     assert len(brute_goldbach_pairs(10_000, table)) == 127

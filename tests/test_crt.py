@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from primelab import crt, sieve
 from primelab.crt import (
-    _enumerate_scan,
     CongruenceSystem,
     NonCoprimeModuliError,
     choice_count,
@@ -154,9 +153,9 @@ def scan_specs(draw):
 
 
 def scan_in_windows(spec, lo, hi, width):
-    """_enumerate_scan's stream with residue windows of `width` entries."""
+    """The scan mode's stream with residue windows of `width` entries."""
     with mock.patch.object(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width)):
-        return list(_enumerate_scan(spec, lo, hi))
+        return list(crt_enumerate(spec, lo, hi, mode="scan"))
 
 
 @given(scan_specs(), st.integers(0, 10**6), st.integers(0, 120), st.integers(1, 7))

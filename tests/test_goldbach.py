@@ -1,9 +1,11 @@
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primelab import crt, goldbach
+from primelab import crt, goldbach, sieve
 from primelab.goldbach import (
     brute_goldbach_pairs,
     build_split_plan,
@@ -168,7 +170,8 @@ def test_brute_goldbach_pairs_match_the_literal_scan():
     assert brute_goldbach_pairs(2_000, table) == brute_goldbach_pairs(2_000)  # the shared table
 
 
-@pytest.mark.parametrize("two_n", [2**20, 10**6])
+# 2^20 + 4 and 2^20 + 8 reach a second scan window, empty at 2^20 + 4 and holding one candidate at 2^20 + 8
+@pytest.mark.parametrize("two_n", [2**20, 10**6, 2**20 + 4, 2**20 + 8])
 def test_goldbach_enumerate_complete_at_large_targets(two_n):
     table = sieve_primes(two_n)
     want = brute_goldbach_pairs(two_n, table)
@@ -187,50 +190,112 @@ def test_twin_crt_search_beyond_certification_filters():
 
 
 def injecting(position, value):
-    """A crt_enumerate stand-in that swaps the candidate at one stream position for value."""
-    def stream(spec, lo, hi):
-        for i, n in enumerate(crt.crt_enumerate(spec, lo, hi)):
-            yield value if i == position else n
-    return stream
+    """A scan_windows stand-in that swaps the candidate at one stream position for value."""
+    def windows(spec, lo, hi):
+        seen = 0
+        for window in crt.scan_windows(spec, lo, hi):
+            if seen <= position < seen + len(window):
+                window = window.copy()
+                window[position - seen] = value
+            seen += len(window)
+            yield window
+    return windows
 
 
-# with a chunk constant of 3 the chunks hold stream positions 0-2, 3-8, 9-20, ...;
-# GUIDED at 1000 finds its pair in the first chunk and reads no further
+def window_width(monkeypatch, width):
+    """Scan in sieve.avoiding_windows windows of `width` entries."""
+    monkeypatch.setattr(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width))
+
+
+# 1000's candidates 47, 53, 59, 71, 89, 113, ... fill one default window; windows of 64
+# entries from 2 hold positions 0-2, 3-5, 6-9, ...  Every candidate is a verified pair
+# member, so GUIDED reads position 0 and stops: an injected value at position 0 makes it
+# read position 1 too, and it never reads positions 1 or 2 otherwise.
 @pytest.mark.parametrize("mode, position", [("EXACT", 0), ("EXACT", 1), ("EXACT", 2), ("EXACT", 3),
-                                            ("EXACT", 6), ("EXACT", 8), ("GUIDED", 0),
-                                            ("GUIDED", 1), ("GUIDED", 2)])
+                                            ("EXACT", 4), ("EXACT", 6), ("EXACT", 8),
+                                            ("GUIDED", 0), ("GUIDED", 1), ("GUIDED", 2)])
 def test_certificate_rejects_a_sieving_prime_multiple_anywhere_in_a_chunk(monkeypatch, position, mode):
-    monkeypatch.setattr(goldbach, "_CHUNK", 3)
     # 1000's sieving primes run 2, ..., 31; 31 * 37 has no other factor among them.
-    # A block of 8 remainders splits the 11 primes into blocks of 2 (chunk 3) or 1 (chunks >= 6).
-    for block in (goldbach._BLOCK, 8):
-        monkeypatch.setattr(goldbach, "_BLOCK", block)
-        for value, q in ((7 * 13, 7), (31 * 37, 31)):
-            monkeypatch.setattr(goldbach, "crt_enumerate", injecting(position, value))
-            with pytest.raises(AssertionError, match=f"^candidate {value} divisible by sieving prime {q}$"):
-                goldbach_enumerate(1000, mode)
+    # A block of 8 remainders splits the 11 primes into blocks of 4 (2 candidates read),
+    # 2 (3 candidates) or 1 (a default EXACT window).
+    for width in (sieve.SEGMENT_ODD_BITS, 64):
+        window_width(monkeypatch, width)
+        for block in (goldbach._BLOCK, 8):
+            monkeypatch.setattr(goldbach, "_BLOCK", block)
+            for value, q in ((7 * 13, 7), (31 * 37, 31)):
+                monkeypatch.setattr(goldbach, "scan_windows", injecting(position, value))
+                if mode == "GUIDED" and position > 0:  # past the pair: never read
+                    assert goldbach_enumerate(1000, mode) == [(47, 953)]
+                    continue
+                with pytest.raises(AssertionError,
+                                   match=f"^candidate {value} divisible by sieving prime {q}$"):
+                    goldbach_enumerate(1000, mode)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_certificate_rejects_a_coprime_composite(monkeypatch, position):
-    # 121 = 11^2 has no factor among 2n = 100's sieving primes 2, 3, 5, 7
-    monkeypatch.setattr(goldbach, "_CHUNK", 3)
-    monkeypatch.setattr(goldbach, "crt_enumerate", injecting(position, 121))
-    with pytest.raises(AssertionError, match="^candidate 121 in range yet composite$"):
-        goldbach_enumerate(100, table=sieve_primes(1000))
+    # 121 = 11^2 has no factor among 2n = 100's sieving primes 2, 3, 5, 7;
+    # windows of 6 entries from 2 hold the candidates 11, 17 and 29 apart, between empty ones
+    for width in (sieve.SEGMENT_ODD_BITS, 6):
+        window_width(monkeypatch, width)
+        monkeypatch.setattr(goldbach, "scan_windows", injecting(position, 121))
+        with pytest.raises(AssertionError, match="^candidate 121 in range yet composite$"):
+            goldbach_enumerate(100, table=sieve_primes(1000))
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7, goldbach._CHUNK])
-def test_chunk_edges_keep_every_pair(monkeypatch, chunk):
-    monkeypatch.setattr(goldbach, "_CHUNK", chunk)
-    table = sieve_primes(3000)
-    for two_n in range(6, 3001, 2):
+@pytest.mark.parametrize("width", [1, 2, 7, sieve.SEGMENT_ODD_BITS])
+def test_chunk_edges_keep_every_pair(monkeypatch, width):
+    window_width(monkeypatch, width)  # width 1 leaves most windows empty
+    # a narrow window costs a residue mask and a verification step of its own, so the narrow
+    # widths stop below 3000 (every 2n <= 3000 at width 1 alone takes over two minutes)
+    top = {1: 400, 2: 600, 7: 1000}.get(width, 3000)
+    pulled = []
+
+    def counted(spec, lo, hi):
+        for window in crt.scan_windows(spec, lo, hi):
+            pulled.append(window)
+            yield window
+
+    monkeypatch.setattr(goldbach, "scan_windows", counted)
+    table = sieve_primes(top)
+    for two_n in range(6, top + 1, 2):
         want = brute_goldbach_pairs(two_n, table)
         root = math.isqrt(two_n)
         exact = goldbach_enumerate(two_n, "EXACT", table=table)
         assert exact == [pq for pq in want if pq[0] > root], two_n
+        pulled.clear()
         assert goldbach_enumerate(two_n, "GUIDED", table=table) == exact[:1], two_n
+        # GUIDED pulls no window after the one holding its pair, which starts at 2 + k * width
+        last = (exact[0][0] - 2) // width if exact else (two_n - 3) // width
+        assert len(pulled) == last + 1, two_n
         assert goldbach_enumerate(two_n, "EXACT", allow_zero_eta=True, table=table) == want, two_n
+
+
+def direct_span_candidates(two_n):
+    """Every c in [1, M] with c mod p outside {0, 2n mod p} at each sieving prime p, by remainders."""
+    primes = [p for p in range(2, math.isqrt(two_n) + 1) if is_prime(p)]
+    c = np.arange(1, math.prod(primes) + 1)
+    keep = np.ones(len(c), dtype=bool)
+    for p in primes:
+        keep &= (c % p != 0) & (c % p != two_n % p)
+    return primes, c[keep]
+
+
+def test_span_report_matches_a_direct_filter_of_the_period():
+    for two_n in range(6, 289, 2):  # every sieving prime set here stays within the cap 13
+        primes, want = direct_span_candidates(two_n)
+        rep = span_report(two_n)
+        m = math.prod(primes)
+        assert rep.feasible and (rep.M, rep.threshold) == (m, m - two_n), two_n
+        assert rep.candidate_count == len(want), two_n
+        assert (rep.candidate_min, rep.candidate_max) == (want[0], want[-1]), two_n
+        assert rep.span == want[-1] - want[0], two_n
+        assert rep.exceeds_threshold == (rep.span > m - two_n), two_n
+        assert rep.flag == (rep.exceeds_threshold and len(want) > 1), two_n
+        unit = "unit candidate 1 present (excluded from prime pairs)"
+        assert (unit in rep.notes) == (want[0] == 1), two_n
+        assert any("single candidate" in n for n in rep.notes) == (len(want) == 1), two_n
+    assert span_report(290).feasible is False  # 17 enters the sieving primes
 
 
 def test_split_plan_derives_its_splits_from_beta():
