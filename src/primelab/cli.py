@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -136,7 +137,8 @@ def _cmd_crt(args, report: Report) -> int:
 
 
 def _cmd_goldbach(args, report: Report) -> int:
-    table = _table_from_cache(args.cache, args.even)
+    # nothing the goldbach command runs reads a table past sqrt(2n)
+    table = _table_from_cache(args.cache, math.isqrt(max(args.even, 0)))
     report.params = {"even": args.even, "mode": args.mode,
                      "allow_zero_eta": args.allow_zero_eta}
     pairs = goldbach.goldbach_enumerate(

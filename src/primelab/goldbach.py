@@ -2,9 +2,10 @@
 
 The pipeline: split the remainders of the even target 2n into nonzero parts
 at every sieving prime, enumerate the resulting CRT classes, and read off
-prime pairs.  A candidate p in (1, 2n) coprime to every sieving prime is
-automatically prime (its trial-division certificate is vacuous); an array
-certificate plus is_prime_array still checks what is read of each scan window.
+prime pairs.  A candidate p in [2, n] avoids 0 and 2n modulo every sieving
+prime q <= sqrt(2n), so p and 2n - p are both prime (their trial-division
+certificates are vacuous).  Striking the sieving primes' multiples over each
+scan window checks that certificate; no table past sqrt(2n) is built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .crt import crt_enumerate, scan_windows
 from .residues import ResidueSpec
-from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set, table_for
+from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set
 
 __all__ = [
     "SplitPlan",
@@ -104,26 +105,30 @@ def build_split_plan(two_n: int, table: PrimeTable | None = None) -> SplitPlan:
     return SplitPlan(two_n, primes, tuple(two_n % p for p in primes))
 
 
-# one certificate block holds at most _BLOCK remainders
-_BLOCK = 1 << 16
-
-
-def _certify(candidates: np.ndarray, primes: np.ndarray) -> None:
-    """The paper's certificate, by plain remainders: no candidate has a sieving-prime factor."""
-    step = max(1, _BLOCK // len(candidates))
-    divisible = np.zeros(len(candidates), dtype=bool)
-    for i in range(0, len(primes), step):
-        divisible |= (np.remainder(candidates, primes[i:i + step, None]) == 0).any(axis=0)
-    if divisible.any():
-        p = int(candidates[divisible.argmax()])
-        q = next(int(q) for q in primes if p % q == 0)
-        raise AssertionError(f"candidate {p} divisible by sieving prime {q}")
+def _certify(candidates: np.ndarray, two_n: int, primes) -> None:
+    """The paper's certificate, by plain slices: every candidate p lies in [2, two_n / 2], and
+    neither p nor its partner two_n - p is a multiple of a sieving prime, so both are prime."""
+    lo, hi = int(candidates.min()), int(candidates.max())
+    if lo < 2 or 2 * hi > two_n:
+        raise AssertionError(f"candidate {lo if lo < 2 else hi} outside [2, {two_n // 2}]")
+    for values in (candidates, two_n - candidates):  # spans [lo, hi] and [two_n - hi, two_n - lo]
+        start = int(values.min())
+        free = np.ones(hi - lo + 1, dtype=bool)
+        for q in primes:
+            free[-start % q :: q] = False
+        struck = ~free[values - start]
+        if struck.any():
+            i = struck.argmax()
+            p, v = int(candidates[i]), int(values[i])
+            q = next(q for q in primes if v % q == 0)
+            name = f"candidate {p}" if v == p else f"partner {v} of candidate {p}"
+            raise AssertionError(f"{name} divisible by sieving prime {q}")
 
 
 def brute_goldbach_pairs(two_n: int, table: PrimeTable | None = None) -> list[tuple[int, int]]:
     """Oracle: all (p, q), p <= q prime, p + q = two_n: the pattern oracle's forms (n, two_n - n)."""
     _check_even_target(two_n)
-    starts = pattern_starts(2, two_n // 2, ((1, 0), (-1, two_n)), table_for(two_n, table))
+    starts = pattern_starts(2, two_n // 2, ((1, 0), (-1, two_n)), table)
     return [(p, two_n - p) for p in starts.tolist()]
 
 
@@ -135,35 +140,26 @@ def goldbach_enumerate(
 ) -> list[tuple[int, int]]:
     """Prime pairs (p, q), p <= q, p + q = two_n, from the split-plan classes.
 
-    EXACT walks every CRT candidate in (1, two_n), skipping the unit 1; GUIDED stops in
-    the first scan window holding a verified pair, just after that pair's candidate, and
-    returns it.  The candidates read from each window get the array certificate plus
-    is_prime_array on p and two_n - p.  allow_zero_eta additionally admits pairs whose
+    Every CRT candidate p in [2, two_n / 2] is the smaller member of a pair: its partner
+    two_n - p is a candidate too.  EXACT reads them all; GUIDED reads only the first one
+    and returns its pair.  Each scan window read gets the certificate (no sieving-prime
+    multiple among the candidates or their partners), the only check; nothing needs a
+    prime table beyond sqrt(two_n).  allow_zero_eta additionally admits pairs whose
     smaller member is itself a sieving prime (the zero-part splits the plan omits).
     """
     _check_even_target(two_n)
     if mode not in ("EXACT", "GUIDED"):
         raise ValueError(f"mode must be EXACT or GUIDED, not {mode!r}")
-    table = table_for(two_n, table)
     plan = build_split_plan(two_n, table)
-    primes = np.array(plan.primes, dtype=np.int64)
-    # zero parts first: each q = two_n - p and each CRT candidate exceeds every sieving prime
-    lows = [primes[table.is_prime_array(two_n - primes)] if allow_zero_eta else primes[:0]]
-    for window in scan_windows(plan.eta_spec(), 2, two_n - 1):
-        if not len(window):  # is_prime_array and _certify need a candidate
-            continue
-        prime, partner = table.is_prime_array(np.stack((window, two_n - window)))
-        hit = np.flatnonzero(prime & partner)
-        if guided_hit := mode == "GUIDED" and len(hit):  # read up to the first pair only
-            window, prime, hit = window[: hit[0] + 1], prime[: hit[0] + 1], hit[:1]
-        _certify(window, primes)
-        composite = ~prime & (window > plan.primes[-1])
-        if composite.any():
-            raise AssertionError(f"candidate {int(window[composite.argmax()])} in range yet composite")
-        found = window[hit]  # both members of a pair are candidates: keep the smaller
-        lows.append(found[2 * found <= two_n])
-        if guided_hit:
-            break
+    # zero parts first: each CRT candidate exceeds every sieving prime
+    zero = [q for q in plan.primes if is_prime(two_n - q, table)] if allow_zero_eta else []
+    lows = [np.array(zero, dtype=np.int64)]
+    for window in scan_windows(plan.eta_spec(), 2, two_n // 2):
+        if len(window):  # _certify needs a candidate
+            lows.append(window[:1] if mode == "GUIDED" else window)
+            _certify(lows[-1], two_n, plan.primes)
+            if mode == "GUIDED":
+                break
     low = np.concatenate(lows)  # ascending
     return list(zip(low.tolist(), (two_n - low).tolist()))
 

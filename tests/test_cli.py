@@ -13,6 +13,7 @@ import primelab
 from primelab import cli, crt, reporting
 from primelab.cli import reproduce_paper, run_command
 from primelab.reporting import Report, format_report
+from primelab.sieve import load_cache
 
 SRC_DIR = pathlib.Path(primelab.__file__).resolve().parents[1]
 
@@ -114,6 +115,13 @@ def test_cache_file_round_trip(tmp_path, capsys):
     assert code == 0 and cache.exists()
     code, doc = run_json(capsys, "primes", "--limit", "1000", "--cache", str(cache))
     assert doc["rows"][0]["count"] == 168
+
+
+def test_goldbach_caches_only_the_sieving_primes(tmp_path, capsys):
+    cache = tmp_path / "primes.cache"
+    code, doc = run_json(capsys, "goldbach", "--even", "1000000", "--cache", str(cache))
+    assert code == 0 and len(doc["rows"]) == 5382
+    assert load_cache(cache).limit == 1000  # isqrt(2n): no table to 2n is written
 
 
 def test_corrupt_cache_exits_1_with_message(tmp_path):

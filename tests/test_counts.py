@@ -148,6 +148,9 @@ def test_goldbach_oracle_and_certificate_stand_apart_from_the_stream(monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("reached the CRT stream")
 
+    def refuse_table(*args, **kwargs):
+        raise AssertionError("read the prime table")
+
     # the candidate certificate binds neither residue-window function
     assert not hasattr(goldbach, "avoiding_mask") and not hasattr(goldbach, "avoiding_windows")
     for module in (sieve, crt):
@@ -158,11 +161,17 @@ def test_goldbach_oracle_and_certificate_stand_apart_from_the_stream(monkeypatch
     monkeypatch.setattr(goldbach, "ResidueSpec", refuse)
     table = sieve_primes(20_000)
     assert len(brute_goldbach_pairs(10_000, table)) == 127
-    primes = np.array([2, 3, 5, 7])
-    goldbach._certify(np.array([11, 13, 97]), primes)
-    with pytest.raises(AssertionError, match="candidate 91 divisible by sieving prime 7"):
-        goldbach._certify(np.array([11, 91, 97]), primes)
-    with pytest.raises(AssertionError, match="reached the CRT stream"):  # the patches are live
+    # nor does the certificate read a prime table; 2n = 120's sieving primes are 2, 3, 5, 7
+    monkeypatch.setattr(sieve.PrimeTable, "is_prime_array", refuse_table)
+    primes = (2, 3, 5, 7)
+    goldbach._certify(np.array([11, 13, 59]), 120, primes)
+    with pytest.raises(AssertionError, match="^candidate 49 divisible by sieving prime 7$"):
+        goldbach._certify(np.array([11, 49, 59]), 120, primes)
+    with pytest.raises(AssertionError, match="^partner 77 of candidate 43 divisible by sieving prime 7$"):
+        goldbach._certify(np.array([11, 43, 59]), 120, primes)
+    with pytest.raises(AssertionError, match="read the prime table"):  # the patches are live
+        table.is_prime_array(np.array([11]))
+    with pytest.raises(AssertionError, match="reached the CRT stream"):
         goldbach.goldbach_enumerate(100, table=table)
 
 

@@ -17,6 +17,7 @@ from primelab.goldbach import (
     split_remainder,
     twin_crt_search,
 )
+from primelab.residues import ResidueSpec
 from primelab.sieve import is_prime, sieve_primes
 
 
@@ -208,39 +209,78 @@ def window_width(monkeypatch, width):
 
 
 # 1000's candidates 47, 53, 59, 71, 89, 113, ... fill one default window; windows of 64
-# entries from 2 hold positions 0-2, 3-5, 6-9, ...  Every candidate is a verified pair
-# member, so GUIDED reads position 0 and stops: an injected value at position 0 makes it
-# read position 1 too, and it never reads positions 1 or 2 otherwise.
+# entries from 2 hold positions 0-2, 3-5, 6-9, ...  Every candidate is the smaller member
+# of a pair, so GUIDED reads position 0 alone and never reads positions 1 or 2.
 @pytest.mark.parametrize("mode, position", [("EXACT", 0), ("EXACT", 1), ("EXACT", 2), ("EXACT", 3),
                                             ("EXACT", 4), ("EXACT", 6), ("EXACT", 8),
                                             ("GUIDED", 0), ("GUIDED", 1), ("GUIDED", 2)])
 def test_certificate_rejects_a_sieving_prime_multiple_anywhere_in_a_chunk(monkeypatch, position, mode):
-    # 1000's sieving primes run 2, ..., 31; 31 * 37 has no other factor among them.
-    # A block of 8 remainders splits the 11 primes into blocks of 4 (2 candidates read),
-    # 2 (3 candidates) or 1 (a default EXACT window).
+    # 1000's sieving primes run 2, ..., 31: 17 * 29 has no smaller factor among them, and
+    # the prime 43 passes on its own side while its partner 957 = 3 * 11 * 29 does not
+    rejected = ((7 * 13, "candidate 91 divisible by sieving prime 7"),
+                (17 * 29, "candidate 493 divisible by sieving prime 17"),
+                (43, "partner 957 of candidate 43 divisible by sieving prime 3"))
     for width in (sieve.SEGMENT_ODD_BITS, 64):
         window_width(monkeypatch, width)
-        for block in (goldbach._BLOCK, 8):
-            monkeypatch.setattr(goldbach, "_BLOCK", block)
-            for value, q in ((7 * 13, 7), (31 * 37, 31)):
-                monkeypatch.setattr(goldbach, "scan_windows", injecting(position, value))
-                if mode == "GUIDED" and position > 0:  # past the pair: never read
-                    assert goldbach_enumerate(1000, mode) == [(47, 953)]
-                    continue
-                with pytest.raises(AssertionError,
-                                   match=f"^candidate {value} divisible by sieving prime {q}$"):
-                    goldbach_enumerate(1000, mode)
+        for value, message in rejected:
+            monkeypatch.setattr(goldbach, "scan_windows", injecting(position, value))
+            if mode == "GUIDED" and position > 0:  # past the pair: never read
+                assert goldbach_enumerate(1000, mode) == [(47, 953)]
+                continue
+            with pytest.raises(AssertionError, match=f"^{message}$"):
+                goldbach_enumerate(1000, mode)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_certificate_rejects_a_coprime_composite(monkeypatch, position):
-    # 121 = 11^2 has no factor among 2n = 100's sieving primes 2, 3, 5, 7;
-    # windows of 6 entries from 2 hold the candidates 11, 17 and 29 apart, between empty ones
+    # 121 = 11^2 has no factor among 2n = 100's sieving primes 2, 3, 5, 7; no such composite
+    # lies below 11^2 > 2n, so the certificate's range [2, n] rules it out.  Windows of
+    # 6 entries from 2 hold the candidates 11, 17 and 29 apart, between empty ones
     for width in (sieve.SEGMENT_ODD_BITS, 6):
         window_width(monkeypatch, width)
         monkeypatch.setattr(goldbach, "scan_windows", injecting(position, 121))
-        with pytest.raises(AssertionError, match="^candidate 121 in range yet composite$"):
-            goldbach_enumerate(100, table=sieve_primes(1000))
+        with pytest.raises(AssertionError, match=r"^candidate 121 outside \[2, 50\]$"):
+            goldbach_enumerate(100)
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+@pytest.mark.parametrize("mode", ["EXACT", "GUIDED"])
+def test_certificate_rejects_a_spec_missing_a_struck_residue(monkeypatch, kept, mode):
+    # at 2n = 1000 = 1 (mod 3) the spec strikes {0, 1} mod 3; keeping 0 lets the multiple
+    # of 3 that is 3 itself through, keeping 1 lets a candidate whose partner is one through
+    def eta_spec(plan):
+        return ResidueSpec(tuple((p, frozenset((0, b)) - ({kept} if p == 3 else set()))
+                                 for p, b in zip(plan.primes, plan.beta)))
+
+    monkeypatch.setattr(goldbach.SplitPlan, "eta_spec", eta_spec)
+    side = "^candidate 3" if kept == 0 else "^partner [0-9]+ of candidate [0-9]+"
+    with pytest.raises(AssertionError, match=f"{side} divisible by sieving prime 3$"):
+        goldbach_enumerate(1000, mode)
+
+
+def test_goldbach_enumerate_needs_no_table_past_the_sieving_primes(monkeypatch):
+    real = sieve.sieve_primes
+
+    def bounded(limit, *args, **kwargs):
+        if limit > 10**6:
+            raise AssertionError(f"asked for a prime table to {limit}")
+        return real(limit, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached the shared table")
+
+    monkeypatch.setattr(sieve, "sieve_primes", bounded)
+    assert goldbach_enumerate(10**10, "GUIDED") == [(100109, 9999899891)]
+    tables = {root: sieve_primes(root) for root in range(2, math.isqrt(3000) + 1)}
+    oracle = sieve_primes(3000)
+    monkeypatch.setattr(sieve, "shared_table", refuse)  # every call below reads its own table
+    for two_n in range(6, 3001, 14):
+        root = math.isqrt(two_n)
+        table, want = tables[root], brute_goldbach_pairs(two_n, oracle)
+        exact = goldbach_enumerate(two_n, "EXACT", table=table)
+        assert exact == [pq for pq in want if pq[0] > root], two_n
+        assert goldbach_enumerate(two_n, "GUIDED", table=table) == exact[:1], two_n
+        assert goldbach_enumerate(two_n, "EXACT", allow_zero_eta=True, table=table) == want, two_n
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, sieve.SEGMENT_ODD_BITS])
@@ -266,7 +306,7 @@ def test_chunk_edges_keep_every_pair(monkeypatch, width):
         pulled.clear()
         assert goldbach_enumerate(two_n, "GUIDED", table=table) == exact[:1], two_n
         # GUIDED pulls no window after the one holding its pair, which starts at 2 + k * width
-        last = (exact[0][0] - 2) // width if exact else (two_n - 3) // width
+        last = (exact[0][0] - 2) // width if exact else (two_n // 2 - 2) // width
         assert len(pulled) == last + 1, two_n
         assert goldbach_enumerate(two_n, "EXACT", allow_zero_eta=True, table=table) == want, two_n
 

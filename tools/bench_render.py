@@ -28,10 +28,10 @@ LIMITS = (10**5, 10**6)
 RUNS = 5
 
 
-def run_once(fmt: str, limit: int) -> tuple[float, float]:
-    """(wall ms, peak RSS MB) of one CLI listing in a fresh interpreter."""
-    argv = [sys.executable, "-m", "primelab.cli", "--format", fmt, "primes", "--limit", str(limit), "--list"]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def run_once(args: list[str], root: pathlib.Path = ROOT) -> tuple[float, float]:
+    """(wall ms, peak RSS MB) of ``primelab.cli args`` in a fresh interpreter importing root/src."""
+    argv = [sys.executable, "-m", "primelab.cli", *args]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     start = time.perf_counter()
     child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
@@ -42,19 +42,24 @@ def run_once(fmt: str, limit: int) -> tuple[float, float]:
     return wall_ms, usage.ru_maxrss / 1024  # Linux reports ru_maxrss in KiB
 
 
+def summary(runs: list[tuple[float, float]]) -> dict:
+    """Run count, medians and maxima of (wall ms, peak RSS MB) samples."""
+    wall, rss = [w for w, _ in runs], [r for _, r in runs]
+    return {
+        "runs": len(runs),
+        "wall_ms_median": round(statistics.median(wall), 1), "wall_ms_max": round(max(wall), 1),
+        "peak_rss_mb_median": round(statistics.median(rss), 1), "peak_rss_mb_max": round(max(rss), 1),
+    }
+
+
 def main() -> None:
     samples = {(f, n): [] for f in FORMATS for n in LIMITS}
     for _ in range(RUNS):
-        for case, runs in samples.items():
-            runs.append(run_once(*case))
+        for (fmt, limit), runs in samples.items():
+            runs.append(run_once(["--format", fmt, "primes", "--limit", str(limit), "--list"]))
     results = []
     for (fmt, limit), runs in samples.items():
-        wall, rss = [w for w, _ in runs], [r for _, r in runs]
-        results.append({
-            "format": fmt, "limit": limit, "runs": len(runs),
-            "wall_ms_median": round(statistics.median(wall), 1), "wall_ms_max": round(max(wall), 1),
-            "peak_rss_mb_median": round(statistics.median(rss), 1), "peak_rss_mb_max": round(max(rss), 1),
-        })
+        results.append({"format": fmt, "limit": limit, **summary(runs)})
         print(f"{fmt:5} {limit:>8}  wall {results[-1]['wall_ms_median']:7.1f} ms"
               f"  rss {results[-1]['peak_rss_mb_median']:5.1f} MB")
     doc = {
