@@ -127,12 +127,13 @@ def scan_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
         yield np.flatnonzero(mask) + start
 
 
-def crt_enumerate(spec: ResidueSpec, lo: int, hi: int, mode: str = "auto") -> Iterator[int]:
+def crt_enumerate(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
     """Ascending stream of n in [lo, hi] with n mod m outside struck(m) for every entry.
 
-    Product mode builds every CRT class once (good for wide ranges over a
-    small class count); range-scan walks the interval (good for narrow
-    ranges under an exponential class count).  The streams are identical.
+    The path follows the class count and the range width: product builds
+    every CRT class once (a wide range over at most PRODUCT_MODE_CAP
+    classes); range-scan walks the interval (a narrow range, or an
+    exponential class count).  The streams are identical.
     """
     if lo < 0 or hi < lo:
         if hi < lo:
@@ -140,16 +141,8 @@ def crt_enumerate(spec: ResidueSpec, lo: int, hi: int, mode: str = "auto") -> It
         raise ValueError("range must satisfy 0 <= lo <= hi")
     if not spec.entries:
         return iter(range(lo, hi + 1))
-    if mode == "auto":
-        n_classes = choice_count(spec)
-        mode = "product" if n_classes <= PRODUCT_MODE_CAP else "scan"
-        # a narrow range is cheaper to scan even when the product is small
-        if mode == "product" and (hi - lo + 1) < n_classes:
-            mode = "scan"
-    if mode == "product":
+    if choice_count(spec) <= min(PRODUCT_MODE_CAP, hi - lo + 1):
         return _enumerate_product(spec, lo, hi)
-    if mode == "scan":
-        if hi > (1 << 62):
-            raise ValueError("range-scan bounds must fit in int64")
-        return (n for window in scan_windows(spec, lo, hi) for n in window.tolist())
-    raise ValueError(f"unknown mode {mode!r}")
+    if hi > (1 << 62):
+        raise ValueError("range-scan bounds must fit in int64")
+    return (n for window in scan_windows(spec, lo, hi) for n in window.tolist())

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .crt import crt_enumerate, scan_windows
-from .residues import ResidueSpec
+from .residues import ResidueSpec, _form_entries
 from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set
 
 __all__ = [
@@ -95,8 +95,8 @@ class SplitPlan:
         return tuple(tuple(split_remainder(b, p)) for b, p in zip(self.beta, self.primes))
 
     def eta_spec(self) -> ResidueSpec:
-        """First-part residues struck per prime, {0, beta}: the split parts must both be nonzero."""
-        return ResidueSpec(tuple((p, frozenset((0, b))) for p, b in zip(self.primes, self.beta)))
+        """First-part residues struck per prime, {0, beta}: the roots of the split parts p, 2n - p."""
+        return ResidueSpec(_form_entries(((1, 0), (-1, self.two_n)), self.primes))
 
 
 def build_split_plan(two_n: int, table: PrimeTable | None = None) -> SplitPlan:

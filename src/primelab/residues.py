@@ -2,10 +2,10 @@
 
 One spec type, ResidueSpec, holds the struck (forbidden) residues per
 modulus; it feeds both the survivor counts and the CRT enumeration, and
-allowed residues are derived from it where they are read.  Also: residue
-periodicity in arithmetic progressions, forbidden residue sets for twin,
-Sophie Germain, and k-tuple patterns, admissibility testing, and remainder
-sequences.  All operations are pure and stateless.
+allowed residues are derived from it where they are read.  Every struck set
+comes from one linear-form rule: p strikes the n at which it divides a form
+a*n + b.  Also: the residue cycle of an arithmetic progression, admissibility
+testing, and remainder sequences.  All operations are pure and stateless.
 """
 
 from __future__ import annotations
@@ -74,16 +74,16 @@ class ResidueSpec:
 
     @classmethod
     def sophie_germain(cls, primes: Iterable[int]) -> "ResidueSpec":
-        return cls(_sophie_entries(checked_primes(primes)))
+        return cls(_form_entries(((1, 0), (2, 1)), checked_primes(primes)))  # p, 2p + 1
 
     @classmethod
     def primes_only(cls, primes: Iterable[int]) -> "ResidueSpec":
         """The plain sieve spec: only residue 0 forbidden at each prime."""
-        return cls.from_pairs((p, (0,)) for p in primes)
+        return cls(_form_entries(((1, 0),), primes))
 
     @classmethod
     def for_tuple(cls, offsets: Sequence[int], primes: Iterable[int]) -> "ResidueSpec":
-        return cls(_tuple_entries(offsets, checked_primes(primes)))
+        return cls(_form_entries(_tuple_forms(offsets), checked_primes(primes)))
 
     def allowed(self, p: int) -> frozenset[int]:
         for q, forb in self.entries:
@@ -177,20 +177,29 @@ def twin_forbidden(p: int) -> frozenset[int]:
     return tuple_forbidden((2,), p)
 
 
-def _sophie_entries(primes: Iterable[int]) -> tuple[tuple[int, frozenset[int]], ...]:
-    return tuple((p, frozenset({0} if p == 2 else {0, (p - 1) // 2})) for p in primes)
+def _form_entries(forms, primes) -> tuple[tuple[int, frozenset[int]], ...]:
+    """(p, {-b * a^-1 mod p over the forms (a, b) with p not dividing a}) for each prime p.
+
+    These are the n at which p divides some form a*n + b; a form with p | a
+    strikes nothing at p.  The spec builders, Goldbach's eta spec and the
+    Schinzel lambda filter pass their forms here.  Precondition, not checked:
+    no form has p | a and p | b, which would make p divide it at every n.
+    """
+    primes = [int(p) for p in primes]
+    roots = [[-b * a % p for p in primes] if a in (1, -1)  # a unit is its own inverse
+             else [-b * pow(a, -1, p) % p if a % p else None for p in primes] for a, b in forms]
+    struck = map(frozenset, zip(*roots))
+    return tuple((p, s - {None} if None in s else s) for p, s in zip(primes, struck))
 
 
-def _tuple_entries(offsets: Sequence[int], primes: Iterable[int]) -> tuple[tuple[int, frozenset[int]], ...]:
-    shifts = [offsets[-1] - b for b in (0, *offsets)]
-    return tuple((p, frozenset([s % p for s in shifts])) for p in primes)
+def _tuple_forms(offsets: Sequence[int]) -> list[tuple[int, int]]:
+    """The forms n - (b_last - b), b in {0} union offsets, of the shifted variable n = p' + b_last."""
+    return [(1, b - offsets[-1]) for b in (0, *offsets)]
 
 
 def sophie_forbidden(p: int) -> frozenset[int]:
     """Residues p must avoid for (p, 2p+1) both prime: {0, beta}, 2*beta+1 = 0 mod p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _sophie_entries((p,))[0][1]
+    return _form_entries(((1, 0), (2, 1)), checked_primes((p,)))[0][1]
 
 
 def tuple_forbidden(offsets: Sequence[int], p: int) -> frozenset[int]:
@@ -199,9 +208,7 @@ def tuple_forbidden(offsets: Sequence[int], p: int) -> frozenset[int]:
     The pattern p', p'+b_1, ..., p'+b_{k-1} is simultaneously prime only if
     n avoids (b_{k-1} - b) mod p for every b in {0} union offsets.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _tuple_entries(offsets, (p,))[0][1]
+    return _form_entries(_tuple_forms(offsets), checked_primes((p,)))[0][1]
 
 
 def is_admissible(offsets: Sequence[int]) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .residues import RemainderSequence, ResidueSpec, remainder_sequence
+from .residues import RemainderSequence, ResidueSpec, _form_entries, remainder_sequence
 from .sieve import PrimeTable, is_prime, sieving_prime_set
 
 __all__ = [
@@ -40,18 +40,16 @@ class SchinzelResult:
 
 
 def lambda_filter(m: int, n: int, primes) -> ResidueSpec:
-    """Multiplier residues struck per prime.
+    """Multiplier residues struck per prime: the roots of the forms 2m*k - 1 and 2n*k - 1.
 
-    lambda is struck mod p when (2m mod p) * lambda = 1 or
-    (2n mod p) * lambda = 1: either congruence makes p divide the
+    lambda is struck mod p at (2m)^-1 or (2n)^-1, where p divides the
     corresponding shifted value 2mk - 1 or 2nk - 1.  When p divides 2m
     (or 2n) that side strikes nothing.  Between 0 and 2 residues are
     struck per prime.
     """
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
-    return ResidueSpec(tuple(
-        (p, frozenset(pow(a, -1, p) for a in (2 * m % p, 2 * n % p) if a)) for p in primes))
+    return ResidueSpec(_form_entries(((2 * m, -1), (2 * n, -1)), primes))
 
 
 def window_primes(value: int, table: PrimeTable | None = None) -> tuple[int, ...]:

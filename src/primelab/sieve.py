@@ -147,15 +147,18 @@ def sieve_primes(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS) -> PrimeT
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    n_odd = (limit + 1) // 2
-    odd_bits = np.zeros(max(n_odd, 1), dtype=bool)
-    if limit < 2:
-        return PrimeTable(limit, np.array([], dtype=np.int64), odd_bits[:n_odd])
-    for lo_idx, seg in _odd_segments(limit, segment_odd_bits):
-        odd_bits[lo_idx : lo_idx + len(seg)] = seg
+    odd_bits = np.zeros((limit + 1) // 2, dtype=bool)
+    if limit >= 2:
+        for lo_idx, seg in _odd_segments(limit, segment_odd_bits):
+            odd_bits[lo_idx : lo_idx + len(seg)] = seg
+    return _table_from_odd_bits(limit, odd_bits)
+
+
+def _table_from_odd_bits(limit: int, odd_bits: np.ndarray) -> PrimeTable:
+    """The PrimeTable to ``limit`` with odd primes at the set bits, and 2 from limit 2 on."""
     odd_primes = 2 * np.flatnonzero(odd_bits).astype(np.int64) + 1
-    primes = np.concatenate(([2], odd_primes))
-    return PrimeTable(limit, primes, odd_bits[:n_odd])
+    primes = np.concatenate(([2], odd_primes)) if limit >= 2 else odd_primes
+    return PrimeTable(limit, primes, odd_bits)
 
 
 def count_primes(x: int) -> int:
@@ -365,15 +368,9 @@ def load_cache(source) -> PrimeTable:
     bitmap = np.frombuffer(raw[16 : 16 + n_bytes], dtype=np.uint8)
     declared = struct.unpack("<Q", raw[16 + n_bytes : 24 + n_bytes])[0]
     bits = np.unpackbits(bitmap, bitorder="little")
-    n_odd = (limit + 1) // 2
-    odd_bits = bits[:n_odd].astype(bool)
-    odd_primes = 2 * np.flatnonzero(odd_bits).astype(np.int64) + 1
-    if limit >= 2:
-        primes = np.concatenate(([2], odd_primes))
-    else:
-        primes = odd_primes
-    if len(primes) != declared:
+    table = _table_from_odd_bits(limit, bits[: (limit + 1) // 2].astype(bool))
+    if len(table) != declared:
         raise CacheChecksumError(
-            f"bitmap holds {len(primes)} primes but trailer declares {declared}"
+            f"bitmap holds {len(table)} primes but trailer declares {declared}"
         )
-    return PrimeTable(limit, primes, odd_bits)
+    return table

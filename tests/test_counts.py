@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from primelab import counts, crt, densities, goldbach, residues, sieve
+from primelab import counts, crt, densities, goldbach, residues, schinzel, sieve
 from primelab.counts import (
     brute_pi,
     brute_tuple_count,
@@ -124,8 +124,8 @@ def test_oracles_do_not_use_the_residue_windows(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle reached the residue-window core")
 
-    for module in (sieve, counts, crt, residues, densities, goldbach):
-        for name in ("avoiding_mask", "avoiding_windows",
+    for module in (sieve, counts, crt, residues, densities, goldbach, schinzel):
+        for name in ("avoiding_mask", "avoiding_windows", "_form_entries",
                      "tuple_forbidden", "twin_forbidden", "sophie_forbidden"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
@@ -142,6 +142,11 @@ def test_oracles_do_not_use_the_residue_windows(monkeypatch):
         survivor_count(100, ResidueSpec.twins([2, 3, 5, 7]))
     with pytest.raises(AssertionError):
         residues.tuple_forbidden((2, 6), 5)
+    for build in (lambda: ResidueSpec.sophie_germain([2, 3]),  # every binding of the linear-form rule
+                  lambda: goldbach.build_split_plan(100, table).eta_spec(),
+                  lambda: schinzel.lambda_filter(11, 13, [5])):
+        with pytest.raises(AssertionError, match="residue-window core"):
+            build()
 
 
 def test_goldbach_oracle_and_certificate_stand_apart_from_the_stream(monkeypatch):

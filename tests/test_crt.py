@@ -17,6 +17,11 @@ from primelab.crt import (
 from primelab.residues import ResidueSpec
 
 
+def scan(spec, lo, hi):
+    """The range-scan path's stream: crt.scan_windows flattened."""
+    return [n for window in crt.scan_windows(spec, lo, hi) for n in window.tolist()]
+
+
 def allow_spec(pairs):
     """The ResidueSpec keeping only the given allowed residues: each modulus strikes the rest."""
     return ResidueSpec.from_pairs((m, [r for r in range(m) if r not in rs]) for m, rs in pairs)
@@ -58,10 +63,10 @@ def test_product_mode_past_int64_yields_exact_python_ints():
                for rs in itertools.product(*(residues for _, residues in allowed))]
     for lo, hi in ((0, m), (m // 2, m + m // 2)):  # one period, then across its end
         want = sorted(v + k * m for v in classes for k in (0, 1) if lo <= v + k * m <= hi)
-        got = list(crt_enumerate(spec, lo, hi, mode="product"))
+        got = list(crt._enumerate_product(spec, lo, hi))
         assert got == want
         assert all(type(v) is int for v in got)
-        assert list(crt_enumerate(spec, lo, hi)) == want  # auto picks product here too
+        assert list(crt_enumerate(spec, lo, hi)) == want  # crt_enumerate picks product here too
 
 
 def test_validation():
@@ -107,9 +112,22 @@ def brute_enumerate(spec, lo, hi):
 def test_modes_agree_on_worked_example():
     spec = allow_spec([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])])
     want = brute_enumerate(spec, 1, 210)
-    assert list(crt_enumerate(spec, 1, 210, mode="product")) == want
-    assert list(crt_enumerate(spec, 1, 210, mode="scan")) == want
+    assert list(crt._enumerate_product(spec, 1, 210)) == want
+    assert scan(spec, 1, 210) == want
     assert len(want) == 20
+
+
+def test_crt_enumerate_picks_product_while_the_range_holds_every_class(monkeypatch):
+    spec = allow_spec([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])])  # 20 classes
+
+    def refuse(*args):
+        raise AssertionError("took the other path")
+
+    monkeypatch.setattr(crt, "scan_windows", refuse)
+    assert list(crt_enumerate(spec, 1, 20)) == brute_enumerate(spec, 1, 20)  # width 20: product
+    monkeypatch.undo()
+    monkeypatch.setattr(crt, "_enumerate_product", refuse)
+    assert list(crt_enumerate(spec, 1, 19)) == brute_enumerate(spec, 1, 19)  # width 19: scan
 
 
 @given(
@@ -129,8 +147,8 @@ def test_modes_agree_randomized(primes, lo, width, seed):
     spec = allow_spec(entries)
     hi = lo + width
     want = brute_enumerate(spec, lo, hi)
-    assert list(crt_enumerate(spec, lo, hi, mode="product")) == want
-    assert list(crt_enumerate(spec, lo, hi, mode="scan")) == want
+    assert list(crt._enumerate_product(spec, lo, hi)) == want
+    assert scan(spec, lo, hi) == want
     assert list(crt_enumerate(spec, lo, hi)) == want
 
 
@@ -153,9 +171,9 @@ def scan_specs(draw):
 
 
 def scan_in_windows(spec, lo, hi, width):
-    """The scan mode's stream with residue windows of `width` entries."""
+    """The range-scan path's stream with residue windows of `width` entries."""
     with mock.patch.object(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width)):
-        return list(crt_enumerate(spec, lo, hi, mode="scan"))
+        return scan(spec, lo, hi)
 
 
 @given(scan_specs(), st.integers(0, 10**6), st.integers(0, 120), st.integers(1, 7))

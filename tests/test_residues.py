@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primelab import sieve
+from primelab import goldbach, schinzel, sieve
 from primelab.residues import (
     AdmissibleTuple,
     ResidueSpec,
+    _form_entries,
     ap_residue_sequence,
     is_admissible,
     remainder_sequence,
@@ -16,6 +17,7 @@ from primelab.residues import (
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 PRIMES_TO_2000 = sieve.sieve_primes(2000).primes.tolist()
+PRIMES_TO_60 = [p for p in PRIMES_TO_2000 if p <= 60]
 
 
 def test_twin_forbidden_values():
@@ -55,6 +57,53 @@ def test_tuple_forbidden_reduces_to_twin():
     for p in primes:
         assert tuple_forbidden((2,), p) == twin_forbidden(p) == {0, 2 % p}
     assert ResidueSpec.twins(primes) == ResidueSpec.for_tuple((2,), primes)
+
+
+def test_tuple_forbidden_returns_a_full_set_where_the_offsets_cover_every_class():
+    # not routed through ResidueSpec, which would refuse "no residue survives mod 3"
+    assert tuple_forbidden((2, 4), 3) == {0, 1, 2}
+    assert is_admissible((2, 4)) is False
+
+
+linear_forms = st.tuples(st.integers(-30, 30).filter(bool), st.integers(-100, 100))  # (a, b), a != 0
+
+
+@given(st.lists(linear_forms, min_size=1, max_size=4))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_form_entries_strike_the_n_where_p_divides_a_form(forms):
+    # the precondition: no form with p | a and p | b
+    primes = [p for p in PRIMES_TO_60 if not any(a % p == 0 == b % p for a, b in forms)]
+    entries = _form_entries(forms, primes)
+    assert [p for p, _ in entries] == primes
+    for p, struck in entries:
+        assert struck == {n for n in range(p) if any((a * n + b) % p == 0 for a, b in forms)}
+
+
+def test_builders_give_the_closed_form_struck_sets():
+    ps = PRIMES_TO_2000
+    assert ResidueSpec.twins(ps).entries == tuple((p, {0, 2 % p}) for p in ps)
+    assert ResidueSpec.sophie_germain(ps).entries == (
+        (2, {0}), *((p, {0, (p - 1) // 2}) for p in ps[1:]))
+    for offsets in ((2,), (2, 6), (4, 6), (2, 6, 8)):
+        assert ResidueSpec.for_tuple(offsets, ps).entries == tuple(
+            (p, {(offsets[-1] - b) % p for b in (0, *offsets)}) for p in ps)
+    assert ResidueSpec.primes_only(ps).entries == tuple((p, {0}) for p in ps)
+
+
+def test_eta_spec_strikes_zero_and_the_target_mod_every_prime():
+    ps = tuple(PRIMES_TO_2000)
+    for two_n in range(6, 2001, 2):
+        plan = goldbach.SplitPlan(two_n, ps, tuple(two_n % p for p in ps))
+        assert plan.eta_spec().entries == tuple((p, {0, two_n % p}) for p in ps)
+        built = goldbach.build_split_plan(two_n)
+        assert built.eta_spec().entries == tuple((p, {0, two_n % p}) for p in built.primes)
+
+
+@pytest.mark.parametrize("m, n", [(11, 13), (1, 8), (3, 5), (7, 30), (1, 1)])
+def test_lambda_filter_strikes_the_inverses_of_2m_and_2n(m, n):
+    ps = PRIMES_TO_2000
+    want = tuple((p, {pow(2 * c, -1, p) for c in (m, n) if 2 * c % p}) for p in ps)
+    assert schinzel.lambda_filter(m, n, ps).entries == want
 
 
 def test_ap_residue_sequence_permutation():
