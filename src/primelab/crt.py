@@ -127,6 +127,12 @@ def scan_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
         yield np.flatnonzero(mask) + start
 
 
+def _enumerate_scan(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
+    if hi > (1 << 62):
+        raise ValueError("range-scan bounds must fit in int64")
+    return (n for window in scan_windows(spec, lo, hi) for n in window.tolist())
+
+
 def crt_enumerate(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
     """Ascending stream of n in [lo, hi] with n mod m outside struck(m) for every entry.
 
@@ -143,6 +149,4 @@ def crt_enumerate(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
         return iter(range(lo, hi + 1))
     if choice_count(spec) <= min(PRODUCT_MODE_CAP, hi - lo + 1):
         return _enumerate_product(spec, lo, hi)
-    if hi > (1 << 62):
-        raise ValueError("range-scan bounds must fit in int64")
-    return (n for window in scan_windows(spec, lo, hi) for n in window.tolist())
+    return _enumerate_scan(spec, lo, hi)

@@ -181,13 +181,17 @@ def _form_entries(forms, primes) -> tuple[tuple[int, frozenset[int]], ...]:
     """(p, {-b * a^-1 mod p over the forms (a, b) with p not dividing a}) for each prime p.
 
     These are the n at which p divides some form a*n + b; a form with p | a
-    strikes nothing at p.  The spec builders, Goldbach's eta spec and the
-    Schinzel lambda filter pass their forms here.  Precondition, not checked:
+    strikes nothing at p.  The spec builders, is_admissible, Goldbach's eta
+    spec and the Schinzel lambda filter pass their forms here.  Precondition, not checked:
     no form has p | a and p | b, which would make p divide it at every n.
     """
     primes = [int(p) for p in primes]
-    roots = [[-b * a % p for p in primes] if a in (1, -1)  # a unit is its own inverse
-             else [-b * pow(a, -1, p) % p if a % p else None for p in primes] for a, b in forms]
+    roots = []
+    for a, b in forms:
+        if a in (1, -1):  # a unit is its own inverse: no pow, no p | a
+            roots.append([-b * a % p for p in primes])
+        else:
+            roots.append([-b * pow(a, -1, p) % p if a % p else None for p in primes])
     struck = map(frozenset, zip(*roots))
     return tuple((p, s - {None} if None in s else s) for p, s in zip(primes, struck))
 
@@ -212,17 +216,12 @@ def tuple_forbidden(offsets: Sequence[int], p: int) -> frozenset[int]:
 
 
 def is_admissible(offsets: Sequence[int]) -> bool:
-    """True iff {0} union offsets misses a residue class mod q for every prime q <= k."""
+    """True iff the forms n + b, b in {0} union offsets, leave a residue mod q for every prime q <= k."""
     if list(offsets) != sorted(set(offsets)) or any(b <= 0 for b in offsets):
         return False
-    k = len(offsets) + 1
-    for q in range(2, k + 1):
-        if not is_prime(q):
-            continue
-        residues = {0} | {b % q for b in offsets}
-        if len(residues) == q:
-            return False
-    return True
+    primes = [q for q in range(2, len(offsets) + 2) if is_prime(q)]
+    forms = [(1, b) for b in (0, *offsets)]
+    return all(len(struck) < q for q, struck in _form_entries(forms, primes))
 
 
 def tight_tuples(k: int) -> list[AdmissibleTuple]:

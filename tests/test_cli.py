@@ -166,10 +166,7 @@ def test_allow_modulus_beyond_the_complement_bound_exits_1(capsys):
     assert (code, err) == (1, "error: --allow modulus 1000003 exceeds 1000000\n")
 
 
-CRT_PATHS = {  # crt_enumerate's two paths, each forced
-    "product": crt._enumerate_product,
-    "scan": lambda spec, lo, hi: (n for window in crt.scan_windows(spec, lo, hi) for n in window.tolist()),
-}
+CRT_PATHS = {"product": crt._enumerate_product, "scan": crt._enumerate_scan}  # crt_enumerate's two paths
 
 
 @pytest.mark.parametrize("mode", ["product", "scan"])

@@ -124,6 +124,7 @@ def test_oracles_do_not_use_the_residue_windows(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle reached the residue-window core")
 
+    spec = ResidueSpec.twins([2, 3, 5, 7])  # built unpatched: survivor_count itself must refuse
     for module in (sieve, counts, crt, residues, densities, goldbach, schinzel):
         for name in ("avoiding_mask", "avoiding_windows", "_form_entries",
                      "tuple_forbidden", "twin_forbidden", "sophie_forbidden"):
@@ -138,8 +139,8 @@ def test_oracles_do_not_use_the_residue_windows(monkeypatch):
     assert densities.brute_ap_prime_count(10**4, 1, 4, table) == 609
     assert densities.brute_ap_twin_count(10**4, 1, 6, table) == 200  # step 1
     assert densities.brute_ap_twin_count(10**4, 2, 3, table) == 211  # step 2
-    with pytest.raises(AssertionError):  # the patch is live
-        survivor_count(100, ResidueSpec.twins([2, 3, 5, 7]))
+    with pytest.raises(AssertionError, match="residue-window core"):  # the patch is live
+        survivor_count(100, spec)
     with pytest.raises(AssertionError):
         residues.tuple_forbidden((2, 6), 5)
     for build in (lambda: ResidueSpec.sophie_germain([2, 3]),  # every binding of the linear-form rule

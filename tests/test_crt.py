@@ -17,11 +17,6 @@ from primelab.crt import (
 from primelab.residues import ResidueSpec
 
 
-def scan(spec, lo, hi):
-    """The range-scan path's stream: crt.scan_windows flattened."""
-    return [n for window in crt.scan_windows(spec, lo, hi) for n in window.tolist()]
-
-
 def allow_spec(pairs):
     """The ResidueSpec keeping only the given allowed residues: each modulus strikes the rest."""
     return ResidueSpec.from_pairs((m, [r for r in range(m) if r not in rs]) for m, rs in pairs)
@@ -113,7 +108,7 @@ def test_modes_agree_on_worked_example():
     spec = allow_spec([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])])
     want = brute_enumerate(spec, 1, 210)
     assert list(crt._enumerate_product(spec, 1, 210)) == want
-    assert scan(spec, 1, 210) == want
+    assert list(crt._enumerate_scan(spec, 1, 210)) == want
     assert len(want) == 20
 
 
@@ -148,7 +143,7 @@ def test_modes_agree_randomized(primes, lo, width, seed):
     hi = lo + width
     want = brute_enumerate(spec, lo, hi)
     assert list(crt._enumerate_product(spec, lo, hi)) == want
-    assert scan(spec, lo, hi) == want
+    assert list(crt._enumerate_scan(spec, lo, hi)) == want
     assert list(crt_enumerate(spec, lo, hi)) == want
 
 
@@ -173,7 +168,7 @@ def scan_specs(draw):
 def scan_in_windows(spec, lo, hi, width):
     """The range-scan path's stream with residue windows of `width` entries."""
     with mock.patch.object(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width)):
-        return scan(spec, lo, hi)
+        return list(crt._enumerate_scan(spec, lo, hi))
 
 
 @given(scan_specs(), st.integers(0, 10**6), st.integers(0, 120), st.integers(1, 7))
@@ -191,6 +186,12 @@ def test_scan_strikes_from_unaligned_starts():
     for lo, chunk in ((1001, 1), (1003, 6), (999_999, 7), (12_345, sieve.SEGMENT_ODD_BITS)):
         want = brute_enumerate(spec, lo, lo + 3000)
         assert scan_in_windows(spec, lo, lo + 3000, chunk) == want
+
+
+def test_scan_refuses_bounds_past_int64():
+    spec = allow_spec([(3, [1])])
+    with pytest.raises(ValueError, match="range-scan bounds must fit in int64"):
+        crt._enumerate_scan(spec, 0, (1 << 62) + 1)
 
 
 def test_empty_range_and_empty_spec():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,6 +141,15 @@ def test_is_admissible_known_cases():
     assert not is_admissible((2, 4))  # covers all residues mod 3
     assert not is_admissible((2, 4, 6))
     assert not is_admissible((1,))  # 0,1 covers mod 2
+
+
+def test_is_admissible_matches_the_definition():
+    # {0} union offsets must miss a class mod every prime q <= k, checked here by hand
+    for size in range(4):
+        for offsets in itertools.combinations(range(1, 31), size):
+            k = len(offsets) + 1
+            want = all(len({0, *(b % q for b in offsets)}) < q for q in (2, 3, 5) if q <= k)
+            assert is_admissible(offsets) is want, offsets
 
 
 def test_admissible_tuple_validation():
