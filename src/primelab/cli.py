@@ -12,12 +12,14 @@ import math
 import os
 import sys
 import time
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from . import counts, densities, goldbach, probes, schinzel
-from .crt import CongruenceSystem, crt_enumerate, crt_solve
-from .residues import AdmissibleTuple, ResidueSpec, tight_tuples
 from .reporting import FORMATS, Report, format_report
-from .sieve import PrimeTable, load_cache, save_cache, sieve_primes, table_for
+
+if TYPE_CHECKING:  # the handlers import what they run; see run_command
+    from .residues import ResidueSpec
+    from .sieve import PrimeTable
 
 __all__ = ["main", "run_command", "reproduce_paper"]
 
@@ -26,6 +28,8 @@ def _table_from_cache(path: str | None, need: int) -> PrimeTable | None:
     """Load the prime cache when present and big enough; (re)write it otherwise."""
     if path is None:
         return None
+    from .sieve import load_cache, save_cache, sieve_primes
+
     if os.path.exists(path):
         table = load_cache(path)
         if table.limit >= need:
@@ -40,6 +44,8 @@ def _table_from_cache(path: str | None, need: int) -> PrimeTable | None:
 
 
 def _cmd_primes(args, report: Report) -> int:
+    from .sieve import table_for
+
     table = table_for(args.limit, _table_from_cache(args.cache, args.limit))
     primes = table.prefix_le(args.limit)
     report.params = {"limit": args.limit}
@@ -51,6 +57,9 @@ def _cmd_primes(args, report: Report) -> int:
 
 
 def _cmd_count(args, report: Report) -> int:
+    from . import counts
+    from .residues import AdmissibleTuple
+
     table = _table_from_cache(args.cache, args.x)
     report.params = {"kind": args.kind, "x": args.x}
     if args.kind == "pi":
@@ -72,6 +81,8 @@ def _cmd_count(args, report: Report) -> int:
 
 
 def _cmd_estimate(args, report: Report) -> int:
+    from . import densities
+
     table = _table_from_cache(args.cache, args.x)
     report.params = {"kind": args.kind, "x": args.x}
     if args.kind == "psi":
@@ -100,6 +111,8 @@ _ALLOW_MAX_MODULUS = 10**6
 
 def _parse_allow(tokens) -> ResidueSpec:
     """--allow m=r,r,... tokens as a struck-residue spec: the complement, taken once, by modulus."""
+    from .residues import ResidueSpec
+
     entries = []
     for token in tokens:
         head, _, tail = token.partition("=")
@@ -116,6 +129,8 @@ def _parse_allow(tokens) -> ResidueSpec:
 
 
 def _cmd_crt(args, report: Report) -> int:
+    from .crt import CongruenceSystem, crt_enumerate, crt_solve
+
     if args.congruence:
         system = CongruenceSystem.of(
             tuple(int(v) for v in token.split(":")) for token in args.congruence
@@ -137,6 +152,8 @@ def _cmd_crt(args, report: Report) -> int:
 
 
 def _cmd_goldbach(args, report: Report) -> int:
+    from . import goldbach
+
     # nothing the goldbach command runs reads a table past sqrt(2n)
     table = _table_from_cache(args.cache, math.isqrt(max(args.even, 0)))
     report.params = {"even": args.even, "mode": args.mode,
@@ -161,6 +178,8 @@ def _cmd_goldbach(args, report: Report) -> int:
 
 
 def _cmd_schinzel(args, report: Report) -> int:
+    from . import schinzel
+
     report.params = {"num": args.num, "den": args.den, "max_k": args.max_k}
     result = schinzel.schinzel_search(args.num, args.den, args.max_k)
     if result is None:
@@ -175,6 +194,8 @@ def _cmd_schinzel(args, report: Report) -> int:
 
 
 def _cmd_bertrand(args, report: Report) -> int:
+    from . import probes
+
     report.params = {"alpha": args.alpha, "min": args.min, "max": args.max,
                      "twin": args.twin}
     if args.twin:
@@ -187,6 +208,8 @@ def _cmd_bertrand(args, report: Report) -> int:
 
 
 def _cmd_hl_scan(args, report: Report) -> int:
+    from . import probes
+
     report.params = {"xmax": args.xmax, "ymax": args.ymax}
     scan = probes.hl_inequality_scan(args.xmax, args.ymax)
     report.rows.append(scan.row())
@@ -196,6 +219,8 @@ def _cmd_hl_scan(args, report: Report) -> int:
 
 
 def _cmd_xi(args, report: Report) -> int:
+    from . import probes
+
     if args.sigma:
         report.params = {"sigma": list(args.sigma)}
         report.rows.extend(probes.xi_sigma_probe(args.sigma))
@@ -216,6 +241,8 @@ def _cmd_xi(args, report: Report) -> int:
 
 
 def _cmd_mersenne_witness(args, report: Report) -> int:
+    from . import probes
+
     report.params = {"k": args.k, "n": args.n}
     report.rows.append(probes.mersenne_composite_witness(args.k, args.n))
     return 0
@@ -227,6 +254,10 @@ def _cmd_mersenne_witness(args, report: Report) -> int:
 
 def _golden_checks() -> list[tuple[str, object, object]]:
     """(name, got, want) triples for every worked example reproduced."""
+    from . import counts, goldbach, schinzel
+    from .crt import crt_enumerate
+    from .residues import tight_tuples
+
     checks: list[tuple[str, object, object]] = []
 
     tw = counts.twin_count_formula(20)
@@ -333,13 +364,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_sub("primes", help="sieve primes up to a limit")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--list", action="store_true", help="emit one row per prime")
-    p.set_defaults(handler=_cmd_primes)
+    p.set_defaults(handler=_cmd_primes, modules=("sieve",))
 
     p = add_sub("count", help="exact inclusion-exclusion counts vs. oracles")
     p.add_argument("kind", choices=["pi", "twin", "tuple", "mersenne", "fermat"])
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--offsets", default="2,6", help="tuple offsets, comma separated")
-    p.set_defaults(handler=_cmd_count)
+    p.set_defaults(handler=_cmd_count, modules=("counts", "residues", "sieve"))
 
     p = add_sub("estimate", help="density heuristics vs. brute oracles")
     p.add_argument("kind", choices=["psi", "omega", "ap-psi", "ap-omega",
@@ -347,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--a", type=int, default=1, help="progression first term")
     p.add_argument("--b", type=int, default=2, help="progression difference")
-    p.set_defaults(handler=_cmd_estimate)
+    p.set_defaults(handler=_cmd_estimate, modules=("densities", "sieve"))
 
     p = add_sub("crt", help="solve and/or enumerate residue systems")
     p.add_argument("congruence", nargs="*", metavar="r:m",
@@ -356,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="allowed residues for enumeration; repeatable")
     p.add_argument("--lo", type=int, default=1)
     p.add_argument("--hi", type=int, default=None)
-    p.set_defaults(handler=_cmd_crt)
+    p.set_defaults(handler=_cmd_crt, modules=("crt", "residues"))
 
     p = add_sub("goldbach", help="prime-pair search for an even target")
     p.add_argument("--even", type=int, required=True)
@@ -364,41 +395,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-zero-eta", action="store_true")
     p.add_argument("--span", action="store_true")
     p.add_argument("--refine", type=int, default=None, metavar="T")
-    p.set_defaults(handler=_cmd_goldbach)
+    p.set_defaults(handler=_cmd_goldbach, modules=("goldbach", "sieve"))
 
     p = add_sub("schinzel", help="m/n as a quotient of shifted primes")
     p.add_argument("--num", type=int, required=True)
     p.add_argument("--den", type=int, required=True)
     p.add_argument("--max-k", type=int, default=1000)
-    p.set_defaults(handler=_cmd_schinzel)
+    p.set_defaults(handler=_cmd_schinzel, modules=("schinzel",))
 
     p = add_sub("bertrand", help="prime / twin-pair interval scans")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--min", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--twin", action="store_true")
-    p.set_defaults(handler=_cmd_bertrand)
+    p.set_defaults(handler=_cmd_bertrand, modules=("probes",))
 
     p = add_sub("hl-scan", help="subadditivity scan of the prime count")
     p.add_argument("--xmax", type=int, required=True)
     p.add_argument("--ymax", type=int, required=True)
-    p.set_defaults(handler=_cmd_hl_scan)
+    p.set_defaults(handler=_cmd_hl_scan, modules=("probes",))
 
     p = add_sub("xi", help="the 2^Omega Dirichlet series")
     p.add_argument("--sigma", type=float, nargs="+", default=None)
     p.add_argument("--sum", type=int, default=None, metavar="N")
     p.add_argument("--s", type=float, default=2.0)
-    p.set_defaults(handler=_cmd_xi)
+    p.set_defaults(handler=_cmd_xi, modules=("probes",))
 
     p = add_sub("mersenne-witness", help="composite Mersenne witness q = k*2^n - 1")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_mersenne_witness)
+    p.set_defaults(handler=_cmd_mersenne_witness, modules=("probes",))
 
     p = add_sub("reproduce", help="recompute all worked examples")
     p.add_argument("--force-mismatch", action="store_true",
                    help="self-test: corrupt one pinned value")
-    p.set_defaults(handler=_cmd_reproduce)
+    p.set_defaults(handler=_cmd_reproduce,
+                   modules=("counts", "crt", "goldbach", "residues", "schinzel"))
 
     return parser
 
@@ -409,6 +441,8 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    for module in args.modules:  # loaded here, so that runtime_ms times the handler's work alone
+        import_module(f"{__package__}.{module}")
     report = Report(args.subcommand, {})
     start = time.perf_counter()
     try:
@@ -422,6 +456,8 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
+    # primelab calls no BLAS routine: keep numpy's OpenBLAS from starting a thread pool
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = run_command(sys.argv[1:])
         sys.stdout.flush()

@@ -6,8 +6,8 @@ primes p <= cbrt(x) and gathering the rest, whose [x/p] only q <= sqrt(x/p)
 most 64 away with the same sieving primes; neither reads the oracle), the
 twin and k-tuple residue-survivor formulas, and the order-based
 Mersenne/Fermat exponent counts.  The survivor count is a windowed residue
-sieve; survivor_count_expanded is the paper's literal inclusion-exclusion
-over CRT classes, kept as its test reference.  Every formula value here is
+sieve; the paper's literal inclusion-exclusion over CRT classes is its
+test reference, in tests/test_counts.py.  Every formula value here is
 an exact integer; approximation lives in :mod:`primelab.densities`.
 """
 
@@ -26,7 +26,6 @@ __all__ = [
     "CountReport",
     "legendre_pi",
     "survivor_count",
-    "survivor_count_expanded",
     "twin_count_formula",
     "tuple_count_formula",
     "multiplicative_order",
@@ -99,30 +98,6 @@ def survivor_count(x: int, spec: ResidueSpec) -> int:
     the survivors of each window are added up.  Empty spec returns x.
     """
     return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(1, x, spec.entries))
-
-
-def survivor_count_expanded(x: int, spec: ResidueSpec, term_cap: int = 1 << 20) -> int:
-    """Flat subset/residue-combination expansion of the same count.
-
-    The paper's literal inclusion-exclusion over CRT classes using
-    count_congruent; cost is prod(1 + u_i) terms, so this is only for small
-    specs (it is the reference for survivor_count in tests).
-    """
-    terms = [(1, 0, 1)]  # (sign, residue, modulus)
-    n_terms = 1
-    for p, forb in spec.entries:
-        n_terms *= 1 + len(forb)
-        if n_terms > term_cap:
-            raise ValueError("expansion exceeds term cap; use survivor_count")
-        new = []
-        for sign, r, m in terms:
-            new.append((sign, r, m))
-            for f in forb:
-                # CRT-combine n = r (mod m), n = f (mod p)
-                delta = (f - r) * pow(m, -1, p) % p
-                new.append((-sign, r + m * delta, m * p))
-        terms = new
-    return sum(sign * count_congruent(x, r % m, m) for sign, r, m in terms)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,8 @@ def checked_primes(values) -> list[int]:
     """The values as ints, else ValueError naming the first non-prime: one is_prime_array
     lookup up to the shared table's limit, is_prime (no table grown to n) above it."""
     values = [int(n) for n in values]
+    if len(values) == 1 and is_prime(values[0]):  # one prime (the *_forbidden helpers): no arrays
+        return values
     table, array = shared_table(), np.array(values, dtype=np.int64)
     above = array > table.limit
     prime = table.is_prime_array(np.where(above, 2, array))  # 2 stands in for the values above the table

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 import primelab
-from primelab import cli, crt, reporting
+from primelab import crt, reporting
 from primelab.cli import reproduce_paper, run_command
 from primelab.reporting import Report, format_report
 from primelab.sieve import load_cache
@@ -172,7 +172,7 @@ CRT_PATHS = {"product": crt._enumerate_product, "scan": crt._enumerate_scan}  # 
 @pytest.mark.parametrize("mode", ["product", "scan"])
 @pytest.mark.parametrize("order", [("9=1,2", "4=3"), ("4=3", "9=1,2")])
 def test_allow_composite_unordered_moduli_match_a_brute_filter(capsys, monkeypatch, mode, order):
-    monkeypatch.setattr(cli, "crt_enumerate", CRT_PATHS[mode])
+    monkeypatch.setattr(crt, "crt_enumerate", CRT_PATHS[mode])
     argv = [a for token in order for a in ("--allow", token)]
     code, doc = run_json(capsys, "crt", *argv, "--lo", "0", "--hi", "200")
     assert code == 0

@@ -205,6 +205,19 @@ def test_spec_builders_name_the_first_composite(build, monkeypatch):
         build([2, 9, 1_000_001])
 
 
+HELPERS = [twin_forbidden, sophie_forbidden, lambda p: tuple_forbidden((2, 6, 8), p)]
+
+
+@pytest.mark.parametrize("helper", HELPERS)
+def test_per_prime_helpers_name_a_non_prime_and_sieve_no_table_up_to_it(helper, monkeypatch):
+    monkeypatch.setattr(sieve, "_shared_table", sieve.sieve_primes(1 << 16))
+    for n in (1, 9, 1_000_001):  # 1_000_001 = 101 * 9901, above the table
+        with pytest.raises(ValueError, match=rf"^{n} is not prime$"):
+            helper(n)
+    assert 0 in helper(1_000_003)
+    assert sieve._shared_table.limit < 1_000_003
+
+
 @pytest.mark.parametrize("build", BUILDERS)
 def test_spec_builders_sieve_no_table_up_to_a_modulus(build, monkeypatch):
     monkeypatch.setattr(sieve, "_shared_table", sieve.sieve_primes(1 << 16))
