@@ -247,23 +247,12 @@ def twin_constant(x: int = 10**6, table: PrimeTable | None = None) -> float:
     return twin_constant_probe([x], table)[-1]["C"]
 
 
-def _is_primitive_by_powers(q: int, p: int) -> bool:
-    """Second, independent primitivity oracle: q^i != 1 (mod p) for 0 < i < p - 1."""
-    power = 1
-    for _ in range(p - 2):
-        power = power * q % p
-        if power == 1:
-            return False
-    return True
-
-
 def primitive_root_census(
     Q: int,
     a: int,
     b: int,
     x: int,
     table: PrimeTable | None = None,
-    oracle: str = "order",
 ) -> EstimateReport:
     """Census of primes p <= x, p = a (mod b), with Q a primitive root mod p.
 
@@ -275,20 +264,12 @@ def primitive_root_census(
         raise ValueError("Q must differ from 0, 1, -1")
     if Q > 0 and math.isqrt(Q) ** 2 == Q:
         raise ValueError("Q must not be a perfect square")
-    if oracle not in ("order", "powers"):
-        raise ValueError(f"oracle must be 'order' or 'powers', not {oracle!r}")
     _check_ap(x, a, b)
     table = table_for(x, table)
     count = 0
     for p in table.prefix_le(x):
         p = int(p)
-        if p % b != a % b or Q % p == 0:
-            continue
-        if oracle == "order":
-            hit = multiplicative_order(Q % p, p) == p - 1
-        else:
-            hit = _is_primitive_by_powers(Q % p, p)
-        if hit:
+        if p % b == a % b and Q % p and multiplicative_order(Q % p, p) == p - 1:
             count += 1
     t = (x - a) / b
     fitted = count * math.log(t) / t if t > 1 else float("nan")

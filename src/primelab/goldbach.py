@@ -79,7 +79,11 @@ class SplitPlan:
 
     two_n: int
     primes: tuple[int, ...]
-    beta: tuple[int, ...]
+
+    @cached_property
+    def beta(self) -> tuple[int, ...]:
+        """2n mod p per sieving prime p."""
+        return tuple(self.two_n % p for p in self.primes)
 
     @property
     def u(self) -> tuple[int, ...]:
@@ -102,7 +106,7 @@ class SplitPlan:
 def build_split_plan(two_n: int, table: PrimeTable | None = None) -> SplitPlan:
     _check_even_target(two_n)
     primes = tuple(sieving_prime_set(two_n, table).tolist())
-    return SplitPlan(two_n, primes, tuple(two_n % p for p in primes))
+    return SplitPlan(two_n, primes)
 
 
 def _certify(candidates: np.ndarray, two_n: int, primes) -> None:

@@ -78,10 +78,10 @@ def _fieldnames(rows: list) -> list[str]:
 def _to_csv(report: Report) -> str:
     buffer = io.StringIO()
     names = _fieldnames(report.rows)
-    writer = csv.DictWriter(buffer, fieldnames=names, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(names)
     for row in report.rows:
-        writer.writerow({k: _cell(row.get(k)) for k in names})
+        writer.writerow([_cell(row.get(k)) for k in names])
     return buffer.getvalue().rstrip("\n")
 
 

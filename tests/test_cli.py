@@ -240,6 +240,22 @@ def test_report_float_formatting():
     assert "0.333333333333" in table
 
 
+def test_csv_matches_a_dict_writer_reference():
+    rows = [
+        {"n": 1, "name": 'say "hi", then\nstop', "none": None},
+        {"n": 2.5, "extra": {"a": [1, 2], "b": "x,y"}, "name": None},
+        {"list": [1, (2, 1 / 3)], "n": 2**64 + 1},
+        {},
+    ]
+    names = reporting._fieldnames(rows)
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=names, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: reporting._cell(row.get(k)) for k in names})
+    assert format_report(Report("demo", rows=rows), "csv") == buffer.getvalue().rstrip("\n")
+
+
 def _whole_report_json(report: Report) -> str:
     """The whole report in one json.dumps(..., indent=2) call: the reference that the
     chunk-by-chunk JSON encoding must equal byte for byte."""

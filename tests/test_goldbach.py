@@ -340,7 +340,8 @@ def test_span_report_matches_a_direct_filter_of_the_period():
 
 def test_split_plan_derives_its_splits_from_beta():
     plan = build_split_plan(3000)
-    assert "splits" not in plan.__dict__  # computed only on demand
+    assert "splits" not in plan.__dict__ and "beta" not in plan.__dict__  # only on demand
+    assert plan.beta == tuple(3000 % p for p in plan.primes)
     spec = plan.eta_spec()
     for p, b, u, s, (q, _) in zip(plan.primes, plan.beta, plan.u, plan.splits, spec.entries):
         assert s == tuple(split_remainder(b, p)) and q == p

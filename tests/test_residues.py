@@ -95,7 +95,7 @@ def test_builders_give_the_closed_form_struck_sets():
 def test_eta_spec_strikes_zero_and_the_target_mod_every_prime():
     ps = tuple(PRIMES_TO_2000)
     for two_n in range(6, 2001, 2):
-        plan = goldbach.SplitPlan(two_n, ps, tuple(two_n % p for p in ps))
+        plan = goldbach.SplitPlan(two_n, ps)
         assert plan.eta_spec().entries == tuple((p, {0, two_n % p}) for p in ps)
         built = goldbach.build_split_plan(two_n)
         assert built.eta_spec().entries == tuple((p, {0, two_n % p}) for p in built.primes)
