@@ -15,7 +15,7 @@ import time
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-from .reporting import FORMATS, Report, format_report
+from .reporting import FORMATS, Block, Report, report_parts
 
 if TYPE_CHECKING:  # the handlers import what they run; see run_command
     from .residues import ResidueSpec
@@ -52,7 +52,7 @@ def _cmd_primes(args, report: Report) -> int:
     largest = int(primes[-1]) if len(primes) else None
     report.rows.append({"limit": args.limit, "count": len(primes), "largest": largest})
     if args.list:
-        report.rows.extend({"p": p} for p in primes.tolist())
+        report.rows.append(Block(p=primes))
     return 0
 
 
@@ -158,11 +158,9 @@ def _cmd_goldbach(args, report: Report) -> int:
     table = _table_from_cache(args.cache, math.isqrt(max(args.even, 0)))
     report.params = {"even": args.even, "mode": args.mode,
                      "allow_zero_eta": args.allow_zero_eta}
-    pairs = goldbach.goldbach_enumerate(
-        args.even, args.mode.upper(), args.allow_zero_eta, table
-    )
-    report.rows.extend({"p": p, "q": q} for p, q in pairs)
-    if not pairs:
+    low = goldbach._pair_lows(args.even, args.mode.upper(), args.allow_zero_eta, table)
+    report.rows.append(Block(p=low, q=args.even - low))
+    if not len(low):
         report.warn("no prime pair found (a finding, not an error)")
     if args.span:
         report.rows.append(goldbach.span_report(args.even, table).row())
@@ -451,7 +449,8 @@ def run_command(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
-    print(format_report(report, args.format))
+    sys.stdout.writelines(report_parts(report, args.format))  # written as it is rendered
+    print()
     return code
 
 

@@ -151,6 +151,12 @@ def goldbach_enumerate(
     prime table beyond sqrt(two_n).  allow_zero_eta additionally admits pairs whose
     smaller member is itself a sieving prime (the zero-part splits the plan omits).
     """
+    low = _pair_lows(two_n, mode, allow_zero_eta, table)
+    return list(zip(low.tolist(), (two_n - low).tolist()))
+
+
+def _pair_lows(two_n: int, mode: str, allow_zero_eta: bool, table: PrimeTable | None) -> np.ndarray:
+    """The smaller members p of goldbach_enumerate's pairs, ascending, as an int64 array."""
     _check_even_target(two_n)
     if mode not in ("EXACT", "GUIDED"):
         raise ValueError(f"mode must be EXACT or GUIDED, not {mode!r}")
@@ -164,8 +170,7 @@ def goldbach_enumerate(
             _certify(lows[-1], two_n, plan.primes)
             if mode == "GUIDED":
                 break
-    low = np.concatenate(lows)  # ascending
-    return list(zip(low.tolist(), (two_n - low).tolist()))
+    return np.concatenate(lows)
 
 
 @dataclass(frozen=True)

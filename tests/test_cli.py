@@ -7,12 +7,13 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import primelab
-from primelab import crt, reporting
+from primelab import cli, crt, reporting
 from primelab.cli import reproduce_paper, run_command
-from primelab.reporting import Report, format_report
+from primelab.reporting import FORMATS, Block, Report, format_report, report_parts
 from primelab.sieve import load_cache
 
 SRC_DIR = pathlib.Path(primelab.__file__).resolve().parents[1]
@@ -214,13 +215,40 @@ def test_cold_cli_import_skips_mpmath():
 
 
 def test_closed_pipe_exits_quietly():
-    proc = spawn("primes", "--limit", "1000000", "--list")
-    assert proc.stdout.readline().startswith(b"# primes")
-    proc.stdout.close()  # like `| head -1`
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 1
-    assert b"Traceback" not in err and b"BrokenPipe" not in err
+    """The reader leaves mid-stream: run_command is still writing the rows when the pipe breaks."""
+    for argv in (("primes", "--limit", "1000000", "--list"), ("goldbach", "--even", "1000000")):
+        for fmt in FORMATS:
+            proc = spawn("--format", fmt, *argv)
+            first = proc.stdout.readline()
+            heads = (b"{", b"limit,count,largest,p", b"p,q", b"# " + argv[0].encode())
+            assert first.rstrip() in heads, first
+            proc.stdout.close()  # like `| head -1`
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait() == 1, (argv, fmt)
+            assert b"Traceback" not in err and b"BrokenPipe" not in err, (argv, fmt)
+
+
+class _WriteSizes(io.StringIO):
+    """A stdout that keeps only the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_listing_is_written_a_chunk_at_a_time(monkeypatch, fmt):
+    out = _WriteSizes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run_command(["--format", fmt, "primes", "--limit", "1000000", "--list"]) == 0
+    # 78 498 rows: 0.77 MB of csv, 2.4-2.5 MB of json or table, one chunk 40-130 kB
+    assert sum(out.sizes) > 700_000
+    assert max(out.sizes) < 2**18  # a couple of chunks; the whole report in one write fails
 
 
 def test_json_and_csv_carry_identical_numbers(capsys):
@@ -273,7 +301,7 @@ def _whole_report_json(report: Report) -> str:
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 6, 7])
 def test_json_chunks_join_to_the_whole_report(monkeypatch, count):
-    monkeypatch.setattr(reporting, "_JSON_CHUNK_ROWS", 3)
+    monkeypatch.setattr(reporting, "_CHUNK_ROWS", 3)
     kinds = [
         {"big": 2**64 + 1, "third": 1 / 3, "tiny": 1e-20, "neg_zero": -0.0},
         {"nested": {"a": [1, (2, 3.5)], "b": {"c": None}}, "ok": True},
@@ -309,3 +337,63 @@ def test_reproduce_cli_exit_codes(capsys):
     assert run_command(["reproduce"]) == 0
     capsys.readouterr()
     assert run_command(["reproduce", "--force-mismatch"]) == 1
+
+
+def _as_dict_rows(rows: list) -> list:
+    """The rows with each Block expanded into the dict rows it stands for."""
+    out = []
+    for row in rows:
+        if isinstance(row, Block):
+            keys = list(row)
+            out.extend(dict(zip(keys, values)) for values in zip(*(row[k].tolist() for k in keys)))
+        else:
+            out.append(row)
+    return out
+
+
+def _handler_report(*argv) -> Report:
+    args = cli._build_parser().parse_args(argv)
+    report = Report(args.subcommand, {}, runtime_ms=3)
+    assert args.handler(args, report) == 0
+    return report
+
+
+BLOCK_REPORTS = {
+    "summary row, then a block": lambda: _handler_report("primes", "--limit", "100", "--list"),
+    "block, then dict rows": lambda: _handler_report(
+        "goldbach", "--even", "100", "--span", "--refine", "137"),
+    "empty block": lambda: Report(
+        "goldbach", {"even": 6}, [Block(p=np.zeros(0, np.int64), q=np.zeros(0, np.int64))],
+        ["no prime pair found (a finding, not an error)"]),
+    "two columns": lambda: _handler_report("goldbach", "--even", "1000"),
+    "widest value is the minimum": lambda: Report("demo", rows=[
+        {"n": 7, "note": "x"}, Block(n=np.array([3, -123456, 99, -5]), m=np.array([1, 2, 3, -4])),
+        Block(m=np.array([10**15]))]),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, reporting._CHUNK_ROWS])
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", BLOCK_REPORTS)
+def test_blocks_render_as_their_dict_rows(monkeypatch, case, fmt, chunk):
+    monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk)
+    report = BLOCK_REPORTS[case]()
+    assert any(isinstance(row, Block) for row in report.rows)
+    as_dicts = Report(report.command, report.params, _as_dict_rows(report.rows), report.warnings,
+                      report.runtime_ms)
+    assert format_report(report, fmt) == format_report(as_dicts, fmt)
+    if fmt == "json":
+        assert format_report(report, fmt) == _whole_report_json(as_dicts)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_block_report_memory_is_bounded(fmt):
+    rep = Report("primes", rows=[{"limit": 10**6}, Block(p=np.arange(10**6, dtype=np.int64))])
+    tracemalloc.start()
+    try:
+        size = sum(map(len, report_parts(rep, fmt)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size > 6_000_000
+    assert peak < 2 * 2**20  # one slice's ints and text; the whole block's tolist() is 36 MiB

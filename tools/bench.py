@@ -5,7 +5,7 @@
 SUITE is one of the tables in ``SUITES``:
 
 - ``render``: ``primelab --format F primes --limit L --list`` for F in json, csv,
-  table and L in 1e5, 1e6;
+  table and L in 1e5, 1e6, 1e7;
 - ``goldbach``: ``primelab goldbach --even E --mode M`` for E in 1e6, 1e8 and M in
   exact, guided;
 - ``specs``: the six struck-residue spec builders (twins, Sophie Germain, the tuples
@@ -85,7 +85,7 @@ print(json.dumps({case: {"us": statistics.median(us)} for case, us in samples.it
 
 SUITES = {
     "render": {f"{fmt} {limit}": cli("--format", fmt, "primes", "--limit", limit, "--list")
-               for fmt in ("json", "csv", "table") for limit in (10**5, 10**6)},
+               for fmt in ("json", "csv", "table") for limit in (10**5, 10**6, 10**7)},
     "goldbach": {f"{even} {mode}": cli("goldbach", "--even", even, "--mode", mode)
                  for even in (10**6, 10**8) for mode in ("exact", "guided")},
     "specs": {"builders": ["-c", SPECS_CHILD]},
