@@ -129,6 +129,8 @@ def _parse_allow(tokens) -> ResidueSpec:
 
 
 def _cmd_crt(args, report: Report) -> int:
+    import numpy as np
+
     from .crt import CongruenceSystem, crt_enumerate, crt_solve
 
     if args.congruence:
@@ -142,9 +144,9 @@ def _cmd_crt(args, report: Report) -> int:
         spec = _parse_allow(args.allow)
         lo, hi = args.lo, args.hi if args.hi is not None else spec.modulus
         report.params.update({"allow": list(args.allow), "lo": lo, "hi": hi})
-        values = list(crt_enumerate(spec, lo, hi))
-        report.rows.extend({"n": v} for v in values)
-        if not values:
+        values = np.fromiter(crt_enumerate(spec, lo, hi), np.int64 if hi < 2**63 else object)
+        report.rows.append(Block(n=values))
+        if not len(values):
             report.warn("no values in range satisfy the residue choices")
     if not args.congruence and not args.allow:
         report.warn("nothing to do: give r:m congruences and/or --allow entries")

@@ -13,13 +13,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .residues import NonCoprimeModuliError, ResidueSpec
+from .residues import ResidueSpec, _check_coprime
 from .sieve import avoiding_mask, avoiding_windows
 
 __all__ = [
     "CongruenceSystem",
     "CrtSolution",
-    "NonCoprimeModuliError",
     "crt_solve",
     "crt_enumerate",
     "scan_windows",
@@ -65,13 +64,9 @@ def crt_solve(system: CongruenceSystem) -> CrtSolution:
     """Fold the congruences; verify every one against the result before returning."""
     if not system.congruences:
         raise ValueError("empty congruence system")
+    _check_coprime(m for _, m in system.congruences)
     value, modulus = 0, 1
     for r, m in system.congruences:
-        g = math.gcd(modulus, m)
-        if g != 1:
-            raise NonCoprimeModuliError(
-                f"modulus {m} shares factor {g} with accumulated product {modulus}"
-            )
         delta = (r - value) * pow(modulus, -1, m) % m
         value += modulus * delta
         modulus *= m

@@ -37,14 +37,24 @@ class NonCoprimeModuliError(ValueError):
     """Raised when a congruence system's moduli are not pairwise coprime."""
 
 
+def _check_coprime(moduli: Iterable[int]) -> None:
+    """NonCoprimeModuliError at the first modulus sharing a factor with the product of those before it."""
+    before = 1
+    for m in moduli:
+        g = math.gcd(before, m)
+        if g != 1:
+            raise NonCoprimeModuliError(f"modulus {m} shares factor {g} with an earlier modulus")
+        before *= m
+
+
 @dataclass(frozen=True)
 class ResidueSpec:
     """Struck (forbidden) residue sets per modulus; moduli pairwise coprime, strictly increasing.
 
-    The moduli are the sieving primes, except that the CLI's ``crt --allow``
-    also admits composite ones.  Struck sets are stored deduplicated
-    ({0, 2} mod 2 collapses to {0}) so that each cardinality is the count of
-    distinct residues.
+    Each fact is proved once, where it can fail: the named builders prove their moduli
+    prime, ``from_pairs`` proves any moduli (``crt --allow``'s composites) pairwise
+    coprime; the raw constructor takes ascending primes and checks residue ranges, order
+    and a survivor per modulus.  Struck sets are deduplicated ({0, 2} mod 2 is {0}).
     """
 
     entries: tuple[tuple[int, frozenset[int]], ...]
@@ -53,20 +63,18 @@ class ResidueSpec:
         outside = [p for p, forb in self.entries for r in forb if not 0 <= r < p]
         if outside:
             raise ValueError(f"residue out of range mod {outside[0]}")
-        last, before = 0, 1  # the previous modulus and the product of all before it
-        for p, forb in self.entries:
-            g = math.gcd(before, p)
-            if g != 1:
-                raise NonCoprimeModuliError(f"modulus {p} shares factor {g} with an earlier modulus")
-            if p <= last:
-                raise ValueError("moduli must be strictly increasing")
-            if len(forb) >= p:
-                raise ValueError(f"no residue survives mod {p}")
-            last, before = p, before * p
+        moduli = [0, *(p for p, _ in self.entries)]
+        if any(a >= b for a, b in zip(moduli, moduli[1:])):
+            raise ValueError("moduli must be strictly increasing")
+        full = [p for p, forb in self.entries if len(forb) >= p]
+        if full:
+            raise ValueError(f"no residue survives mod {full[0]}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, Iterable[int]]]) -> "ResidueSpec":
-        return cls(tuple((int(p), frozenset(int(r) % int(p) for r in rs)) for p, rs in pairs))
+        entries = tuple((int(p), frozenset(int(r) % int(p) for r in rs)) for p, rs in pairs)
+        _check_coprime(p for p, _ in entries)
+        return cls(entries)
 
     @classmethod
     def twins(cls, primes: Iterable[int]) -> "ResidueSpec":
@@ -79,7 +87,7 @@ class ResidueSpec:
     @classmethod
     def primes_only(cls, primes: Iterable[int]) -> "ResidueSpec":
         """The plain sieve spec: only residue 0 forbidden at each prime."""
-        return cls(_form_entries(((1, 0),), primes))
+        return cls(_form_entries(((1, 0),), checked_primes(primes)))
 
     @classmethod
     def for_tuple(cls, offsets: Sequence[int], primes: Iterable[int]) -> "ResidueSpec":
@@ -161,8 +169,7 @@ def ap_residue_sequence(a: int, b: int, p: int) -> APResidueCycle:
     """
     if b < 1:
         raise ValueError("common difference b must be positive")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    checked_primes((p,))
     if b % p == 0:
         return APResidueCycle("CONSTANT", 1, (a % p,))
     cycle = tuple((a + k * b) % p for k in range(p))

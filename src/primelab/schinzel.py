@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .residues import RemainderSequence, ResidueSpec, _form_entries, remainder_sequence
-from .sieve import PrimeTable, is_prime, sieving_prime_set
+from .sieve import PrimeTable, checked_primes, is_prime, sieving_prime_set
 
 __all__ = [
     "SchinzelResult",
@@ -49,7 +49,7 @@ def lambda_filter(m: int, n: int, primes) -> ResidueSpec:
     """
     if math.gcd(m, n) != 1:
         raise ValueError(f"gcd({m}, {n}) != 1")
-    return ResidueSpec(_form_entries(((2 * m, -1), (2 * n, -1)), primes))
+    return ResidueSpec(_form_entries(((2 * m, -1), (2 * n, -1)), checked_primes(primes)))
 
 
 def window_primes(value: int, table: PrimeTable | None = None) -> tuple[int, ...]:

@@ -221,18 +221,12 @@ def is_prime(n: int, table: PrimeTable | None = None) -> bool:
 
 
 def checked_primes(values) -> list[int]:
-    """The values as ints, else ValueError naming the first non-prime: one is_prime_array
-    lookup up to the shared table's limit, is_prime (no table grown to n) above it."""
-    values = [int(n) for n in values]
-    if len(values) == 1 and is_prime(values[0]):  # one prime (the *_forbidden helpers): no arrays
-        return values
-    table, array = shared_table(), np.array(values, dtype=np.int64)
-    above = array > table.limit
-    prime = table.is_prime_array(np.where(above, 2, array))  # 2 stands in for the values above the table
-    prime[above] = [is_prime(n) for n in array[above].tolist()]
-    if not prime.all():
-        raise ValueError(f"{values[int(np.argmin(prime))]} is not prime")
-    return values
+    """The values as ints, else ValueError naming the first non-prime (trial division past the table)."""
+    table, primes = shared_table(), [int(n) for n in values]
+    for n in primes:
+        if not is_prime(n, table):
+            raise ValueError(f"{n} is not prime")
+    return primes
 
 
 def sieving_prime_set(x: int, table: PrimeTable | None = None) -> np.ndarray:

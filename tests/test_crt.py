@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 from primelab import crt, sieve
 from primelab.crt import (
     CongruenceSystem,
-    NonCoprimeModuliError,
     choice_count,
     crt_enumerate,
     crt_solve,
 )
-from primelab.residues import ResidueSpec
+from primelab.residues import NonCoprimeModuliError, ResidueSpec
 
 
 def allow_spec(pairs):
@@ -35,7 +34,8 @@ def test_solution_satisfies_all():
 
 
 def test_non_coprime_rejected():
-    with pytest.raises(NonCoprimeModuliError):
+    # the check and the text ResidueSpec.from_pairs gives
+    with pytest.raises(NonCoprimeModuliError, match="^modulus 6 shares factor 2 with an earlier modulus$"):
         crt_solve(CongruenceSystem.of([(1, 4), (3, 6)]))
 
 

@@ -1,11 +1,13 @@
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from primelab import goldbach, schinzel, sieve
 from primelab.residues import (
     AdmissibleTuple,
+    NonCoprimeModuliError,
     ResidueSpec,
     _form_entries,
     ap_residue_sequence,
@@ -182,6 +184,22 @@ def test_residue_spec_validation_and_allowed():
         ResidueSpec.from_pairs([(3, (0,)), (2, (0,))])  # not increasing
 
 
+@given(st.lists(st.tuples(st.integers(2, 60), st.integers(0, 59)), max_size=6))
+@example([(4, 0), (3, 0), (6, 0)])  # 4 and 6 share 2, though 3 breaks the order between them
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_from_pairs_refuses_exactly_the_moduli_with_a_shared_factor(pairs):
+    moduli = [m for m, _ in pairs]
+    shared = any(math.gcd(a, b) > 1 for a, b in itertools.combinations(moduli, 2))
+    try:  # one struck residue per modulus >= 2 keeps a survivor at each
+        ResidueSpec.from_pairs((m, (r,)) for m, r in pairs)
+    except NonCoprimeModuliError:
+        assert shared
+    except ValueError as err:
+        assert not shared and moduli != sorted(moduli), err
+    else:
+        assert not shared
+
+
 @given(st.lists(st.sampled_from(PRIMES_TO_2000), unique=True, max_size=80).map(sorted))
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_spec_builders_match_the_per_prime_build(primes):
@@ -189,9 +207,17 @@ def test_spec_builders_match_the_per_prime_build(primes):
     assert ResidueSpec.twins(primes) == per_prime((p, twin_forbidden(p)) for p in primes)
     assert ResidueSpec.sophie_germain(primes) == per_prime((p, sophie_forbidden(p)) for p in primes)
     assert ResidueSpec.for_tuple((2, 6, 8), primes) == per_prime((p, tuple_forbidden((2, 6, 8), p)) for p in primes)
+    assert ResidueSpec.primes_only(primes) == per_prime((p, (0,)) for p in primes)
+    assert schinzel.lambda_filter(11, 13, primes) == per_prime(
+        (p, [pow(2 * c, -1, p) for c in (11, 13) if 2 * c % p]) for p in primes)
 
 
-BUILDERS = [ResidueSpec.twins, ResidueSpec.sophie_germain, lambda ps: ResidueSpec.for_tuple((2, 6, 8), ps)]
+def lambda_filter_11_13(ps):
+    return schinzel.lambda_filter(11, 13, ps)
+
+
+BUILDERS = [ResidueSpec.twins, ResidueSpec.sophie_germain, lambda ps: ResidueSpec.for_tuple((2, 6, 8), ps),
+            ResidueSpec.primes_only, lambda_filter_11_13]
 
 
 @pytest.mark.parametrize("build", BUILDERS)

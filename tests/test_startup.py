@@ -26,8 +26,7 @@ EXPORTS = {
                "fermat_exact_count", "legendre_pi", "mersenne_exact_count",
                "multiplicative_order", "survivor_count", "tuple_count_formula",
                "twin_count_formula"],
-    "crt": ["CongruenceSystem", "CrtSolution", "NonCoprimeModuliError", "choice_count",
-            "crt_enumerate", "crt_solve"],
+    "crt": ["CongruenceSystem", "CrtSolution", "choice_count", "crt_enumerate", "crt_solve"],
     "densities": ["EstimateReport", "ap_omega_estimate", "ap_psi_estimate", "fermat_estimate",
                   "mersenne_estimate", "omega_estimate", "omega_k_estimate",
                   "primitive_root_census", "psi_estimate", "twin_constant",
@@ -39,9 +38,9 @@ EXPORTS = {
                "mersenne_composite_witness", "twin_bertrand_scan", "xi_euler_product",
                "xi_partial_sum", "xi_sigma_probe", "xi_smooth_series"],
     "reporting": ["Report", "format_report"],
-    "residues": ["AdmissibleTuple", "ResidueSpec", "ap_residue_sequence", "is_admissible",
-                 "remainder_sequence", "sophie_forbidden", "tight_tuples", "tuple_forbidden",
-                 "twin_forbidden"],
+    "residues": ["AdmissibleTuple", "NonCoprimeModuliError", "ResidueSpec", "ap_residue_sequence",
+                 "is_admissible", "remainder_sequence", "sophie_forbidden", "tight_tuples",
+                 "tuple_forbidden", "twin_forbidden"],
     "schinzel": ["SchinzelResult", "lambda_filter", "naive_schinzel_search", "schinzel_search",
                  "verify_shifted_quotient"],
     "sieve": ["CacheChecksumError", "CacheError", "CacheMagicError", "CacheTruncatedError",

@@ -10,7 +10,7 @@ SUITE is one of the tables in ``SUITES``:
   exact, guided;
 - ``specs``: the six struck-residue spec builders (twins, Sophie Germain, the tuples
   (2,6) and (2,6,8), Goldbach's eta spec and ``lambda_filter(11, 13, .)``) over the
-  first 11, 65 and 1 229 primes, timed inside the child (see ``SPECS_CHILD``);
+  first 11, 65, 1 229 and 9 592 primes, timed inside the child (see ``SPECS_CHILD``);
 - ``startup``: ``import primelab``, ``import primelab.cli`` and one small operation
   per subcommand family.
 
@@ -54,8 +54,8 @@ SPECS_CHILD = """
 import json, statistics, time
 from primelab import ResidueSpec, build_split_plan, lambda_filter, sieve_primes
 
-SIZES = {11: 10**3, 65: 10**5, 1229: 10**8}  # prime count -> 2n with that many sieving primes
-first = sieve_primes(10**4).primes.tolist()
+SIZES = {11: 10**3, 65: 10**5, 1229: 10**8, 9592: 10**10}  # prime count -> 2n with that many sieving primes
+first = sieve_primes(10**5).primes.tolist()
 cases = {}
 for k, two_n in SIZES.items():
     ps, plan = first[:k], build_split_plan(two_n)
