@@ -63,12 +63,13 @@ class ResidueSpec:
         outside = [p for p, forb in self.entries for r in forb if not 0 <= r < p]
         if outside:
             raise ValueError(f"residue out of range mod {outside[0]}")
-        moduli = [0, *(p for p, _ in self.entries)]
-        if any(a >= b for a, b in zip(moduli, moduli[1:])):
-            raise ValueError("moduli must be strictly increasing")
-        full = [p for p, forb in self.entries if len(forb) >= p]
-        if full:
-            raise ValueError(f"no residue survives mod {full[0]}")
+        last = 0
+        for p, forb in self.entries:
+            if p <= last:
+                raise ValueError("moduli must be strictly increasing")
+            if len(forb) >= p:
+                raise ValueError(f"no residue survives mod {p}")
+            last = p
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, Iterable[int]]]) -> "ResidueSpec":

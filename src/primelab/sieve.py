@@ -224,7 +224,7 @@ def checked_primes(values) -> list[int]:
     """The values as ints, else ValueError naming the first non-prime (trial division past the table)."""
     table, primes = shared_table(), [int(n) for n in values]
     for n in primes:
-        if not is_prime(n, table):
+        if not (table.is_prime(n) if n <= table.limit else is_prime(n, table)):
             raise ValueError(f"{n} is not prime")
     return primes
 
