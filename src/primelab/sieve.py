@@ -221,7 +221,8 @@ def is_prime(n: int, table: PrimeTable | None = None) -> bool:
 
 
 def checked_primes(values) -> list[int]:
-    """The values as ints, else ValueError naming the first non-prime (trial division past the table)."""
+    """The values as ints, else ValueError naming the first non-prime: a shared-table lookup
+    each, trial division (no table grown to n) past the table."""
     table, primes = shared_table(), [int(n) for n in values]
     for n in primes:
         if not (table.is_prime(n) if n <= table.limit else is_prime(n, table)):

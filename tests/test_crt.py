@@ -34,7 +34,7 @@ def test_solution_satisfies_all():
 
 
 def test_non_coprime_rejected():
-    # the check and the text ResidueSpec.from_pairs gives
+    # the same check and text as ResidueSpec.from_pairs
     with pytest.raises(NonCoprimeModuliError, match="^modulus 6 shares factor 2 with an earlier modulus$"):
         crt_solve(CongruenceSystem.of([(1, 4), (3, 6)]))
 
