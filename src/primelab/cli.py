@@ -443,6 +443,8 @@ def run_command(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     for module in args.modules:  # loaded here, so that runtime_ms times the handler's work alone
         import_module(f"{__package__}.{module}")
+    if getattr(args, "sigma", None):  # xi --sigma's probe, the one user of mpmath
+        import_module("mpmath")
     report = Report(args.subcommand, {})
     start = time.perf_counter()
     try:

@@ -6,9 +6,11 @@ primes p <= cbrt(x) and gathering the rest, whose [x/p] only q <= sqrt(x/p)
 most 64 away with the same sieving primes; neither reads the oracle), the
 twin and k-tuple residue-survivor formulas, and the order-based
 Mersenne/Fermat exponent counts.  The survivor count is a windowed residue
-sieve; the paper's literal inclusion-exclusion over CRT classes is its
-test reference, in tests/test_counts.py.  Every formula value here is
-an exact integer; approximation lives in :mod:`primelab.densities`.
+sieve, or stepped from the previous call's count when that had equal
+entries and an x at most 4 away; the paper's literal inclusion-exclusion
+over CRT classes is its test reference, in tests/test_counts.py.  Every
+formula value here is an exact integer; approximation lives in
+:mod:`primelab.densities`.
 """
 
 from __future__ import annotations
@@ -90,14 +92,39 @@ def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
 # Survivor counting: numbers in [1, x] avoiding per-prime forbidden residues
 
 
+def _survivor_windows(x: int, entries) -> int:
+    """survivor_count by a windowed residue sieve: sieve.avoiding_windows strikes every
+    forbidden class across [1, x], one window of at most 1 Mi entries at a time, and the
+    survivors of each window are added up."""
+    return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(1, x, entries))
+
+
+_SURVIVOR_STEP = 4  # the largest |dx| stepped: at 8 a step is slower than the sieve below x = 100
+_survivor_last = ((), 0, 0)  # (entries, x, survivor count) of the last survivor_count call, replaced whole
+
+
 def survivor_count(x: int, spec: ResidueSpec) -> int:
     """Exact |{n in [1, x] : n mod p not in forbidden(p) for all p in spec}|.
 
-    A windowed residue sieve: sieve.avoiding_windows strikes every forbidden
-    class across [1, x], one window of at most 1 Mi entries at a time, and
-    the survivors of each window are added up.  Empty spec returns x.
+    When the last call had equal entries and an x at most 4 away, the count
+    moves by the survivors between the two x, each n tested by the
+    definition; any other call is _survivor_windows, a windowed residue
+    sieve.  Neither reads the oracles.  The last call is one tuple, read
+    once and replaced in one assignment, so a thread never sees half of it.
+    x <= 0 gives 0; otherwise an empty spec gives x.
     """
-    return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(1, x, spec.entries))
+    global _survivor_last
+    x = max(x, 0)
+    entries = spec.entries
+    last_entries, last_x, last_count = _survivor_last
+    if abs(x - last_x) <= _SURVIVOR_STEP and (last_entries is entries or last_entries == entries):
+        lo, hi = sorted((last_x, x))
+        moved = sum(all(n % p not in s for p, s in entries) for n in range(lo + 1, hi + 1))
+        count = last_count + moved if x >= last_x else last_count - moved
+    else:
+        count = _survivor_windows(x, entries)
+    _survivor_last = (entries, x, count)
+    return count
 
 
 # ---------------------------------------------------------------------------

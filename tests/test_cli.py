@@ -214,6 +214,29 @@ def test_cold_cli_import_skips_mpmath():
     assert out == "False\n"
 
 
+XI_SIGMA_LAUNCHER = """
+import contextlib, io, sys
+from primelab import cli, probes
+assert "mpmath" not in sys.modules
+probe, seen = probes.xi_sigma_probe, []
+def spy(grid):
+    seen.append("mpmath" in sys.modules)
+    return probe(grid)
+probes.xi_sigma_probe = spy
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run_command(["xi", "--sigma", "0.5"]) == 0
+print(seen)
+"""
+
+
+def test_xi_sigma_loads_mpmath_before_its_timer():
+    """run_command preloads mpmath for --sigma, so runtime_ms leaves its import out."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    out = subprocess.run([sys.executable, "-c", XI_SIGMA_LAUNCHER], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[True]\n"
+
+
 def test_closed_pipe_exits_quietly():
     """The reader leaves mid-stream: run_command is still writing the rows when the pipe breaks."""
     for argv in (("primes", "--limit", "1000000", "--list"), ("goldbach", "--even", "1000000")):

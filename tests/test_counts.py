@@ -92,7 +92,8 @@ def test_survivor_count_across_the_leaf_cutoff(name):
         running = modulo_survivors(group[-1], spec)
         for x in group:
             assert factory([int(p) for p in sieving_prime_set(x)]) == spec
-            assert survivor_count(x, spec) == running[x - 1], x
+            # the windows themselves: survivor_count would step from W - 1 to W and W + 1
+            assert counts._survivor_windows(x, spec.entries) == running[x - 1], x
 
 
 @pytest.mark.parametrize("name", SPEC_FACTORIES)
@@ -101,7 +102,110 @@ def test_survivor_count_splits_with_a_small_cutoff(name, monkeypatch):
     monkeypatch.setattr(counts, "avoiding_windows", partial(sieve.avoiding_windows, width=16))
     for x in [*range(4, 200), *range(200, 3001, 47), 2999, 3000]:
         spec = SPEC_FACTORIES[name]([int(p) for p in sieving_prime_set(x)])
-        assert survivor_count(x, spec) == modulo_survivors(x, spec)[-1], x
+        # the windows themselves: survivor_count would step over the consecutive x
+        assert counts._survivor_windows(x, spec.entries) == modulo_survivors(x, spec)[-1], x
+
+
+@pytest.fixture
+def windows_calls(monkeypatch):
+    """The x of every survivor_count call that took the windowed sieve, from a cleared last call."""
+    calls = []
+    windows = counts._survivor_windows
+
+    def record(x, entries):
+        calls.append(x)
+        return windows(x, entries)
+
+    monkeypatch.setattr(counts, "_survivor_windows", record)
+    monkeypatch.setattr(counts, "_survivor_last", ((), 0, 0))
+    return calls
+
+
+def test_survivor_count_steps_within_the_bound_and_sieves_past_it(windows_calls):
+    bound = counts._SURVIVOR_STEP
+    spec = ResidueSpec.twins([int(p) for p in sieving_prime_set(2000)])  # nine survivors in [1000, 1300]
+    running = modulo_survivors(2000, spec)
+    # steps of +1..+bound and -1..-bound, jumps just past the bound either way, then a far one
+    block = [*range(1, bound + 1), -bound - 1, *range(-1, -bound - 1, -1), 2 * bound + 2]
+    xs, sieved = [1000], [1000]
+    for d in block * 40:
+        xs.append(xs[-1] + d)
+        if abs(d) > bound:
+            sieved.append(xs[-1])
+    xs += [1900, 1900 - bound]
+    for x in xs:
+        assert survivor_count(x, spec) == running[x - 1], x
+    assert windows_calls == [*sieved, 1900]
+    last = counts._survivor_last
+    assert type(last) is tuple and last == (spec.entries, 1900 - bound, running[1900 - bound - 1])
+
+
+def test_survivor_count_steps_only_under_equal_entries(windows_calls):
+    primes = [int(p) for p in sieving_prime_set(5000)]
+    twin, sophie = ResidueSpec.twins(primes), ResidueSpec.sophie_germain(primes)
+    rebuilt = ResidueSpec.twins(primes)
+    assert rebuilt == twin and rebuilt.entries is not twin.entries
+    running = {"twin": modulo_survivors(5000, twin), "sophie": modulo_survivors(5000, sophie)}
+    calls = [(twin, "twin", 4000), (sophie, "sophie", 4000),  # the same x under another spec: sieve
+             (twin, "twin", 4001),  # back to the first spec, whose count was replaced: sieve
+             (rebuilt, "twin", 4002),  # equal entries in a new object: step
+             (twin, "twin", 4000)]  # and back to the first object: step
+    for spec, name, x in calls:
+        assert survivor_count(x, spec) == running[name][x - 1], (name, x)
+    assert windows_calls == [4000, 4000, 4001]
+
+
+def test_survivor_count_is_0_at_and_below_0(windows_calls):
+    spec = ResidueSpec.twins([2, 3])
+    running = modulo_survivors(10, spec)
+    for x in (3, -1, 2, 0, -4, 1, 4, 9, -100, -98, 2, 0):
+        assert survivor_count(x, spec) == (running[x - 1] if x >= 1 else 0), x
+    assert survivor_count(-(10**18), ResidueSpec(())) == 0
+    # x <= 0 enters as 0, so no step counts an n < 1 and -100 is a jump from 9 but not from 4
+    assert windows_calls == [3, 9, 0, 0]
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(SPEC_FACTORIES)), st.integers(-8, 8)),
+                min_size=1, max_size=30),
+       st.integers(-5, 600))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_survivor_steps_and_sieves_in_any_order_match_the_definition(moves, start):
+    primes = [int(p) for p in sieving_prime_set(700)]
+    specs = {name: factory(primes) for name, factory in SPEC_FACTORIES.items()}
+    counts._survivor_last = ((), 0, 0)
+    x = start
+    for name, dx in moves:
+        x += dx
+        assert survivor_count(x, specs[name]) == (direct_survivors(x, specs[name]) if x >= 1 else 0), (name, x)
+
+
+def test_survivor_count_under_two_interleaved_threads():
+    # equal specs at x 2 apart: each thread steps from the other's calls as often as from its own
+    primes = [int(p) for p in sieving_prime_set(10**4 + 302)]
+    running = modulo_survivors(10**4 + 302, ResidueSpec.twins(primes))
+    mismatches = []
+
+    def run(start):
+        spec = ResidueSpec.twins(primes)
+        for x in range(start, start + 300):
+            if survivor_count(x, spec) != running[x - 1]:
+                mismatches.append(x)
+
+    def yield_inside_survivor_count(frame, event, arg):  # hand the GIL over at every C call it makes
+        if event == "c_call" and frame.f_code is counts.survivor_count.__code__:
+            time.sleep(0)
+
+    threading.setprofile(yield_inside_survivor_count)
+    try:
+        threads = [threading.Thread(target=run, args=(start,)) for start in (10**4, 10**4 + 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        threading.setprofile(None)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 def test_survivor_counts_at_large_x():
@@ -139,6 +243,7 @@ def test_oracles_do_not_use_the_residue_windows(monkeypatch):
     assert densities.brute_ap_prime_count(10**4, 1, 4, table) == 609
     assert densities.brute_ap_twin_count(10**4, 1, 6, table) == 200  # step 1
     assert densities.brute_ap_twin_count(10**4, 2, 3, table) == 211  # step 2
+    monkeypatch.setattr(counts, "_survivor_last", ((), 0, 0))  # no step from an earlier test's call
     with pytest.raises(AssertionError, match="residue-window core"):  # the patch is live
         survivor_count(100, spec)
     with pytest.raises(AssertionError):

@@ -11,6 +11,10 @@ SUITE is one of the tables in ``SUITES``:
 - ``specs``: the six struck-residue spec builders (twins, Sophie Germain, the tuples
   (2,6) and (2,6,8), Goldbach's eta spec and ``lambda_filter(11, 13, .)``) over the
   first 11, 65, 1 229 and 9 592 primes, timed inside the child (see ``SPECS_CHILD``);
+- ``sweep``: ``survivor_count`` over 64 consecutive x from 1e3, 1e4 and 1e5 for the
+  twin and (2,6,8) specs, the same x in an order that puts consecutive calls 27 or
+  more apart, and ``tuple_count_formula`` over 16 consecutive x, timed per call inside
+  the child (see ``SWEEP_CHILD``);
 - ``startup``: ``import primelab``, ``import primelab.cli`` and one small operation
   per subcommand family.
 
@@ -41,17 +45,43 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNS = 10
 ENV_FLAGS = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS")
-SELF_TIMING = {"specs"}  # suites whose children print their own JSON
+SELF_TIMING = {"specs", "sweep"}  # suites whose children print their own JSON
 
 
 def cli(*args) -> list[str]:
     return ["-m", "primelab.cli", *map(str, args)]
 
 
-# Only public names are used, so any checkout can be timed. Per case, the median
-# per-call time of five interleaved samples of about 2 ms each.
-SPECS_CHILD = """
+# The timing core of the self-timing children: cases maps a case to (run, the number of
+# calls one run makes). Per case, the median time per call of five interleaved samples;
+# a sample repeats run as often as the first loop count, doubling from 1, that took 2 ms
+# or more.
+MEDIAN_OF_FIVE = """
 import json, statistics, time
+
+def median_us(cases):
+    loops = {}
+    for case, (run, _) in cases.items():
+        loops[case] = 1
+        while True:
+            start = time.perf_counter()
+            for _ in range(loops[case]):
+                run()
+            if time.perf_counter() - start >= 2e-3:
+                break
+            loops[case] *= 2
+    samples = {case: [] for case in cases}
+    for _ in range(5):
+        for case, (run, calls) in cases.items():
+            start = time.perf_counter()
+            for _ in range(loops[case]):
+                run()
+            samples[case].append((time.perf_counter() - start) / loops[case] / calls * 1e6)
+    return {case: {"us": statistics.median(us)} for case, us in samples.items()}
+"""
+
+# Only public names are used, so any checkout can be timed.
+SPECS_CHILD = MEDIAN_OF_FIVE + """
 from primelab import ResidueSpec, build_split_plan, lambda_filter, sieve_primes
 
 SIZES = {11: 10**3, 65: 10**5, 1229: 10**8, 9592: 10**10}  # prime count -> 2n with that many sieving primes
@@ -61,26 +91,44 @@ for k, two_n in SIZES.items():
     ps, plan = first[:k], build_split_plan(two_n)
     assert len(plan.primes) == k
     cases.update({
-        f"twins {k}": lambda ps=ps: ResidueSpec.twins(ps),
-        f"sophie_germain {k}": lambda ps=ps: ResidueSpec.sophie_germain(ps),
-        f"tuple_2_6 {k}": lambda ps=ps: ResidueSpec.for_tuple((2, 6), ps),
-        f"tuple_2_6_8 {k}": lambda ps=ps: ResidueSpec.for_tuple((2, 6, 8), ps),
-        f"eta {k}": plan.eta_spec,
-        f"lambda_11_13 {k}": lambda ps=ps: lambda_filter(11, 13, ps),
+        f"twins {k}": (lambda ps=ps: ResidueSpec.twins(ps), 1),
+        f"sophie_germain {k}": (lambda ps=ps: ResidueSpec.sophie_germain(ps), 1),
+        f"tuple_2_6 {k}": (lambda ps=ps: ResidueSpec.for_tuple((2, 6), ps), 1),
+        f"tuple_2_6_8 {k}": (lambda ps=ps: ResidueSpec.for_tuple((2, 6, 8), ps), 1),
+        f"eta {k}": (plan.eta_spec, 1),
+        f"lambda_11_13 {k}": (lambda ps=ps: lambda_filter(11, 13, ps), 1),
     })
-loops = {}
-for case, build in cases.items():
-    start = time.perf_counter()
-    build()
-    loops[case] = max(1, int(2e-3 / (time.perf_counter() - start)))
-samples = {case: [] for case in cases}
-for _ in range(5):
-    for case, build in cases.items():
-        start = time.perf_counter()
-        for _ in range(loops[case]):
-            build()
-        samples[case].append((time.perf_counter() - start) / loops[case] * 1e6)
-print(json.dumps({case: {"us": statistics.median(us)} for case, us in samples.items()}))
+print(json.dumps(median_us(cases)))
+"""
+
+# A run builds its spec once, then calls survivor_count on every x of the case, so
+# each run's first call follows the last x of the run before it, 63 away.
+SWEEP_CHILD = MEDIAN_OF_FIVE + """
+from primelab import AdmissibleTuple, ResidueSpec, sieving_prime_set, survivor_count, tuple_count_formula
+
+SPECS = {"twin": ResidueSpec.twins, "2,6,8": lambda ps: ResidueSpec.for_tuple((2, 6, 8), ps)}
+
+def sweep(build, xs):
+    def run():
+        spec = build([int(p) for p in sieving_prime_set(max(xs))])
+        for x in xs:
+            survivor_count(x, spec)
+    return run, len(xs)
+
+def formula(xs):
+    def run():
+        for x in xs:
+            tuple_count_formula(x, AdmissibleTuple((2, 6, 8)))
+    return run, len(xs)
+
+cases = {}
+for x0 in (10**3, 10**4, 10**5):
+    shuffled = [x0 + 27 * i % 64 for i in range(64)]  # every step 27 or 37 long
+    for name, build in SPECS.items():
+        cases[f"consecutive {name} {x0}"] = sweep(build, range(x0, x0 + 64))
+        cases[f"shuffled {name} {x0}"] = sweep(build, shuffled)
+    cases[f"tuple_count_formula 2,6,8 {x0}"] = formula(range(x0, x0 + 16))
+print(json.dumps(median_us(cases)))
 """
 
 SUITES = {
@@ -89,6 +137,7 @@ SUITES = {
     "goldbach": {f"{even} {mode}": cli("goldbach", "--even", even, "--mode", mode)
                  for even in (10**6, 10**8) for mode in ("exact", "guided")},
     "specs": {"builders": ["-c", SPECS_CHILD]},
+    "sweep": {"sweeps": ["-c", SWEEP_CHILD]},
     "startup": {
         "import primelab": ["-c", "import primelab"],
         "import primelab.cli": ["-c", "import primelab.cli"],
@@ -147,7 +196,7 @@ def main() -> None:
         ratio = round(statistics.median(samples[name, metric, "change"])
                       / statistics.median(samples[name, metric, "base"]), 3)
         results.append({"case": name, "metric": metric, **q, "change_over_base": ratio})
-        print(f"{name:20} {metric:11}  base {q['base']}  change {q['change']}  x{ratio:.2f}")
+        print(f"{name:32} {metric:6}  base {q['base']}  change {q['change']}  x{ratio:.2f}")
     doc = {
         "suite": suite, "runs": RUNS,
         "what": "[q1, median, q3] over each side's runs; change_over_base: ratio of the medians",
