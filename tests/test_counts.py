@@ -123,7 +123,7 @@ def windows_calls(monkeypatch):
 
 def test_survivor_count_steps_within_the_bound_and_sieves_past_it(windows_calls):
     bound = counts._SURVIVOR_STEP
-    spec = ResidueSpec.twins([int(p) for p in sieving_prime_set(2000)])  # nine survivors in [1000, 1300]
+    spec = ResidueSpec.twins([int(p) for p in sieving_prime_set(2000)])  # six survivors in the walk below
     running = modulo_survivors(2000, spec)
     # steps of +1..+bound and -1..-bound, jumps just past the bound either way, then a far one
     block = [*range(1, bound + 1), -bound - 1, *range(-1, -bound - 1, -1), 2 * bound + 2]

@@ -101,8 +101,8 @@ for k, two_n in SIZES.items():
 print(json.dumps(median_us(cases)))
 """
 
-# A run builds its spec once, then calls survivor_count on every x of the case, so
-# each run's first call follows the last x of the run before it, 63 away.
+# A run builds its spec, then calls survivor_count on every x of the case. Its first
+# call follows the last x of the run before, 63 or 37 away, so every run sieves once.
 SWEEP_CHILD = MEDIAN_OF_FIVE + """
 from primelab import AdmissibleTuple, ResidueSpec, sieving_prime_set, survivor_count, tuple_count_formula
 
@@ -196,7 +196,7 @@ def main() -> None:
         ratio = round(statistics.median(samples[name, metric, "change"])
                       / statistics.median(samples[name, metric, "base"]), 3)
         results.append({"case": name, "metric": metric, **q, "change_over_base": ratio})
-        print(f"{name:32} {metric:6}  base {q['base']}  change {q['change']}  x{ratio:.2f}")
+        print(f"{name:32} {metric:11}  base {q['base']}  change {q['change']}  x{ratio:.2f}")
     doc = {
         "suite": suite, "runs": RUNS,
         "what": "[q1, median, q3] over each side's runs; change_over_base: ratio of the medians",
