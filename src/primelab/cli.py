@@ -46,6 +46,8 @@ def _table_from_cache(path: str | None, need: int) -> PrimeTable | None:
 def _cmd_primes(args, report: Report) -> int:
     from .sieve import table_for
 
+    if args.limit < 0:  # as sieve_primes refuses it, before a cache is read or written
+        raise ValueError("limit must be nonnegative")
     table = table_for(args.limit, _table_from_cache(args.cache, args.limit))
     primes = table.prefix_le(args.limit)
     report.params = {"limit": args.limit}

@@ -2,15 +2,13 @@
 
 Legendre's prime count (phi over the floor values [x/i], looping over the
 primes p <= cbrt(x) and gathering the rest, whose [x/p] only q <= sqrt(x/p)
-< cbrt(x) rewrite; or stepped from the previous call's x when that is at
-most 64 away with the same sieving primes; neither reads the oracle), the
-twin and k-tuple residue-survivor formulas, and the order-based
-Mersenne/Fermat exponent counts.  The survivor count is a windowed residue
-sieve, or stepped from the previous call's count when that had equal
-entries and an x at most 4 away; the paper's literal inclusion-exclusion
-over CRT classes is its test reference, in tests/test_counts.py.  Every
-formula value here is an exact integer; approximation lives in
-:mod:`primelab.densities`.
+< cbrt(x) rewrite), the twin and k-tuple residue-survivor formulas (a
+windowed residue sieve; the paper's literal inclusion-exclusion over CRT
+classes is its test reference, in tests/test_counts.py), and the
+order-based counts of the Mersenne and Fermat primes 2^q -+ 1 <= x.  phi
+and the survivor count step from the previous call when it was near
+(_step); neither reads the oracle.  Every formula value here is an exact
+integer; approximation lives in :mod:`primelab.densities`.
 """
 
 from __future__ import annotations
@@ -103,28 +101,36 @@ _SURVIVOR_STEP = 4  # the largest |dx| stepped: at 8 a step is slower than the s
 _survivor_last = ((), 0, 0)  # (entries, x, survivor count) of the last survivor_count call, replaced whole
 
 
+def _step(last: tuple, key, x: int, reach: int, between, full, arg) -> tuple:
+    """(key, x, value) of a count: the last call's value moved by between(lo, hi, arg), the
+    count over (lo, hi], when that call had an equal key (``is``, then ``==``) and an x at
+    most reach away, else full(x, arg).  A caller reads its last-call tuple once and
+    replaces it with the result in one assignment, so a thread never sees half of it."""
+    last_key, last_x, last_value = last
+    if abs(x - last_x) <= reach and (last_key is key or last_key == key):
+        lo, hi = sorted((last_x, x))
+        moved = between(lo, hi, arg)
+        return key, x, last_value + moved if x >= last_x else last_value - moved
+    return key, x, full(x, arg)
+
+
+def _survivors_between(lo: int, hi: int, entries) -> int:
+    """Survivors in (lo, hi], each n tested by the definition."""
+    return sum(all(n % p not in s for p, s in entries) for n in range(lo + 1, hi + 1))
+
+
 def survivor_count(x: int, spec: ResidueSpec) -> int:
     """Exact |{n in [1, x] : n mod p not in forbidden(p) for all p in spec}|.
 
-    When the last call had equal entries and an x at most 4 away, the count
-    moves by the survivors between the two x, each n tested by the
-    definition; any other call is _survivor_windows, a windowed residue
-    sieve.  Neither reads the oracles.  The last call is one tuple, read
-    once and replaced in one assignment, so a thread never sees half of it.
-    x <= 0 gives 0; otherwise an empty spec gives x.
+    A _step by _survivors_between from the last call when it had equal
+    entries and an x at most 4 away, else _survivor_windows, a windowed
+    residue sieve; neither reads the oracles.  x <= 0 gives 0; otherwise an
+    empty spec gives x.
     """
     global _survivor_last
-    x = max(x, 0)
-    entries = spec.entries
-    last_entries, last_x, last_count = _survivor_last
-    if abs(x - last_x) <= _SURVIVOR_STEP and (last_entries is entries or last_entries == entries):
-        lo, hi = sorted((last_x, x))
-        moved = sum(all(n % p not in s for p, s in entries) for n in range(lo + 1, hi + 1))
-        count = last_count + moved if x >= last_x else last_count - moved
-    else:
-        count = _survivor_windows(x, entries)
-    _survivor_last = (entries, x, count)
-    return count
+    _survivor_last = last = _step(_survivor_last, spec.entries, max(x, 0), _SURVIVOR_STEP,
+                                  _survivors_between, _survivor_windows, spec.entries)
+    return last[2]
 
 
 # ---------------------------------------------------------------------------
@@ -158,25 +164,18 @@ def _phi_floor(x: int, primes: np.ndarray) -> int:
 _phi_last = (0, 0, 0)  # (k, x, phi(x, k)) of the last _phi call, replaced whole
 
 
-def _phi(x: int, primes: np.ndarray) -> int:
-    """phi(x, k) for the first k = len(primes) primes (ascending, none above sqrt(x)).
+def _coprime_between(lo: int, hi: int, primes: np.ndarray) -> int:
+    """The n in (lo, hi] coprime to every prime: one remainder table, the definition of phi."""
+    return int(np.count_nonzero((np.arange(lo + 1, hi + 1)[:, None] % primes).all(axis=1)))
 
-    When the last call had the same k and an x at most 64 away, phi
-    moves by the count of n between the two x coprime to every prime (one
-    remainder table, the definition of phi); any other call is _phi_floor.
-    The last call is one tuple, read once and replaced in one assignment, so
-    a thread never sees half of it.
-    """
+
+def _phi(x: int, primes: np.ndarray) -> int:
+    """phi(x, k) for the first k = len(primes) primes (ascending, none above sqrt(x)): a _step
+    by _coprime_between from the last call when it had the same k and an x at most 64 away,
+    else _phi_floor."""
     global _phi_last
-    k, last_x, last_phi = _phi_last
-    if k == len(primes) and abs(x - last_x) <= 64:
-        lo, hi = sorted((last_x, x))
-        coprime = int(np.count_nonzero((np.arange(lo + 1, hi + 1)[:, None] % primes).all(axis=1)))
-        phi = last_phi + coprime if x >= last_x else last_phi - coprime
-    else:
-        phi = _phi_floor(x, primes)
-    _phi_last = (len(primes), x, phi)
-    return phi
+    _phi_last = last = _step(_phi_last, len(primes), x, 64, _coprime_between, _phi_floor, primes)
+    return last[2]
 
 
 def legendre_pi(x: int, table: PrimeTable | None = None) -> CountReport:
@@ -294,7 +293,7 @@ def fermat_event_count(u: int, p: int) -> int:
 
 
 def _shifted_power_primes(bound: int, sign: int) -> list[int]:
-    """Primes 2^q + sign <= bound over q >= 1 (sign -1: Mersenne, +1: Fermat)."""
+    """Primes 2^q + sign <= bound over q >= 1 (sign -1: Mersenne, +1: Fermat), enumerated by value."""
     values = ((1 << q) + sign for q in range(1, bound.bit_length() + 1))
     return [v for v in values if v <= bound and is_prime(v)]
 
@@ -314,53 +313,48 @@ def _exponent_events(bound: int, u: int, sign: int, table: PrimeTable | None) ->
     for q in range(1, u + 1):
         power = power * 2 % odd
         first[(power == target) & (first == 0)] = q
-    if sign < 0:
-        return [(0, q) for q in first[first > 0].tolist()]
-    return [(q, 2 * q) for q in first[first > 0].tolist()]
+    return [(0, q) if sign < 0 else (q, 2 * q) for q in first[first > 0].tolist()]
 
 
 def _exponent_count(x: int, sign: int, table: PrimeTable | None) -> CountReport:
-    """Exponent sieve for the events p | 2^q + sign, q <= u = [log2 x], vs. brute count.
+    """Exponent sieve for the primes 2^q + sign <= x, vs. those primes enumerated by value.
 
-    The sieve keeps q whose 2^q + sign has no odd prime factor <= sqrt(b)
-    (the prime 2 never divides it and is excluded), where b bounds every
-    2^q + sign: x on the Mersenne side, x + 1 on the Fermat side (2^3 + 1 =
-    9 = 3^2 at x = 8).  There are only u candidates, so each q in [1, u] is
-    checked against every event progression directly.  Adding the brute
-    count of such primes <= sqrt(b) and removing the unit q = 1 of the
-    Mersenne side (2^1 - 1 = 1) reproduces the true count exactly.
+    The sieve keeps the q in [1, u], u = [log2(x - sign)] the largest q with
+    2^q + sign <= x, whose 2^q + sign has no odd prime factor <= sqrt(x) (2
+    never divides it); with only u candidates, each is checked against every
+    event progression directly.  A survivor is the unit q = 1 of the Mersenne
+    side (2^1 - 1 = 1) or a prime > sqrt(x), so adding the primes 2^q + sign
+    <= sqrt(x) and removing the unit gives the count.  The oracle,
+    _shifted_power_primes(x, sign), reads nothing of u.
     """
     if x < 4:
         raise ValueError("x must be >= 4")
-    u = x.bit_length() - 1  # floor(log2 x)
-    bound = x + 1 if sign > 0 else x
-    events = _exponent_events(bound, u, sign, table)
+    u = (x - sign).bit_length() - 1
+    events = _exponent_events(x, u, sign, table)
     sieved = sum(all(q % d != r for r, d in events) for q in range(1, u + 1))
-    lam = len(_shifted_power_primes(math.isqrt(bound), sign))
+    lam = len(_shifted_power_primes(math.isqrt(x), sign))
     units = 1 if sign < 0 else 0
-    oracle = sum(1 for q in range(1, u + 1) if is_prime((1 << q) + sign))
     corrections = {
         "exponent_bound": u,
         "small_range_addend": lam,
         "unit_exponents": units,
         "paper_literal_tail": lam - 1,
     }
-    return CountReport(x, sieved + lam - units, oracle, corrections)
+    return CountReport(x, sieved + lam - units, len(_shifted_power_primes(x, sign)), corrections)
 
 
 def mersenne_exact_count(x: int, table: PrimeTable | None = None) -> CountReport:
-    """Order-based sieve over exponents q <= [log2 x] vs. brute Mersenne count.
-
-    The survivors are the unit q = 1 and the Mersenne primes > sqrt(x).
-    """
+    """Count of the Mersenne primes 2^q - 1 <= x: the exponent sieve over q <= [log2(x + 1)],
+    whose survivors are the unit q = 1 and the Mersenne primes > sqrt(x), against those
+    primes enumerated by value."""
     return _exponent_count(x, -1, table)
 
 
 def fermat_exact_count(x: int, table: PrimeTable | None = None) -> CountReport:
-    """Same sieve with the event 2^q = -1 (mod p), over the odd primes <= sqrt(x + 1).
+    """Count of the primes 2^q + 1 <= x: the same sieve, event 2^q = -1 (mod p), over q <= [log2(x - 1)].
 
-    There is no unit exponent on the Fermat side (2^q + 1 >= 3), so the
-    small-range addend enters without the unit correction; the literal
-    printed tail (lambda - 1) is reported alongside.
+    No unit exponent on this side (2^q + 1 >= 3): the small-range addend enters
+    uncorrected, and the printed literal tail (lambda - 1) is reported alongside.
+    The oracle enumerates the primes 2^q + 1 <= x by value.
     """
     return _exponent_count(x, 1, table)

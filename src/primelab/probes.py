@@ -283,6 +283,8 @@ def mersenne_composite_witness(k: int, n: int) -> dict:
     re-verified with arbitrary-precision arithmetic, exhibiting the
     composite Mersenne number 2^q - 1.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, not {n}")
     q = k * (1 << n) - 1
     if q < 3:
         raise ValueError("q = k * 2^n - 1 must be >= 3")

@@ -150,6 +150,22 @@ def run_error(capsys, *argv):
     return code, captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("primes", "--limit", "-1"), "limit must be nonnegative"),
+    (("mersenne-witness", "--k", "3", "--n", "-1"), "n must be >= 0, not -1"),
+])
+def test_negative_sizes_exit_1_with_one_line(argv, message):
+    proc = spawn(*argv)
+    out, err = proc.communicate()
+    assert (proc.returncode, out, err.decode()) == (1, b"", f"error: {message}\n")  # no traceback
+
+
+def test_primes_limits_0_and_1_count_0(capsys):
+    for limit in ("0", "1"):
+        code, doc = run_json(capsys, "primes", "--limit", limit)
+        assert code == 0 and doc["rows"] == [{"limit": int(limit), "count": 0, "largest": None}]
+
+
 def test_allow_residue_out_of_range_is_checked_before_the_complement(capsys):
     # the struck-residue spec would reduce 5 mod 3 silently; the parser must not
     assert run_error(capsys, "crt", "--allow", "3=5") == (1, "error: residue out of range mod 3\n")

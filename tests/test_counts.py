@@ -594,6 +594,10 @@ def test_mersenne_exact_counts():
     assert mersenne_exact_count(8).oracle_value == 2  # 3 and 7
     r = mersenne_exact_count(2**13)
     assert r.formula_value == 5 and r.oracle_value == 5
+    # each count moves at x = 2^p - 1 itself: 7 counts 3 and 7
+    for x, count in ((7, 2), (31, 3), (127, 4), (8191, 5), (2**31 - 1, 8)):
+        r = mersenne_exact_count(x)
+        assert (r.formula_value, r.oracle_value) == (count, count), x
 
 
 def test_fermat_exact_counts():
@@ -601,6 +605,10 @@ def test_fermat_exact_counts():
     assert r.formula_value == 5 and r.oracle_value == 5  # 3,5,17,257,65537
     # the paper's literal lambda - 1 tail would undercount by 1
     assert r.corrections["paper_literal_tail"] == r.corrections["small_range_addend"] - 1
+    # x = 2^q is below the next candidate 2^q + 1: 4 counts 3 alone
+    for x, count in ((4, 1), (16, 2), (256, 3), (65_536, 4)):
+        r = fermat_exact_count(x)
+        assert (r.formula_value, r.oracle_value) == (count, count), x
 
 
 def reference_events(bound, u, sign):
@@ -626,16 +634,24 @@ EXPONENT_XS = sorted(set(range(4, 5001))
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_exponent_walk_matches_the_order_loop(sign):
     for x in EXPONENT_XS:
-        u = x.bit_length() - 1
-        bound = x + 1 if sign > 0 else x  # 2^u + 1 can be x + 1
-        assert counts._exponent_events(bound, u, sign, None) == reference_events(bound, u, sign), x
+        u = (x - sign).bit_length() - 1  # the largest q with 2^q + sign <= x
+        assert counts._exponent_events(x, u, sign, None) == reference_events(x, u, sign), x
         assert counts._exponent_count(x, sign, None).delta == 0, x
 
 
-def test_fermat_sieves_to_the_root_of_x_plus_1():
-    # 2^3 + 1 = 9 = 3^2 at x = 8; the addend moves only where x + 1 is the
-    # square of a Fermat prime
-    for x, addend in ((7, 0), (8, 1), (23, 1), (24, 2), (287, 2), (288, 3), (66_047, 3), (66_048, 4)):
+def test_exponent_counts_match_the_brute_counts_by_value():
+    xs = sorted({*EXPONENT_XS, *(2**k + d for k in range(3, 41) for d in range(-2, 3))})
+    for count, brute in ((mersenne_exact_count, densities.brute_mersenne_count),
+                         (fermat_exact_count, densities.brute_fermat_count)):
+        for x in xs:
+            report = count(x)
+            assert report.formula_value == report.oracle_value == brute(x), (count.__name__, x)
+
+
+def test_fermat_addend_moves_at_the_square_of_a_fermat_prime():
+    # the sieve reads the odd primes <= sqrt(x), so a Fermat prime F joins the
+    # small-range addend at x = F^2 (9 = 3^2 is also 2^3 + 1)
+    for x, addend in ((8, 0), (9, 1), (24, 1), (25, 2), (288, 2), (289, 3), (66_048, 3), (66_049, 4)):
         report = fermat_exact_count(x)
         assert report.corrections["small_range_addend"] == addend, x
         assert report.formula_value == report.oracle_value, x

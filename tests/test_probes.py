@@ -160,3 +160,8 @@ def test_witness_condition_names():
     r = mersenne_composite_witness(1, 2)  # q = 3: divisor 7 IS 2^3 - 1
     assert r["verdict"] == "NOT-APPLICABLE"
     assert "equals" in r["failed"]
+
+
+def test_witness_refuses_a_negative_n_before_the_shift():
+    with pytest.raises(ValueError, match=r"^n must be >= 0, not -1$"):
+        mersenne_composite_witness(3, -1)

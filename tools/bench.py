@@ -13,8 +13,10 @@ SUITE is one of the tables in ``SUITES``:
   first 11, 65, 1 229 and 9 592 primes, timed inside the child (see ``SPECS_CHILD``);
 - ``sweep``: ``survivor_count`` over 64 consecutive x from 1e3, 1e4 and 1e5 for the
   twin and (2,6,8) specs, the same x in an order that puts consecutive calls 27 or
-  more apart, and ``tuple_count_formula`` over 16 consecutive x, timed per call inside
-  the child (see ``SWEEP_CHILD``);
+  more apart, ``tuple_count_formula`` over 16 consecutive x, ``legendre_pi`` over 64
+  consecutive x from 1e5 and 1e7 (a table reaching x answers the oracle, so the
+  stepped phi dominates), and ``mersenne_exact_count`` and ``fermat_exact_count`` at
+  1e6, 1e9 and 1e12, timed per call inside the child (see ``SWEEP_CHILD``);
 - ``startup``: ``import primelab``, ``import primelab.cli`` and one small operation
   per subcommand family.
 
@@ -103,8 +105,11 @@ print(json.dumps(median_us(cases)))
 
 # A run builds its spec, then calls survivor_count on every x of the case. Its first
 # call follows the last x of the run before, 63 or 37 away, so every run sieves once.
+# A legendre_pi run's first call is 63 from the last one's, within phi's step reach.
 SWEEP_CHILD = MEDIAN_OF_FIVE + """
-from primelab import AdmissibleTuple, ResidueSpec, sieving_prime_set, survivor_count, tuple_count_formula
+from primelab import (AdmissibleTuple, ResidueSpec, fermat_exact_count, legendre_pi,
+                      mersenne_exact_count, sieve_primes, sieving_prime_set, survivor_count,
+                      tuple_count_formula)
 
 SPECS = {"twin": ResidueSpec.twins, "2,6,8": lambda ps: ResidueSpec.for_tuple((2, 6, 8), ps)}
 
@@ -121,6 +126,12 @@ def formula(xs):
             tuple_count_formula(x, AdmissibleTuple((2, 6, 8)))
     return run, len(xs)
 
+def legendre(xs, table):
+    def run():
+        for x in xs:
+            legendre_pi(x, table)
+    return run, len(xs)
+
 cases = {}
 for x0 in (10**3, 10**4, 10**5):
     shuffled = [x0 + 27 * i % 64 for i in range(64)]  # every step 27 or 37 long
@@ -128,6 +139,11 @@ for x0 in (10**3, 10**4, 10**5):
         cases[f"consecutive {name} {x0}"] = sweep(build, range(x0, x0 + 64))
         cases[f"shuffled {name} {x0}"] = sweep(build, shuffled)
     cases[f"tuple_count_formula 2,6,8 {x0}"] = formula(range(x0, x0 + 16))
+for x0 in (10**5, 10**7):
+    cases[f"legendre_pi {x0}"] = legendre(range(x0, x0 + 64), sieve_primes(x0 + 63))
+for x in (10**6, 10**9, 10**12):
+    cases[f"mersenne_exact_count {x}"] = (lambda x=x: mersenne_exact_count(x), 1)
+    cases[f"fermat_exact_count {x}"] = (lambda x=x: fermat_exact_count(x), 1)
 print(json.dumps(median_us(cases)))
 """
 
