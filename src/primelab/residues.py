@@ -5,7 +5,9 @@ modulus; it feeds both the survivor counts and the CRT enumeration, and
 allowed residues are derived from it where they are read.  Every struck set
 comes from one linear-form rule: p strikes the n at which it divides a form
 a*n + b.  Also: the residue cycle of an arithmetic progression, admissibility
-testing, and remainder sequences.  All operations are pure and stateless.
+testing, and remainder sequences.  The operations are pure; the named
+spec builders keep their last proven spec and return it again for equal
+forms and primes, so a sweep over one prime set proves it once.
 """
 
 from __future__ import annotations
@@ -79,20 +81,20 @@ class ResidueSpec:
 
     @classmethod
     def twins(cls, primes: Iterable[int]) -> "ResidueSpec":
-        return cls.for_tuple((2,), primes)
+        return _proven_spec(_tuple_forms((2,)), primes)
 
     @classmethod
     def sophie_germain(cls, primes: Iterable[int]) -> "ResidueSpec":
-        return cls(_form_entries(((1, 0), (2, 1)), checked_primes(primes)))  # p, 2p + 1
+        return _proven_spec(((1, 0), (2, 1)), primes)  # p, 2p + 1
 
     @classmethod
     def primes_only(cls, primes: Iterable[int]) -> "ResidueSpec":
         """The plain sieve spec: only residue 0 forbidden at each prime."""
-        return cls(_form_entries(((1, 0),), checked_primes(primes)))
+        return _proven_spec(((1, 0),), primes)
 
     @classmethod
     def for_tuple(cls, offsets: Sequence[int], primes: Iterable[int]) -> "ResidueSpec":
-        return cls(_form_entries(_tuple_forms(offsets), checked_primes(primes)))
+        return _proven_spec(_tuple_forms(offsets), primes)
 
     def allowed(self, p: int) -> frozenset[int]:
         for q, forb in self.entries:
@@ -190,10 +192,10 @@ def _form_entries(forms, primes) -> tuple[tuple[int, frozenset[int]], ...]:
 
     These are the n at which p divides some form a*n + b; a form with p | a
     strikes nothing at p.  The spec builders, is_admissible, Goldbach's eta
-    spec and the Schinzel lambda filter pass their forms here.  Precondition, not checked:
-    no form has p | a and p | b, which would make p divide it at every n.
+    spec and the Schinzel lambda filter pass their forms here.  Preconditions, not checked:
+    the primes are a sequence of ints (converted where they enter), and no form has p | a
+    and p | b, which would make p divide it at every n.
     """
-    primes = [int(p) for p in primes]
     roots = []
     for a, b in forms:
         if a in (1, -1):  # a unit is its own inverse: no pow, no p | a
@@ -204,9 +206,26 @@ def _form_entries(forms, primes) -> tuple[tuple[int, frozenset[int]], ...]:
     return tuple((p, s - {None} if None in s else s) for p, s in zip(primes, struck))
 
 
-def _tuple_forms(offsets: Sequence[int]) -> list[tuple[int, int]]:
+def _tuple_forms(offsets: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """The forms n - (b_last - b), b in {0} union offsets, of the shifted variable n = p' + b_last."""
-    return [(1, b - offsets[-1]) for b in (0, *offsets)]
+    return tuple((1, b - offsets[-1]) for b in (0, *offsets))
+
+
+_proven_last = ((), None)  # ((forms, primes), spec) of the last named build, replaced whole
+
+
+def _proven_spec(forms: tuple, primes: Iterable[int]) -> ResidueSpec:
+    """ResidueSpec(_form_entries(forms, primes)) with the primes proved prime, the builders'
+    one path.  The last build is kept and returned again for equal forms and primes, so
+    a sweep over one prime set proves it once and survivor_count steps on ``is``; a
+    failed proof raises and keeps nothing."""
+    global _proven_last
+    key = (forms, tuple(map(int, primes)))
+    last_key, spec = _proven_last
+    if key != last_key:
+        spec = ResidueSpec(_form_entries(forms, checked_primes(key[1])))
+        _proven_last = (key, spec)
+    return spec
 
 
 def sophie_forbidden(p: int) -> frozenset[int]:

@@ -105,11 +105,11 @@ class PrimeTable:
         """pi(x) for x <= limit."""
         if x > self.limit:
             raise ValueError(f"{x} exceeds table limit {self.limit}")
-        return int(np.searchsorted(self.primes, x, side="right"))
+        return int(self.primes.searchsorted(x, "right"))
 
     def prefix_le(self, bound: int) -> np.ndarray:
         """Primes p <= bound, as a slice of the table."""
-        return self.primes[: np.searchsorted(self.primes, bound, side="right")]
+        return self.primes[: self.primes.searchsorted(bound, "right")]
 
 
 def _odd_segments(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS):

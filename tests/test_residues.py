@@ -1,10 +1,15 @@
+import gc
 import itertools
 import math
+import threading
+import time
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from primelab import goldbach, schinzel, sieve
+from primelab import goldbach, residues, schinzel, sieve
 from primelab.residues import (
     AdmissibleTuple,
     NonCoprimeModuliError,
@@ -249,6 +254,89 @@ def test_spec_builders_sieve_no_table_up_to_a_modulus(build, monkeypatch):
     monkeypatch.setattr(sieve, "_shared_table", sieve.sieve_primes(1 << 16))
     assert build([2, 3, 5, 1_000_003]).entries[-1][0] == 1_000_003
     assert sieve._shared_table.limit < 1_000_003
+
+
+NAMED = {
+    "twins": ResidueSpec.twins,
+    "sophie_germain": ResidueSpec.sophie_germain,
+    "2,6,8": lambda ps: ResidueSpec.for_tuple((2, 6, 8), ps),
+    "primes_only": ResidueSpec.primes_only,
+}
+PER_PRIME = {  # the same specs built a prime at a time, through no memo
+    "twins": lambda ps: ResidueSpec.from_pairs((p, twin_forbidden(p)) for p in ps),
+    "sophie_germain": lambda ps: ResidueSpec.from_pairs((p, sophie_forbidden(p)) for p in ps),
+    "2,6,8": lambda ps: ResidueSpec.from_pairs((p, tuple_forbidden((2, 6, 8), p)) for p in ps),
+    "primes_only": lambda ps: ResidueSpec.from_pairs((p, (0,)) for p in ps),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_builders_return_their_last_spec_for_equal_primes(name):
+    ps = PRIMES_TO_2000[:40]
+    spec = NAMED[name](ps)
+    for same in (tuple(ps), np.array(ps), [np.int64(p) for p in ps], (p for p in ps),
+                 sieve.sieving_prime_set(173 * 173)):
+        assert NAMED[name](same) is spec
+    assert spec == PER_PRIME[name](ps)
+    if name == "twins":
+        assert ResidueSpec.for_tuple((2,), ps) is spec  # the tuple (2,) has the twin forms
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(NAMED)), st.integers(0, 2)), min_size=1, max_size=12))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_named_builders_in_any_order_match_the_per_prime_build(calls):
+    lists = (PRIMES_TO_60, PRIMES_TO_60[1:], PRIMES_TO_2000[:100])  # other primes, other length
+    for name, i in calls:
+        assert NAMED[name](lists[i]) == PER_PRIME[name](lists[i]), (name, i)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_builders_refuse_a_composite_on_every_call(name):
+    good = [2, 3, 5, 7, 11]
+    spec = NAMED[name](good)
+    for bad in ([2, 3, 9, 11], [*good, 9], [*good, 1_000_001]):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"is not prime$"):
+                NAMED[name](bad)
+            assert NAMED[name](good) is spec  # a failed proof keeps nothing
+
+
+def test_named_builders_retain_at_most_one_spec():
+    first = ResidueSpec.twins(PRIMES_TO_2000[:50])
+    gone = weakref.ref(first)
+    second = ResidueSpec.sophie_germain(PRIMES_TO_2000[:50])
+    del first
+    gc.collect()
+    assert gone() is None
+    assert ResidueSpec.sophie_germain(PRIMES_TO_2000[:50]) is second
+
+
+def test_named_builders_under_two_alternating_threads():
+    lists = (PRIMES_TO_2000[:60], PRIMES_TO_2000[1:61])
+    want = [PER_PRIME["twins"](ps) for ps in lists]
+    mismatches = []
+
+    def run(phase):
+        for i in range(400):
+            which = (i + phase) % 2
+            if ResidueSpec.twins(lists[which]) != want[which]:
+                mismatches.append((phase, i))
+
+    def yield_inside_the_builder(frame, event, arg):  # hand the GIL over at every C call it makes
+        if event == "c_call" and frame.f_code is residues._proven_spec.__code__:
+            time.sleep(0)
+
+    threading.setprofile(yield_inside_the_builder)
+    try:
+        threads = [threading.Thread(target=run, args=(phase,)) for phase in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        threading.setprofile(None)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 def test_remainder_sequence_tabular_form():

@@ -11,11 +11,14 @@ SUITE is one of the tables in ``SUITES``:
 - ``specs``: the six struck-residue spec builders (twins, Sophie Germain, the tuples
   (2,6) and (2,6,8), Goldbach's eta spec and ``lambda_filter(11, 13, .)``) over the
   first 11, 65, 1 229 and 9 592 primes, timed inside the child (see ``SPECS_CHILD``);
+  the builders that take primes alternate that list with as many primes from 3 on,
+  so that no call is answered by the named builders' last spec;
 - ``sweep``: ``survivor_count`` over 64 consecutive x from 1e3, 1e4 and 1e5 for the
-  twin and (2,6,8) specs, the same x in an order that puts consecutive calls 27 or
-  more apart, ``tuple_count_formula`` over 16 consecutive x, ``legendre_pi`` over 64
-  consecutive x from 1e5 and 1e7 (a table reaching x answers the oracle, so the
-  stepped phi dominates), and ``mersenne_exact_count`` and ``fermat_exact_count`` at
+  twin and (2,6,8) specs, built once per run or rebuilt from ``sieving_prime_set(x)``
+  at every x (as a sweep over the public calls does), the same x in an order that puts
+  consecutive calls 27 or more apart, ``tuple_count_formula`` over 16 consecutive x,
+  ``legendre_pi`` over 64 consecutive x from 1e5 and 1e7 (a table reaching x answers
+  the oracle, so the stepped phi dominates), and ``mersenne_exact_count`` and ``fermat_exact_count`` at
   1e6, 1e9 and 1e12, timed per call inside the child (see ``SWEEP_CHILD``);
 - ``startup``: ``import primelab``, ``import primelab.cli`` and one small operation
   per subcommand family.
@@ -23,7 +26,9 @@ SUITE is one of the tables in ``SUITES``:
 Each case runs in a fresh interpreter with ``PYTHONPATH=<checkout>/src`` and stdout
 to /dev/null. Wall time is taken around the child, CPU time (user + system) and peak
 RSS from ``os.wait4``; a self-timing child prints its own ``{case: {metric: value}}``
-JSON instead. There are ``RUNS`` rounds over every case, both checkouts back to back
+JSON instead: each case's median time per call over five samples (``us``) and the
+fastest of them (``us_min``), which is steadier where the machine's speed drifts
+between children. There are ``RUNS`` rounds over every case, both checkouts back to back
 with the base checkout first on every other round, so that a slow phase of the
 machine hits every case and side alike. Children inherit this process's environment,
 and the record names the variables that change what they time: with
@@ -55,10 +60,12 @@ def cli(*args) -> list[str]:
 
 
 # The timing core of the self-timing children: cases maps a case to (run, the number of
-# calls one run makes). Per case, the median time per call of five interleaved samples;
-# a sample repeats run as often as the first loop count, doubling from 1, that took 2 ms
-# or more.
-MEDIAN_OF_FIVE = """
+# calls one run makes). Per case, the median and the least time per call of five
+# interleaved samples; a sample repeats run as often as the first loop count, doubling
+# from 1, that took 2 ms or more. An untimed run before each sample leaves the library's
+# last-call state (the survivor and phi steps, the named builders' last spec) as its own
+# case leaves it, so no sample pays for freeing or leaving another case's state.
+FIVE_SAMPLES = """
 import json, statistics, time
 
 def median_us(cases):
@@ -75,38 +82,46 @@ def median_us(cases):
     samples = {case: [] for case in cases}
     for _ in range(5):
         for case, (run, calls) in cases.items():
+            run()
             start = time.perf_counter()
             for _ in range(loops[case]):
                 run()
             samples[case].append((time.perf_counter() - start) / loops[case] / calls * 1e6)
-    return {case: {"us": statistics.median(us)} for case, us in samples.items()}
+    return {case: {"us": statistics.median(us), "us_min": min(us)} for case, us in samples.items()}
 """
 
 # Only public names are used, so any checkout can be timed.
-SPECS_CHILD = MEDIAN_OF_FIVE + """
+SPECS_CHILD = FIVE_SAMPLES + """
 from primelab import ResidueSpec, build_split_plan, lambda_filter, sieve_primes
 
 SIZES = {11: 10**3, 65: 10**5, 1229: 10**8, 9592: 10**10}  # prime count -> 2n with that many sieving primes
-first = sieve_primes(10**5).primes.tolist()
+BUILDERS = {
+    "twins": ResidueSpec.twins,
+    "sophie_germain": ResidueSpec.sophie_germain,
+    "tuple_2_6": lambda ps: ResidueSpec.for_tuple((2, 6), ps),
+    "tuple_2_6_8": lambda ps: ResidueSpec.for_tuple((2, 6, 8), ps),
+    "lambda_11_13": lambda ps: lambda_filter(11, 13, ps),
+}
+first = sieve_primes(2 * 10**5).primes.tolist()
+
+def cold(build, ps, qs):  # two prime lists in turn: each build differs from the one before
+    return lambda: (build(ps), build(qs)), 2
+
 cases = {}
 for k, two_n in SIZES.items():
-    ps, plan = first[:k], build_split_plan(two_n)
+    plan = build_split_plan(two_n)
     assert len(plan.primes) == k
-    cases.update({
-        f"twins {k}": (lambda ps=ps: ResidueSpec.twins(ps), 1),
-        f"sophie_germain {k}": (lambda ps=ps: ResidueSpec.sophie_germain(ps), 1),
-        f"tuple_2_6 {k}": (lambda ps=ps: ResidueSpec.for_tuple((2, 6), ps), 1),
-        f"tuple_2_6_8 {k}": (lambda ps=ps: ResidueSpec.for_tuple((2, 6, 8), ps), 1),
-        f"eta {k}": (plan.eta_spec, 1),
-        f"lambda_11_13 {k}": (lambda ps=ps: lambda_filter(11, 13, ps), 1),
-    })
+    for name, build in BUILDERS.items():
+        cases[f"{name} {k}"] = cold(build, first[:k], first[1:k + 1])
+    cases[f"eta {k}"] = (plan.eta_spec, 1)
 print(json.dumps(median_us(cases)))
 """
 
-# A run builds its spec, then calls survivor_count on every x of the case. Its first
-# call follows the last x of the run before, 63 or 37 away, so every run sieves once.
+# A run builds its spec (a rebuilt run: at every x), then calls survivor_count on every x
+# of the case. Its first call follows the last x of the run before, 63 or 37 away, so
+# every run sieves once.
 # A legendre_pi run's first call is 63 from the last one's, within phi's step reach.
-SWEEP_CHILD = MEDIAN_OF_FIVE + """
+SWEEP_CHILD = FIVE_SAMPLES + """
 from primelab import (AdmissibleTuple, ResidueSpec, fermat_exact_count, legendre_pi,
                       mersenne_exact_count, sieve_primes, sieving_prime_set, survivor_count,
                       tuple_count_formula)
@@ -118,6 +133,12 @@ def sweep(build, xs):
         spec = build([int(p) for p in sieving_prime_set(max(xs))])
         for x in xs:
             survivor_count(x, spec)
+    return run, len(xs)
+
+def rebuilt(build, xs):
+    def run():
+        for x in xs:
+            survivor_count(x, build([int(p) for p in sieving_prime_set(x)]))
     return run, len(xs)
 
 def formula(xs):
@@ -138,6 +159,7 @@ for x0 in (10**3, 10**4, 10**5):
     for name, build in SPECS.items():
         cases[f"consecutive {name} {x0}"] = sweep(build, range(x0, x0 + 64))
         cases[f"shuffled {name} {x0}"] = sweep(build, shuffled)
+        cases[f"rebuilt {name} {x0}"] = rebuilt(build, range(x0, x0 + 64))
     cases[f"tuple_count_formula 2,6,8 {x0}"] = formula(range(x0, x0 + 16))
 for x0 in (10**5, 10**7):
     cases[f"legendre_pi {x0}"] = legendre(range(x0, x0 + 64), sieve_primes(x0 + 63))
