@@ -18,8 +18,9 @@ SUITE is one of the tables in ``SUITES``:
   at every x (as a sweep over the public calls does), the same x in an order that puts
   consecutive calls 27 or more apart, ``tuple_count_formula`` over 16 consecutive x,
   ``legendre_pi`` over 64 consecutive x from 1e5 and 1e7 (a table reaching x answers
-  the oracle, so the stepped phi dominates), and ``mersenne_exact_count`` and ``fermat_exact_count`` at
-  1e6, 1e9 and 1e12, timed per call inside the child (see ``SWEEP_CHILD``);
+  the oracle, so the stepped phi dominates), and ``mersenne_exact_count`` and
+  ``fermat_exact_count`` at 1e6, 1e9 and 1e12, timed per call inside the child (see
+  ``SWEEP_CHILD``);
 - ``startup``: ``import primelab``, ``import primelab.cli`` and one small operation
   per subcommand family.
 
@@ -68,7 +69,7 @@ def cli(*args) -> list[str]:
 FIVE_SAMPLES = """
 import json, statistics, time
 
-def median_us(cases):
+def per_call_us(cases):
     loops = {}
     for case, (run, _) in cases.items():
         loops[case] = 1
@@ -114,7 +115,7 @@ for k, two_n in SIZES.items():
     for name, build in BUILDERS.items():
         cases[f"{name} {k}"] = cold(build, first[:k], first[1:k + 1])
     cases[f"eta {k}"] = (plan.eta_spec, 1)
-print(json.dumps(median_us(cases)))
+print(json.dumps(per_call_us(cases)))
 """
 
 # A run builds its spec (a rebuilt run: at every x), then calls survivor_count on every x
@@ -166,7 +167,7 @@ for x0 in (10**5, 10**7):
 for x in (10**6, 10**9, 10**12):
     cases[f"mersenne_exact_count {x}"] = (lambda x=x: mersenne_exact_count(x), 1)
     cases[f"fermat_exact_count {x}"] = (lambda x=x: fermat_exact_count(x), 1)
-print(json.dumps(median_us(cases)))
+print(json.dumps(per_call_us(cases)))
 """
 
 SUITES = {
