@@ -205,15 +205,26 @@ def test_from_pairs_refuses_exactly_the_moduli_with_a_shared_factor(pairs):
         assert not shared
 
 
+NAMED = {
+    "twins": ResidueSpec.twins,
+    "sophie_germain": ResidueSpec.sophie_germain,
+    "2,6,8": lambda ps: ResidueSpec.for_tuple((2, 6, 8), ps),
+    "primes_only": ResidueSpec.primes_only,
+}
+PER_PRIME = {  # the same specs built a prime at a time, through no memo
+    "twins": lambda ps: ResidueSpec.from_pairs((p, twin_forbidden(p)) for p in ps),
+    "sophie_germain": lambda ps: ResidueSpec.from_pairs((p, sophie_forbidden(p)) for p in ps),
+    "2,6,8": lambda ps: ResidueSpec.from_pairs((p, tuple_forbidden((2, 6, 8), p)) for p in ps),
+    "primes_only": lambda ps: ResidueSpec.from_pairs((p, (0,)) for p in ps),
+}
+
+
 @given(st.lists(st.sampled_from(PRIMES_TO_2000), unique=True, max_size=80).map(sorted))
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_spec_builders_match_the_per_prime_build(primes):
-    per_prime = ResidueSpec.from_pairs
-    assert ResidueSpec.twins(primes) == per_prime((p, twin_forbidden(p)) for p in primes)
-    assert ResidueSpec.sophie_germain(primes) == per_prime((p, sophie_forbidden(p)) for p in primes)
-    assert ResidueSpec.for_tuple((2, 6, 8), primes) == per_prime((p, tuple_forbidden((2, 6, 8), p)) for p in primes)
-    assert ResidueSpec.primes_only(primes) == per_prime((p, (0,)) for p in primes)
-    assert schinzel.lambda_filter(11, 13, primes) == per_prime(
+    for name, build in NAMED.items():
+        assert build(primes) == PER_PRIME[name](primes), name
+    assert schinzel.lambda_filter(11, 13, primes) == ResidueSpec.from_pairs(
         (p, [pow(2 * c, -1, p) for c in (11, 13) if 2 * c % p]) for p in primes)
 
 
@@ -254,20 +265,6 @@ def test_spec_builders_sieve_no_table_up_to_a_modulus(build, monkeypatch):
     monkeypatch.setattr(sieve, "_shared_table", sieve.sieve_primes(1 << 16))
     assert build([2, 3, 5, 1_000_003]).entries[-1][0] == 1_000_003
     assert sieve._shared_table.limit < 1_000_003
-
-
-NAMED = {
-    "twins": ResidueSpec.twins,
-    "sophie_germain": ResidueSpec.sophie_germain,
-    "2,6,8": lambda ps: ResidueSpec.for_tuple((2, 6, 8), ps),
-    "primes_only": ResidueSpec.primes_only,
-}
-PER_PRIME = {  # the same specs built a prime at a time, through no memo
-    "twins": lambda ps: ResidueSpec.from_pairs((p, twin_forbidden(p)) for p in ps),
-    "sophie_germain": lambda ps: ResidueSpec.from_pairs((p, sophie_forbidden(p)) for p in ps),
-    "2,6,8": lambda ps: ResidueSpec.from_pairs((p, tuple_forbidden((2, 6, 8), p)) for p in ps),
-    "primes_only": lambda ps: ResidueSpec.from_pairs((p, (0,)) for p in ps),
-}
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
