@@ -62,7 +62,8 @@ def _cmd_count(args, report: Report) -> int:
     from . import counts
     from .residues import AdmissibleTuple
 
-    table = _table_from_cache(args.cache, args.x)
+    # the formulas read the sieving primes <= sqrt(x); an oracle that needs more sieves it uncached
+    table = _table_from_cache(args.cache, math.isqrt(max(args.x, 0)))
     report.params = {"kind": args.kind, "x": args.x}
     if args.kind == "pi":
         cr = counts.legendre_pi(args.x, table)
@@ -85,7 +86,7 @@ def _cmd_count(args, report: Report) -> int:
 def _cmd_estimate(args, report: Report) -> int:
     from . import densities
 
-    table = _table_from_cache(args.cache, args.x)
+    table = _table_from_cache(args.cache, math.isqrt(max(args.x, 0)))  # as in _cmd_count
     report.params = {"kind": args.kind, "x": args.x}
     if args.kind == "psi":
         er = densities.psi_estimate(args.x, table)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -29,7 +30,7 @@ __all__ = [
 # product mode materializes every CRT class; beyond this we range-scan
 PRODUCT_MODE_CAP = 1_000_000
 
-# numpy int64 is safe for the vectorized combine only below this modulus
+# numpy int64 holds the classes, their sums and their shifts only while hi + modulus is below this
 _NUMPY_MOD_CAP = 1 << 62
 
 
@@ -82,9 +83,9 @@ def choice_count(spec: ResidueSpec) -> int:
     return math.prod(m - len(struck) for m, struck in spec.entries)
 
 
-def _canonical_values(spec: ResidueSpec) -> list[int]:
+def _canonical_values(spec: ResidueSpec, dtype) -> np.ndarray:
+    """The CRT classes in [0, modulus), ascending, as an array of dtype."""
     m = spec.modulus
-    dtype = np.int64 if m < _NUMPY_MOD_CAP else object  # object: exact Python ints
     vals = np.zeros(1, dtype=dtype)
     for p, struck in spec.entries:
         rest = m // p
@@ -92,18 +93,19 @@ def _canonical_values(spec: ResidueSpec) -> list[int]:
         contrib = np.array([r * basis % m for r in range(p) if r not in struck], dtype=dtype)
         vals = (vals[:, None] + contrib[None, :]).ravel() % m
     vals.sort()
-    return vals.tolist()
+    return vals
 
 
-def _enumerate_product(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
+def _product_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """crt_enumerate's values, one ascending array per period k*m that meets [lo, hi].
+
+    From hi + m = 2**62 on (a big modulus or bound) the arrays hold exact Python ints.
+    """
     m = spec.modulus
-    canonical = _canonical_values(spec)
-    for k in range(lo // m, hi // m + 1):
-        base = k * m
-        for v in canonical:
-            n = base + v
-            if lo <= n <= hi:
-                yield n
+    canonical = _canonical_values(spec, np.int64 if hi + m < _NUMPY_MOD_CAP else object)
+    for base in range(lo // m * m, hi + 1, m):
+        first, last = canonical.searchsorted(lo - base), canonical.searchsorted(hi - base, "right")
+        yield canonical[first:last] + base
 
 
 def scan_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -122,19 +124,14 @@ def scan_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
         yield np.flatnonzero(mask) + start
 
 
-def _enumerate_scan(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
-    if hi > (1 << 62):
-        raise ValueError("range-scan bounds must fit in int64")
-    return (n for window in scan_windows(spec, lo, hi) for n in window.tolist())
-
-
 def crt_enumerate(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
     """Ascending stream of n in [lo, hi] with n mod m outside struck(m) for every entry.
 
     The path follows the class count and the range width: product builds
     every CRT class once (a wide range over at most PRODUCT_MODE_CAP
     classes); range-scan walks the interval (a narrow range, or an
-    exponential class count).  The streams are identical.
+    exponential class count).  Both yield ascending arrays, flattened here
+    to Python ints; the streams are identical.
     """
     if lo < 0 or hi < lo:
         if hi < lo:
@@ -143,5 +140,9 @@ def crt_enumerate(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
     if not spec.entries:
         return iter(range(lo, hi + 1))
     if choice_count(spec) <= min(PRODUCT_MODE_CAP, hi - lo + 1):
-        return _enumerate_product(spec, lo, hi)
-    return _enumerate_scan(spec, lo, hi)
+        windows = _product_windows(spec, lo, hi)
+    elif hi > (1 << 62):
+        raise ValueError("range-scan bounds must fit in int64")
+    else:
+        windows = scan_windows(spec, lo, hi)
+    return chain.from_iterable(window.tolist() for window in windows)

@@ -6,6 +6,8 @@ together with a membership bitset over the odd integers.  A table holds a
 bit per odd number and an int64 per prime (about 0.9 GB at 1e9), so its
 size grows with the limit; :func:`count_primes` is the bounded path, an
 odd-only segmented sieve that holds one segment (about 1 MiB) at a time.
+:func:`table_for` is the one "a table reaching n" helper, and the cache
+(:func:`save_cache`, :func:`load_cache`) is a file read and written by path.
 """
 
 from __future__ import annotations
@@ -79,9 +81,6 @@ class PrimeTable:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def __contains__(self, n: int) -> bool:
-        return self.is_prime(n)
-
     def is_prime(self, n: int) -> bool:
         """Membership test for n <= limit (raises otherwise)."""
         if n > self.limit:
@@ -140,7 +139,7 @@ def _odd_segments(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS):
         lo_idx = hi_idx
 
 
-def sieve_primes(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Segmented sieve of Eratosthenes up to ``limit`` (inclusive).
 
     Deterministic for a given limit; limit 0 or 1 yields an empty table.
@@ -149,7 +148,7 @@ def sieve_primes(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS) -> PrimeT
         raise ValueError("limit must be nonnegative")
     odd_bits = np.zeros((limit + 1) // 2, dtype=bool)
     if limit >= 2:
-        for lo_idx, seg in _odd_segments(limit, segment_odd_bits):
+        for lo_idx, seg in _odd_segments(limit):
             odd_bits[lo_idx : lo_idx + len(seg)] = seg
     return _table_from_odd_bits(limit, odd_bits)
 
@@ -172,28 +171,22 @@ def count_primes(x: int) -> int:
     return 1 + sum(int(np.count_nonzero(seg)) for _, seg in _odd_segments(x))
 
 
-# Shared table for is_prime / sieving_prime_set; grown on demand.
+# Process-wide table behind table_for; grown on demand.
 _shared_lock = threading.Lock()
 _shared_table: PrimeTable | None = None
 
 
-def shared_table(at_least: int = 1 << 16) -> PrimeTable:
-    """Process-wide PrimeTable, re-sieved (geometrically) when too small."""
-    global _shared_table
-    with _shared_lock:
-        if _shared_table is None or _shared_table.limit < at_least:
-            limit = max(at_least, 1 << 16)
-            if _shared_table is not None:
-                limit = max(limit, 2 * _shared_table.limit)
-            _shared_table = sieve_primes(limit)
-        return _shared_table
-
-
 def table_for(n: int, table: PrimeTable | None = None) -> PrimeTable:
-    """``table`` when it reaches ``n``, else the shared table grown to ``n``."""
+    """``table`` when it reaches ``n``, else the process-wide table, re-sieved when short of
+    ``n`` to max(n, 2**16, twice its limit)."""
+    global _shared_table
     if table is not None and table.limit >= n:
         return table
-    return shared_table(n)
+    with _shared_lock:
+        if _shared_table is None or _shared_table.limit < n:
+            grown = 0 if _shared_table is None else 2 * _shared_table.limit
+            _shared_table = sieve_primes(max(n, 1 << 16, grown))
+        return _shared_table
 
 
 def is_prime(n: int, table: PrimeTable | None = None) -> bool:
@@ -223,7 +216,7 @@ def is_prime(n: int, table: PrimeTable | None = None) -> bool:
 def checked_primes(values) -> list[int]:
     """The values as ints, else ValueError naming the first non-prime: a shared-table lookup
     each, trial division (no table grown to n) past the table."""
-    table, primes = shared_table(), [int(n) for n in values]
+    table, primes = table_for(1 << 16), [int(n) for n in values]
     for n in primes:
         if not (table.is_prime(n) if n <= table.limit else is_prime(n, table)):
             raise ValueError(f"{n} is not prime")
@@ -317,43 +310,27 @@ def avoiding_windows(lo: int, hi: int, entries, width: int = SEGMENT_ODD_BITS):
         yield start, avoiding_mask(start, min(start + width - 1, hi), entries)
 
 
-def save_cache(table: PrimeTable, destination) -> None:
-    """Write the bit-exact cache format (byte-deterministic).
+def save_cache(table: PrimeTable, path) -> None:
+    """Write the bit-exact cache format (byte-deterministic) to ``path``, atomically.
 
     Layout: 8-byte magic ``PRIMSET1``; 8-byte LE limit; bitmap of
     ceil((limit+1)/16) bytes, bit i (LSB-first) = odd 2i+1 prime;
     trailing 8-byte LE prime count (including 2).
     """
-    payload = _cache_bytes(table)
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        tmp = f"{destination}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, destination)
-
-
-def _cache_bytes(table: PrimeTable) -> bytes:
-    n_bytes = (table.limit + 1 + 15) // 16
-    bits = np.zeros(n_bytes * 8, dtype=bool)
+    bits = np.zeros((table.limit + 1 + 15) // 16 * 8, dtype=bool)
     bits[: len(table.odd_bits)] = table.odd_bits
-    bitmap = np.packbits(bits, bitorder="little").tobytes()
-    return (
-        CACHE_MAGIC
-        + struct.pack("<Q", table.limit)
-        + bitmap
-        + struct.pack("<Q", len(table.primes))
-    )
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "wb") as fh:
+        fh.write(CACHE_MAGIC + struct.pack("<Q", table.limit)
+                 + np.packbits(bits, bitorder="little").tobytes()
+                 + struct.pack("<Q", len(table.primes)))
+    os.replace(tmp, path)
 
 
-def load_cache(source) -> PrimeTable:
-    """Read a cache produced by :func:`save_cache`; round-trip identity."""
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        with open(source, "rb") as fh:
-            raw = fh.read()
+def load_cache(path) -> PrimeTable:
+    """Read a cache file written by :func:`save_cache`; round-trip identity."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < 16 or raw[:8] != CACHE_MAGIC:
         raise CacheMagicError("bad magic: not a prime cache file")
     limit = struct.unpack("<Q", raw[8:16])[0]

@@ -18,7 +18,7 @@ from primelab.residues import AdmissibleTuple, ResidueSpec
 
 @pytest.fixture(scope="module")
 def big_table():
-    return sieve.shared_table(10**7)
+    return sieve.table_for(10**7)
 
 
 def test_criterion_01_golden_examples_reproduce():

@@ -125,6 +125,35 @@ def test_goldbach_caches_only_the_sieving_primes(tmp_path, capsys):
     assert load_cache(cache).limit == 1000  # isqrt(2n): no table to 2n is written
 
 
+# The CLI in a child whose address space is capped at 3 GiB: a table to 1e10 cannot fit.
+UNDER_3_GIB = """
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+sys.argv[0] = "primelab"
+runpy.run_module("primelab.cli", run_name="__main__")
+"""
+
+
+def test_count_caches_only_the_sieving_primes(tmp_path):
+    cache = tmp_path / "primes.cache"
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    argv = [sys.executable, "-c", UNDER_3_GIB, "--format", "json", "count", "mersenne",
+            "--x", str(10**10)]
+    docs = [json.loads(subprocess.run(argv + extra, env=env, check=True, capture_output=True,
+                                      text=True).stdout) for extra in ([], ["--cache", str(cache)])]
+    for doc in docs:
+        del doc["runtime_ms"]
+    assert docs[1] == docs[0]
+    assert load_cache(cache).limit == 10**5  # isqrt(x): no table to x is written
+
+
+def test_crt_product_mode_past_int64_lists_exact_values(capsys):
+    code, out = run(capsys, "--format", "csv", "crt", "--allow", "3=1",
+                    "--lo", "9223372036854775800", "--hi", "9223372036854775830")
+    assert code == 0
+    assert out == "n\n" + "".join(f"{n}\n" for n in range(9223372036854775801, 9223372036854775831, 3))
+
+
 def test_corrupt_cache_exits_1_with_message(tmp_path):
     cache = tmp_path / "primes.cache"
     cache.write_bytes(b"NOTMAGIC" + b"\0" * 32)
@@ -183,13 +212,18 @@ def test_allow_modulus_beyond_the_complement_bound_exits_1(capsys):
     assert (code, err) == (1, "error: --allow modulus 1000003 exceeds 1000000\n")
 
 
-CRT_PATHS = {"product": crt._enumerate_product, "scan": crt._enumerate_scan}  # crt_enumerate's two paths
+CRT_PATHS = {"product": crt._product_windows, "scan": crt.scan_windows}  # crt_enumerate's two paths
+
+
+def flat(windows):
+    """A window stream of crt_enumerate's (product or scan) as the list of its values."""
+    return [n for window in windows for n in window.tolist()]
 
 
 @pytest.mark.parametrize("mode", ["product", "scan"])
 @pytest.mark.parametrize("order", [("9=1,2", "4=3"), ("4=3", "9=1,2")])
 def test_allow_composite_unordered_moduli_match_a_brute_filter(capsys, monkeypatch, mode, order):
-    monkeypatch.setattr(crt, "crt_enumerate", CRT_PATHS[mode])
+    monkeypatch.setattr(crt, "crt_enumerate", lambda *args: flat(CRT_PATHS[mode](*args)))
     argv = [a for token in order for a in ("--allow", token)]
     code, doc = run_json(capsys, "crt", *argv, "--lo", "0", "--hi", "200")
     assert code == 0

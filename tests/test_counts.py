@@ -480,7 +480,7 @@ def test_brute_pi_at_segment_edges(x):
 
 
 def test_brute_pi_leaves_the_shared_table_alone():
-    before = sieve.shared_table()
+    before = sieve.table_for(1 << 16)
     assert brute_pi(before.limit + 1001) == len(sieve_primes(before.limit + 1001).primes)
     assert sieve._shared_table is before
 

@@ -21,6 +21,11 @@ def allow_spec(pairs):
     return ResidueSpec.from_pairs((m, [r for r in range(m) if r not in rs]) for m, rs in pairs)
 
 
+def flat(windows):
+    """A window stream of crt_enumerate's (product or scan) as the list of its values."""
+    return [n for window in windows for n in window.tolist()]
+
+
 def test_classic_solution():
     sol = crt_solve(CongruenceSystem.of([(2, 3), (3, 5), (2, 7)]))
     assert sol.value == 23
@@ -58,7 +63,7 @@ def test_product_mode_past_int64_yields_exact_python_ints():
                for rs in itertools.product(*(residues for _, residues in allowed))]
     for lo, hi in ((0, m), (m // 2, m + m // 2)):  # one period, then across its end
         want = sorted(v + k * m for v in classes for k in (0, 1) if lo <= v + k * m <= hi)
-        got = list(crt._enumerate_product(spec, lo, hi))
+        got = flat(crt._product_windows(spec, lo, hi))
         assert got == want
         assert all(type(v) is int for v in got)
         assert list(crt_enumerate(spec, lo, hi)) == want  # crt_enumerate picks product here too
@@ -107,8 +112,8 @@ def brute_enumerate(spec, lo, hi):
 def test_modes_agree_on_worked_example():
     spec = allow_spec([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])])
     want = brute_enumerate(spec, 1, 210)
-    assert list(crt._enumerate_product(spec, 1, 210)) == want
-    assert list(crt._enumerate_scan(spec, 1, 210)) == want
+    assert flat(crt._product_windows(spec, 1, 210)) == want
+    assert flat(crt.scan_windows(spec, 1, 210)) == want
     assert len(want) == 20
 
 
@@ -121,7 +126,7 @@ def test_crt_enumerate_picks_product_while_the_range_holds_every_class(monkeypat
     monkeypatch.setattr(crt, "scan_windows", refuse)
     assert list(crt_enumerate(spec, 1, 20)) == brute_enumerate(spec, 1, 20)  # width 20: product
     monkeypatch.undo()
-    monkeypatch.setattr(crt, "_enumerate_product", refuse)
+    monkeypatch.setattr(crt, "_product_windows", refuse)
     assert list(crt_enumerate(spec, 1, 19)) == brute_enumerate(spec, 1, 19)  # width 19: scan
 
 
@@ -142,8 +147,8 @@ def test_modes_agree_randomized(primes, lo, width, seed):
     spec = allow_spec(entries)
     hi = lo + width
     want = brute_enumerate(spec, lo, hi)
-    assert list(crt._enumerate_product(spec, lo, hi)) == want
-    assert list(crt._enumerate_scan(spec, lo, hi)) == want
+    assert flat(crt._product_windows(spec, lo, hi)) == want
+    assert flat(crt.scan_windows(spec, lo, hi)) == want
     assert list(crt_enumerate(spec, lo, hi)) == want
 
 
@@ -168,7 +173,7 @@ def scan_specs(draw):
 def scan_in_windows(spec, lo, hi, width):
     """The range-scan path's stream with residue windows of `width` entries."""
     with mock.patch.object(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width)):
-        return list(crt._enumerate_scan(spec, lo, hi))
+        return flat(crt.scan_windows(spec, lo, hi))
 
 
 @given(scan_specs(), st.integers(0, 10**6), st.integers(0, 120), st.integers(1, 7))
@@ -189,9 +194,11 @@ def test_scan_strikes_from_unaligned_starts():
 
 
 def test_scan_refuses_bounds_past_int64():
-    spec = allow_spec([(3, [1])])
+    spec = allow_spec([(3, [1]), (5, [2, 3])])  # 2 classes: a range of width 1 takes the scan path
+    top = 1 << 62
+    assert [list(crt_enumerate(spec, n, n)) for n in (top - 6, top)] == [[top - 6], []]  # top scans
     with pytest.raises(ValueError, match="range-scan bounds must fit in int64"):
-        crt._enumerate_scan(spec, 0, (1 << 62) + 1)
+        crt_enumerate(spec, top + 1, top + 1)  # raised on the call, before a value is drawn
 
 
 def test_empty_range_and_empty_spec():

@@ -267,13 +267,14 @@ def test_goldbach_enumerate_needs_no_table_past_the_sieving_primes(monkeypatch):
         return real(limit, *args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("reached the shared table")
+        raise AssertionError("sieved a table of its own")
 
     monkeypatch.setattr(sieve, "sieve_primes", bounded)
     assert goldbach_enumerate(10**10, "GUIDED") == [(100109, 9999899891)]
     tables = {root: sieve_primes(root) for root in range(2, math.isqrt(3000) + 1)}
     oracle = sieve_primes(3000)
-    monkeypatch.setattr(sieve, "shared_table", refuse)  # every call below reads its own table
+    monkeypatch.setattr(sieve, "_shared_table", None)  # no process table can answer instead
+    monkeypatch.setattr(sieve, "sieve_primes", refuse)  # every call below reads its own table
     for two_n in range(6, 3001, 14):
         root = math.isqrt(two_n)
         table, want = tables[root], brute_goldbach_pairs(two_n, oracle)

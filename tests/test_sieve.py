@@ -1,5 +1,5 @@
-import io
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -50,9 +50,10 @@ def test_matches_brute_force_up_to_2000():
     assert list(table.primes) == brute_primes(2000)
 
 
-def test_segmentation_is_invisible():
+def test_segmentation_is_invisible(monkeypatch):
     whole = sieve_primes(10_000)
-    tiny_segments = sieve_primes(10_000, segment_odd_bits=64)
+    monkeypatch.setattr(sieve, "_odd_segments", partial(sieve._odd_segments, segment_odd_bits=64))
+    tiny_segments = sieve_primes(10_000)
     assert np.array_equal(whole.primes, tiny_segments.primes)
 
 
@@ -162,31 +163,34 @@ def test_cache_round_trip(tmp_path):
     assert loaded.limit == table.limit
     assert np.array_equal(loaded.primes, table.primes)
     # byte determinism
-    buf1, buf2 = io.BytesIO(), io.BytesIO()
-    save_cache(table, buf1)
-    save_cache(loaded, buf2)
-    assert buf1.getvalue() == buf2.getvalue()
+    again = tmp_path / "again.cache"
+    save_cache(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
-def test_cache_bad_magic():
+def test_cache_bad_magic(tmp_path):
+    path = tmp_path / "primes.cache"
+    path.write_bytes(b"NOTMAGIC" + b"\0" * 32)
     with pytest.raises(CacheMagicError):
-        load_cache(io.BytesIO(b"NOTMAGIC" + b"\0" * 32))
+        load_cache(path)
 
 
-def test_cache_truncated():
-    buf = io.BytesIO()
-    save_cache(sieve_primes(10_000), buf)
+def test_cache_truncated(tmp_path):
+    path = tmp_path / "primes.cache"
+    save_cache(sieve_primes(10_000), path)
+    path.write_bytes(path.read_bytes()[:-20])
     with pytest.raises(CacheTruncatedError):
-        load_cache(io.BytesIO(buf.getvalue()[:-20]))
+        load_cache(path)
 
 
-def test_cache_checksum():
-    buf = io.BytesIO()
-    save_cache(sieve_primes(10_000), buf)
-    raw = bytearray(buf.getvalue())
+def test_cache_checksum(tmp_path):
+    path = tmp_path / "primes.cache"
+    save_cache(sieve_primes(10_000), path)
+    raw = bytearray(path.read_bytes())
     raw[16] ^= 0x01  # flip one bitmap bit; trailer count now disagrees
+    path.write_bytes(bytes(raw))
     with pytest.raises(CacheChecksumError):
-        load_cache(io.BytesIO(bytes(raw)))
+        load_cache(path)
 
 
 @given(st.integers(0, 5000))
@@ -238,10 +242,11 @@ def test_pattern_starts_rejects_a_first_form_below_one(forms):
 
 def test_pattern_starts_reaches_the_table_limit(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the shared table was asked for")
+        raise AssertionError("a table was sieved")
 
     twins, goldbach = sieve_primes(103), sieve_primes(98)  # 103 is prime, 98 = 100 - 2
-    monkeypatch.setattr(sieve, "shared_table", refuse)  # the given tables must suffice
+    monkeypatch.setattr(sieve, "_shared_table", None)  # no process table can answer instead
+    monkeypatch.setattr(sieve, "sieve_primes", refuse)  # the given tables must suffice
     # (101, 103): the increasing form's largest value is the limit
     assert pattern_starts(2, 101, ((1, 0), (1, 2)), twins).tolist() == [
         3, 5, 11, 17, 29, 41, 59, 71, 101]

@@ -22,7 +22,11 @@ SUITE is one of the tables in ``SUITES``:
   ``fermat_exact_count`` at 1e6, 1e9 and 1e12, timed per call inside the child (see
   ``SWEEP_CHILD``);
 - ``startup``: ``import primelab``, ``import primelab.cli`` and one small operation
-  per subcommand family.
+  per subcommand family;
+- ``crt``: ``primelab crt --allow ...`` listings on both enumeration paths: product
+  mode over the 92 160 classes coprime to 255 255 = 3*5*7*11*13*17 for two periods
+  (184 320 values), the paper's 20-class example over 1..210, and a range scan of the
+  numbers up to 1e6 coprime to the nine primes up to 23.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=<checkout>/src`` and stdout
 to /dev/null. Wall time is taken around the child, CPU time (user + system) and peak
@@ -58,6 +62,11 @@ SELF_TIMING = {"specs", "sweep"}  # suites whose children print their own JSON
 
 def cli(*args) -> list[str]:
     return ["-m", "primelab.cli", *map(str, args)]
+
+
+def coprime_to(*primes) -> list[str]:
+    """``--allow`` tokens keeping every unit residue of each prime."""
+    return [a for p in primes for a in ("--allow", f"{p}=" + ",".join(map(str, range(1, p))))]
 
 
 # The timing core of the self-timing children: cases maps a case to (run, the number of
@@ -187,6 +196,14 @@ SUITES = {
         "schinzel": cli("schinzel", "--num", 11, "--den", 13),
         "estimate": cli("estimate", "psi", "--x", 1000),
         "bertrand": cli("bertrand", "--min", 2, "--max", 1000),
+    },
+    "crt": {
+        "product 92160 classes": cli("crt", *coprime_to(3, 5, 7, 11, 13, 17), "--lo", 1,
+                                     "--hi", 2 * 255_255),
+        "example 20 classes": cli("crt", "--allow", "2=1", "--allow", "3=2", "--allow", "5=1,2,3,4",
+                                  "--allow", "7=1,3,4,5,6", "--lo", 1, "--hi", 210),
+        "scan 9 primes": cli("crt", *coprime_to(2, 3, 5, 7, 11, 13, 17, 19, 23), "--lo", 1,
+                             "--hi", 10**6),
     },
 }
 
