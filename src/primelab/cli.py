@@ -132,24 +132,26 @@ def _parse_allow(tokens) -> ResidueSpec:
 
 
 def _cmd_crt(args, report: Report) -> int:
-    import numpy as np
-
-    from .crt import CongruenceSystem, crt_enumerate, crt_solve
+    from .crt import CongruenceSystem, crt_solve, crt_windows
 
     if args.congruence:
-        system = CongruenceSystem.of(
-            tuple(int(v) for v in token.split(":")) for token in args.congruence
-        )
-        sol = crt_solve(system)
+        pairs = []
+        for token in args.congruence:
+            try:
+                r, m = map(int, token.split(":"))
+            except ValueError:
+                raise ValueError(f"malformed congruence token {token!r}: want r:m") from None
+            pairs.append((r, m))
+        sol = crt_solve(CongruenceSystem.of(pairs))
         report.params = {"congruences": list(args.congruence)}
         report.rows.append({"value": sol.value, "modulus": sol.modulus})
     if args.allow:
         spec = _parse_allow(args.allow)
         lo, hi = args.lo, args.hi if args.hi is not None else spec.modulus
         report.params.update({"allow": list(args.allow), "lo": lo, "hi": hi})
-        values = np.fromiter(crt_enumerate(spec, lo, hi), np.int64 if hi < 2**63 else object)
-        report.rows.append(Block(n=values))
-        if not len(values):
+        blocks = [Block(n=window) for window in crt_windows(spec, lo, hi) if len(window)]
+        report.rows.extend(blocks)
+        if not blocks:
             report.warn("no values in range satisfy the residue choices")
     if not args.congruence and not args.allow:
         report.warn("nothing to do: give r:m congruences and/or --allow entries")

@@ -22,6 +22,7 @@ __all__ = [
     "CrtSolution",
     "crt_solve",
     "crt_enumerate",
+    "crt_windows",
     "scan_windows",
     "choice_count",
     "PRODUCT_MODE_CAP",
@@ -32,6 +33,9 @@ PRODUCT_MODE_CAP = 1_000_000
 
 # numpy int64 holds the classes, their sums and their shifts only while hi + modulus is below this
 _NUMPY_MOD_CAP = 1 << 62
+
+# a product window holds about this many values, and never less than one period
+_BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,33 +87,30 @@ def choice_count(spec: ResidueSpec) -> int:
     return math.prod(m - len(struck) for m, struck in spec.entries)
 
 
-def _canonical_values(spec: ResidueSpec, dtype) -> np.ndarray:
-    """The CRT classes in [0, modulus), ascending, as an array of dtype."""
+def _product_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """crt_windows' product path: ascending arrays of whole periods k*m, cut to [lo, hi].
+
+    Each array is a column of period starts plus the sorted CRT classes, raveled (ascending,
+    as every class is below m): about _BATCH_VALUES values, and never less than one period.
+    From hi + m = 2**62 on (a big modulus or bound) the arrays hold exact Python ints."""
     m = spec.modulus
-    vals = np.zeros(1, dtype=dtype)
+    dtype = np.int64 if hi + m < _NUMPY_MOD_CAP else object
+    classes = np.zeros(1, dtype=dtype)
     for p, struck in spec.entries:
         rest = m // p
         basis = rest * pow(rest, -1, p) % m  # = 1 mod p, 0 mod others
         contrib = np.array([r * basis % m for r in range(p) if r not in struck], dtype=dtype)
-        vals = (vals[:, None] + contrib[None, :]).ravel() % m
-    vals.sort()
-    return vals
-
-
-def _product_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """crt_enumerate's values, one ascending array per period k*m that meets [lo, hi].
-
-    From hi + m = 2**62 on (a big modulus or bound) the arrays hold exact Python ints.
-    """
-    m = spec.modulus
-    canonical = _canonical_values(spec, np.int64 if hi + m < _NUMPY_MOD_CAP else object)
-    for base in range(lo // m * m, hi + 1, m):
-        first, last = canonical.searchsorted(lo - base), canonical.searchsorted(hi - base, "right")
-        yield canonical[first:last] + base
+        classes = (classes[:, None] + contrib).ravel() % m
+    classes.sort()
+    step = m * max(1, _BATCH_VALUES // len(classes))
+    for base in range(lo // m * m, hi + 1, step):
+        starts = np.arange(base, min(base + step, hi + 1), m, dtype=dtype)
+        values = (starts[:, None] + classes).ravel()
+        yield values[values.searchsorted(lo):values.searchsorted(hi, "right")]
 
 
 def scan_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """crt_enumerate's values, one ascending int64 array (maybe empty) per avoiding_windows window.
+    """crt_windows' scan path: one ascending int64 array (maybe empty) per avoiding_windows window.
 
     Each modulus strikes its struck residues, or, when more residues are
     struck than kept, the kept ones on a mask that is then inverted: at most
@@ -124,25 +125,21 @@ def scan_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
         yield np.flatnonzero(mask) + start
 
 
-def crt_enumerate(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
-    """Ascending stream of n in [lo, hi] with n mod m outside struck(m) for every entry.
-
-    The path follows the class count and the range width: product builds
-    every CRT class once (a wide range over at most PRODUCT_MODE_CAP
-    classes); range-scan walks the interval (a narrow range, or an
-    exponential class count).  Both yield ascending arrays, flattened here
-    to Python ints; the streams are identical.
-    """
+def crt_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The n in [lo, hi] with n mod m outside struck(m) for every entry, as ascending arrays:
+    product mode builds every CRT class once (a wide range over at most PRODUCT_MODE_CAP
+    classes), range-scan walks the interval (a narrow range, or an exponential class count)."""
     if lo < 0 or hi < lo:
         if hi < lo:
             return iter(())
         raise ValueError("range must satisfy 0 <= lo <= hi")
-    if not spec.entries:
-        return iter(range(lo, hi + 1))
     if choice_count(spec) <= min(PRODUCT_MODE_CAP, hi - lo + 1):
-        windows = _product_windows(spec, lo, hi)
-    elif hi > (1 << 62):
+        return _product_windows(spec, lo, hi)
+    if hi > (1 << 62):
         raise ValueError("range-scan bounds must fit in int64")
-    else:
-        windows = scan_windows(spec, lo, hi)
-    return chain.from_iterable(window.tolist() for window in windows)
+    return scan_windows(spec, lo, hi)
+
+
+def crt_enumerate(spec: ResidueSpec, lo: int, hi: int) -> Iterator[int]:
+    """crt_windows' values, ascending, as Python ints."""
+    return chain.from_iterable(window.tolist() for window in crt_windows(spec, lo, hi))

@@ -220,10 +220,11 @@ def _proven_spec(forms: tuple, primes: Iterable[int]) -> ResidueSpec:
     a sweep over one prime set proves it once and survivor_count steps on ``is``; a
     failed proof raises and keeps nothing."""
     global _proven_last
-    key = (forms, tuple(map(int, primes)))
+    key = (forms, tuple(primes))  # compared as given: ints are converted and proved on a miss
     last_key, spec = _proven_last
     if key != last_key:
-        spec = ResidueSpec(_form_entries(forms, checked_primes(key[1])))
+        key = (forms, tuple(checked_primes(key[1])))
+        spec = ResidueSpec(_form_entries(*key))
         _proven_last = (key, spec)
     return spec
 

@@ -3,15 +3,17 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 import primelab
-from primelab import cli, crt, reporting
+from primelab import cli, crt, reporting, sieve
 from primelab.cli import reproduce_paper, run_command
 from primelab.reporting import FORMATS, Block, Report, format_report, report_parts
 from primelab.sieve import load_cache
@@ -212,23 +214,47 @@ def test_allow_modulus_beyond_the_complement_bound_exits_1(capsys):
     assert (code, err) == (1, "error: --allow modulus 1000003 exceeds 1000000\n")
 
 
-CRT_PATHS = {"product": crt._product_windows, "scan": crt.scan_windows}  # crt_enumerate's two paths
+@pytest.mark.parametrize("token", ["3", "1:2:3", "x:5", "2:", ":7", "1.5:4"])
+def test_malformed_congruence_token_exits_1_naming_it(capsys, token):
+    code, err = run_error(capsys, "crt", "2:3", token)
+    assert (code, err) == (1, f"error: malformed congruence token {token!r}: want r:m\n")
 
 
-def flat(windows):
-    """A window stream of crt_enumerate's (product or scan) as the list of its values."""
-    return [n for window in windows for n in window.tolist()]
+CRT_PATHS = {"product": crt._product_windows, "scan": crt.scan_windows}  # crt_windows' two paths
 
 
 @pytest.mark.parametrize("mode", ["product", "scan"])
 @pytest.mark.parametrize("order", [("9=1,2", "4=3"), ("4=3", "9=1,2")])
 def test_allow_composite_unordered_moduli_match_a_brute_filter(capsys, monkeypatch, mode, order):
-    monkeypatch.setattr(crt, "crt_enumerate", lambda *args: flat(CRT_PATHS[mode](*args)))
+    monkeypatch.setattr(crt, "crt_windows", CRT_PATHS[mode])
     argv = [a for token in order for a in ("--allow", token)]
     code, doc = run_json(capsys, "crt", *argv, "--lo", "0", "--hi", "200")
     assert code == 0
     want = [n for n in range(201) if n % 9 in (1, 2) and n % 4 == 3]
     assert [r["n"] for r in doc["rows"]] == want
+
+
+def without_runtime(text):
+    return re.sub(r'"runtime_ms": \d+|\(\d+ ms\)', "", text)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("allow, lo, hi", [
+    (["3=1", "5=2,4"], 0, 1500),  # 2 classes mod 15: the product path
+    (["7=1,2,3,4,5,6", "11=1,2,3,4,5,6,7,8,9,10"], 950, 1008),  # 60 classes, width 59: scan
+])
+def test_crt_listing_in_several_windows_renders_as_one_block(capsys, monkeypatch, fmt, allow,
+                                                             lo, hi):
+    monkeypatch.setattr(crt, "_BATCH_VALUES", 7)
+    monkeypatch.setattr(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=8))
+    windows = [w for w in crt.crt_windows(cli._parse_allow(allow), lo, hi) if len(w)]
+    # several windows, and a later one sets the table's column width
+    assert len(windows) > 3 and len(str(windows[0][0])) < len(str(windows[-1][-1]))
+    argv = ["--format", fmt, "crt", "2:3", *(a for t in allow for a in ("--allow", t)),
+            "--lo", str(lo), "--hi", str(hi)]
+    code, several = run(capsys, *argv)
+    monkeypatch.setattr(crt, "crt_windows", lambda *args: iter([np.concatenate(windows)]))
+    assert (code, without_runtime(several)) == (0, without_runtime(run(capsys, *argv)[1]))
 
 
 # A child's peak RSS starts at its parent's, and this test process can be

@@ -130,6 +130,12 @@ def test_crt_enumerate_picks_product_while_the_range_holds_every_class(monkeypat
     assert list(crt_enumerate(spec, 1, 19)) == brute_enumerate(spec, 1, 19)  # width 19: scan
 
 
+def product_in_batches(spec, lo, hi, values):
+    """The product path's stream with batches of about `values` values (at least a period)."""
+    with mock.patch.object(crt, "_BATCH_VALUES", values):
+        return list(crt._product_windows(spec, lo, hi))
+
+
 @given(
     st.lists(
         st.sampled_from([2, 3, 5, 7, 11]), min_size=1, max_size=4, unique=True
@@ -137,9 +143,10 @@ def test_crt_enumerate_picks_product_while_the_range_holds_every_class(monkeypat
     st.integers(0, 50),
     st.integers(0, 400),
     st.integers(0, 7),
+    st.sampled_from([1, 2, 7, crt._BATCH_VALUES]),
 )
 @settings(max_examples=120, derandomize=True, deadline=None)
-def test_modes_agree_randomized(primes, lo, width, seed):
+def test_modes_agree_randomized(primes, lo, width, seed, batch):
     entries = []
     for i, p in enumerate(sorted(primes)):
         allowed = [(seed + i + j) % p for j in range(1 + (seed + i) % p)]
@@ -147,7 +154,7 @@ def test_modes_agree_randomized(primes, lo, width, seed):
     spec = allow_spec(entries)
     hi = lo + width
     want = brute_enumerate(spec, lo, hi)
-    assert flat(crt._product_windows(spec, lo, hi)) == want
+    assert flat(product_in_batches(spec, lo, hi, batch)) == want
     assert flat(crt.scan_windows(spec, lo, hi)) == want
     assert list(crt_enumerate(spec, lo, hi)) == want
 
@@ -199,6 +206,30 @@ def test_scan_refuses_bounds_past_int64():
     assert [list(crt_enumerate(spec, n, n)) for n in (top - 6, top)] == [[top - 6], []]  # top scans
     with pytest.raises(ValueError, match="range-scan bounds must fit in int64"):
         crt_enumerate(spec, top + 1, top + 1)  # raised on the call, before a value is drawn
+
+
+def test_product_windows_hold_whole_periods_of_about_the_batch_size():
+    one_class = allow_spec([(3, [1])])
+    assert [w.tolist() for w in product_in_batches(one_class, 2, 29, 4)] == [
+        [4, 7, 10], [13, 16, 19, 22], [25, 28]]  # periods [0, 12), [12, 24), [24, 36), cut
+    twenty = allow_spec([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])])
+    windows = product_in_batches(twenty, 0, 3 * 210 - 1, 7)  # fewer values than a period
+    assert [len(w) for w in windows] == [20, 20, 20]
+    assert [w.tolist() for w in windows[1:]] == [(w + k * 210).tolist()
+                                                 for k, w in ((1, windows[0]), (2, windows[0]))]
+
+
+@pytest.mark.parametrize("batch", [1, 3, crt._BATCH_VALUES])
+def test_modulus_1_spec_takes_the_product_path(monkeypatch, batch):
+    spec = ResidueSpec(())
+    assert (spec.modulus, choice_count(spec)) == (1, 1)
+    monkeypatch.setattr(crt, "scan_windows", None)  # product, for every range
+    monkeypatch.setattr(crt, "_BATCH_VALUES", batch)
+    assert list(crt_enumerate(spec, 3, 17)) == list(range(3, 18))
+    assert list(crt_enumerate(spec, 0, 0)) == [0]
+    top = 1 << 63
+    got = list(crt_enumerate(spec, top - 2, top + 2))
+    assert got == list(range(top - 2, top + 3)) and all(type(v) is int for v in got)
 
 
 def test_empty_range_and_empty_spec():

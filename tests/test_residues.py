@@ -308,6 +308,20 @@ def test_named_builders_retain_at_most_one_spec():
     assert ResidueSpec.sophie_germain(PRIMES_TO_2000[:50]) is second
 
 
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_builders_hit_on_numpy_primes_and_prove_a_miss(name):
+    primes = PRIMES_TO_2000[:168]
+    spec = NAMED[name](primes)
+    assert NAMED[name](np.array(primes)) is spec  # compared as given, no conversion on a hit
+    assert NAMED[name](list(np.array(primes, dtype=np.int32))) is spec
+    with pytest.raises(ValueError, match=r"^9 is not prime$"):
+        NAMED[name](np.array([*primes[:3], 9]))
+    assert NAMED[name](primes) is spec  # the refused miss kept nothing
+    other = NAMED[name](np.array(primes[:20]))
+    assert other == PER_PRIME[name](primes[:20])
+    assert all(type(p) is int for p, _ in other.entries)
+
+
 def test_named_builders_under_two_alternating_threads():
     lists = (PRIMES_TO_2000[:60], PRIMES_TO_2000[1:61])
     want = [PER_PRIME["twins"](ps) for ps in lists]

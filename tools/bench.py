@@ -25,8 +25,9 @@ SUITE is one of the tables in ``SUITES``:
   per subcommand family;
 - ``crt``: ``primelab crt --allow ...`` listings on both enumeration paths: product
   mode over the 92 160 classes coprime to 255 255 = 3*5*7*11*13*17 for two periods
-  (184 320 values), the paper's 20-class example over 1..210, and a range scan of the
-  numbers up to 1e6 coprime to the nine primes up to 23.
+  (184 320 values), the paper's 20-class example over 1..210, a range scan of the
+  numbers up to 1e6 coprime to the nine primes up to 23, and product mode over one
+  class mod 3 up to 3e6 (a million periods of one value each).
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=<checkout>/src`` and stdout
 to /dev/null. Wall time is taken around the child, CPU time (user + system) and peak
@@ -204,6 +205,7 @@ SUITES = {
                                   "--allow", "7=1,3,4,5,6", "--lo", 1, "--hi", 210),
         "scan 9 primes": cli("crt", *coprime_to(2, 3, 5, 7, 11, 13, 17, 19, 23), "--lo", 1,
                              "--hi", 10**6),
+        "product 1 class to 3e6": cli("crt", "--allow", "3=1", "--hi", 3_000_000),
     },
 }
 
