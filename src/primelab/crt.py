@@ -90,8 +90,8 @@ def choice_count(spec: ResidueSpec) -> int:
 def _product_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
     """crt_windows' product path: ascending arrays of whole periods k*m, cut to [lo, hi].
 
-    Each array is a column of period starts plus the sorted CRT classes, raveled (ascending,
-    as every class is below m): about _BATCH_VALUES values, and never less than one period.
+    A batch is a column of exact period offsets k*m plus the sorted CRT classes, raveled
+    (ascending: every class is below m) and shifted: about _BATCH_VALUES values, at least a period.
     From hi + m = 2**62 on (a big modulus or bound) the arrays hold exact Python ints."""
     m = spec.modulus
     dtype = np.int64 if hi + m < _NUMPY_MOD_CAP else object
@@ -102,10 +102,10 @@ def _product_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray
         contrib = np.array([r * basis % m for r in range(p) if r not in struck], dtype=dtype)
         classes = (classes[:, None] + contrib).ravel() % m
     classes.sort()
-    step = m * max(1, _BATCH_VALUES // len(classes))
-    for base in range(lo // m * m, hi + 1, step):
-        starts = np.arange(base, min(base + step, hi + 1), m, dtype=dtype)
-        values = (starts[:, None] + classes).ravel()
+    per = min(max(1, _BATCH_VALUES // len(classes)), hi // m - lo // m + 1)  # periods in a batch
+    batch = (m * np.arange(per, dtype=dtype)[:, None] + classes).ravel()  # offsets from its base
+    for base in range(lo // m * m, hi + 1, per * m):
+        values = batch[:len(classes) * ((hi - base) // m + 1)] + base
         yield values[values.searchsorted(lo):values.searchsorted(hi, "right")]
 
 

@@ -208,6 +208,20 @@ def test_scan_refuses_bounds_past_int64():
         crt_enumerate(spec, top + 1, top + 1)  # raised on the call, before a value is drawn
 
 
+@pytest.mark.parametrize("top", [47, 59])  # 47#: the int64 path; 59#: past 2**62, Python ints
+@pytest.mark.parametrize("batch", [1, 7, crt._BATCH_VALUES])
+def test_product_periods_past_2_53_reach_hi_exactly(top, batch):
+    """The period starts are exact integers: with a modulus past 2**53, a period that starts
+    at or just below hi is listed, though (hi + 1 - base) / m rounds to a whole float."""
+    zero = allow_spec([(p, [0]) for p in sieve.sieve_primes(top).primes.tolist()])
+    m = zero.modulus  # its one class is 0
+    assert 2**53 < m and (2 * m < crt._NUMPY_MOD_CAP) == (top == 47) and choice_count(zero) == 1
+    for lo, hi, want in ((1, m, [m]), (0, m + 1, [0, m]), (m, 3 * m + 2**9, [m, 2 * m, 3 * m])):
+        got = flat(product_in_batches(zero, lo, hi, batch))
+        assert got == want and all(type(v) is int for v in got)
+    assert list(crt_enumerate(zero, 1, m)) == [m]
+
+
 def test_product_windows_hold_whole_periods_of_about_the_batch_size():
     one_class = allow_spec([(3, [1])])
     assert [w.tolist() for w in product_in_batches(one_class, 2, 29, 4)] == [
