@@ -25,13 +25,13 @@ __all__ = ["main", "run_command", "reproduce_paper"]
 
 
 def _table_from_cache(path: str | None, need: int) -> PrimeTable | None:
-    """Load the prime cache when present and big enough; (re)write it otherwise."""
+    """The prime cache's table to need when the file reaches need; (re)write it otherwise."""
     if path is None:
         return None
     from .sieve import load_cache, save_cache, sieve_primes
 
     if os.path.exists(path):
-        table = load_cache(path)
+        table = load_cache(path, need)
         if table.limit >= need:
             return table
     table = sieve_primes(need)

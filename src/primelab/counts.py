@@ -1,14 +1,16 @@
 """Exact counting identities, each paired with a brute-force oracle.
 
-Legendre's prime count (phi over the floor values [x/i], looping over the
-primes p <= cbrt(x) and gathering the rest, whose [x/p] only q <= sqrt(x/p)
-< cbrt(x) rewrite), the twin and k-tuple residue-survivor formulas (a
-windowed residue sieve; the paper's literal inclusion-exclusion over CRT
-classes is its test reference, in tests/test_counts.py), and the
-order-based counts of the Mersenne and Fermat primes 2^q -+ 1 <= x.  phi
-and the survivor count step from the previous call when it was near
-(_step); neither reads the oracle.  Every formula value here is an exact
-integer; approximation lives in :mod:`primelab.densities`.
+Legendre's prime count (phi over the floor values [x/i], a bounded chunk at
+a time from one period of 2*3*5*7*11*13, looping over the primes p <= cbrt(x)
+and gathering the rest, whose [x/p] only q <= sqrt(x/p) < cbrt(x) rewrite),
+the twin and k-tuple residue-survivor formulas (a windowed residue sieve; the
+paper's literal inclusion-exclusion over CRT classes is its test reference,
+in tests/test_counts.py), and the order-based counts of the Mersenne and
+Fermat primes 2^q -+ 1 <= x.  phi and the survivor count step from the
+previous call when it was near (_step; phi tests each n it steps over by gcd
+against products of consecutive primes); neither reads the oracle.  Every
+formula value here is an exact integer; approximation lives in
+:mod:`primelab.densities`.
 """
 
 from __future__ import annotations
@@ -137,36 +139,72 @@ def survivor_count(x: int, spec: ResidueSpec) -> int:
 # Legendre's prime-counting formula
 
 
+_FLOOR_CHUNK = 1 << 16  # the most entries of small or large that one numpy step of _phi_floor reads
+_SEED = np.array([2, 3, 5, 7, 11, 13])  # _phi_floor starts past these, from one period of their product
+_seed_phi = None  # phi(j, 6) for j < 30030, built on the first _phi_floor call that seeds
+
+
 def _phi_floor(x: int, primes: np.ndarray) -> int:
     """phi(x, a) for the first a primes (ascending, none above sqrt(x)), breadth first over the floor values.
 
     phi(v, a) = phi(v, a-1) - phi([v/p_a], a-1) only needs the v = [x/i], so
-    two int64 arrays hold c(v) = phi(v, a) + #{first a primes <= v}: small[v]
-    for v <= sqrt(x), large[i] for v = [x/i], i <= sqrt(x).  Below p_a^2 the
-    step leaves c as it is (phi loses 1, p_a is counted), so each prime
-    rewrites only the v >= p_a^2: c(v) -= c([v/p_a]) - a.  For p_a^3 > x the
-    step of large[1] reads large[p_a], which only q <= sqrt(x/p_a) < cbrt(x)
-    rewrite, so the loop stops there and large[1] -= sum(large[p_a] - a).
+    two arrays hold c(v) = phi(v, a) + #{first a primes <= v}: small[v] for
+    v <= sqrt(x) (int32 while that fits), large[i] for v = [x/i], i <= sqrt(x).
+    They start at c(v) = v, or at a = 6 once 13^3 <= x, where each whole period
+    of 30030 keeps 5760 values.  Below p_a^2 the step leaves c as it is (phi
+    loses 1, p_a is counted), so each prime rewrites only the v >= p_a^2:
+    c(v) -= c([v/p_a]) - a, _FLOOR_CHUNK entries at a time, large in ascending
+    i and small in descending v, so that every read is of a value not yet
+    rewritten for p_a.  For p_a^3 > x the step of large[1] reads large[p_a],
+    which only q <= sqrt(x/p_a) < cbrt(x) rewrite, so the loop stops there and
+    large[1] -= sum(large[p_a] - a).
     """
+    global _seed_phi
     r = math.isqrt(x)
-    small = np.arange(r + 1, dtype=np.int64)
-    large = x // small.clip(1)  # large[0] is unused
     cut = int(np.count_nonzero(primes <= x // (primes * primes)))  # the p with p^3 <= x, in integers
-    for a, p in enumerate(primes[:cut].tolist(), 1):
+    seed = len(_SEED) if cut >= len(_SEED) else 0
+    if seed and _seed_phi is None:
+        coprime = np.ones(30030, dtype=bool)
+        for p in _SEED.tolist():
+            coprime[::p] = False
+        _seed_phi = np.cumsum(coprime, dtype=np.int16)  # at most 5760
+    small = np.empty(r + 1, dtype=np.int32 if r < 1 << 31 else np.int64)
+    large = np.empty(r + 1, dtype=np.int64)  # large[0] is unused
+    for s in range(0, r + 1, _FLOOR_CHUNK):
+        v = np.arange(s, min(s + _FLOOR_CHUNK, r + 1))
+        for c, w in ((small, v), (large, x // v.clip(1))):
+            c[s:s + len(v)] = (w // 30030 * 5760 + _seed_phi[w % 30030] + _SEED.searchsorted(w, "right")
+                               if seed else w)
+    for a, p in enumerate(primes[seed:cut].tolist(), seed + 1):
         top = min(r, x // (p * p))  # the i with [x/i] >= p^2
         inner = min(top, r // p)  # [x/(ip)] is large[ip] while ip <= r, else small[x // (ip)]
-        outer = x // (np.arange(inner + 1, top + 1, dtype=np.int64) * p)
-        large[1:top + 1] -= np.concatenate((large[p:inner * p + 1:p], small[outer])) - a
-        small[p * p:] -= small[np.arange(p * p, r + 1) // p] - a
+        for s in range(1, inner + 1, _FLOOR_CHUNK):
+            e = min(s + _FLOOR_CHUNK, inner + 1)
+            large[s:e] -= large[s * p:(e - 1) * p + 1:p] - a
+        for s in range(inner + 1, top + 1, _FLOOR_CHUNK):
+            e = min(s + _FLOOR_CHUNK, top + 1)
+            large[s:e] -= small[x // (np.arange(s, e) * p)] - a
+        for e in range(r + 1, p * p, -_FLOOR_CHUNK):
+            s = max(p * p, e - _FLOOR_CHUNK)
+            small[s:e] -= small[np.arange(s, e) // p] - a
     return int(large[1] - (large[primes[cut:]] - np.arange(cut + 1, len(primes) + 1)).sum()) - len(primes)
 
 
 _phi_last = (0, 0, 0)  # (k, x, phi(x, k)) of the last _phi call, replaced whole
+_PRODUCT_BITS = 2048  # the size of each product of consecutive primes that _coprime_between reads
+_phi_products = (0, ())  # (k, _coprime_between's products of the first k primes), replaced whole
 
 
 def _coprime_between(lo: int, hi: int, primes: np.ndarray) -> int:
-    """The n in (lo, hi] coprime to every prime: one remainder table, the definition of phi."""
-    return int(np.count_nonzero((np.arange(lo + 1, hi + 1)[:, None] % primes).all(axis=1)))
+    """The n in (lo, hi] coprime to every prime, the definition of phi: gcd(n, q) == 1 for each
+    product q of consecutive primes (about _PRODUCT_BITS bits each, kept for the last k)."""
+    global _phi_products
+    k, products = _phi_products
+    if k != len(primes):
+        group = max(1, _PRODUCT_BITS // int(primes[-1]).bit_length())
+        products = tuple(math.prod(primes[i:i + group].tolist()) for i in range(0, len(primes), group))
+        _phi_products = (len(primes), products)
+    return sum(all(math.gcd(n, q) == 1 for q in products) for n in range(lo + 1, hi + 1))
 
 
 def _phi(x: int, primes: np.ndarray) -> int:
@@ -184,9 +222,11 @@ def legendre_pi(x: int, table: PrimeTable | None = None) -> CountReport:
     phi counts 1 and omits the k primes themselves, hence the trailing term
     (k - 1); the source's printed (p_k - 1) does not reproduce pi(20).  phi
     is _phi: a step from the previous call when it had the same k and an x
-    at most 64 away, else _phi_floor over the ~2 sqrt(x) floor values [x/i]
-    (a loop to cbrt(x), then one gather of the [x/p], which only q < cbrt(x)
-    rewrite).  Both read only the sieving primes, never the oracle's table or count.
+    at most 64 away (a gcd of each n between against products of consecutive
+    primes), else _phi_floor over the ~2 sqrt(x) floor values [x/i] (a
+    chunked loop to cbrt(x), then one gather of the [x/p], which only q <
+    cbrt(x) rewrite).  Both read only the sieving primes, never the oracle's
+    table or count.
     """
     if x < 4:
         raise ValueError("x must be >= 4")

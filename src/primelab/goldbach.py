@@ -18,7 +18,7 @@ import numpy as np
 
 from .crt import crt_enumerate, scan_windows
 from .residues import ResidueSpec, _form_entries
-from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set
+from .sieve import SEGMENT_ODD_BITS, PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set
 
 __all__ = [
     "SplitPlan",
@@ -39,6 +39,10 @@ __all__ = [
 # Full-period span enumeration is capped at sieving primes up to 13
 # (period 30030, at most 5760 classes); the class count grows exponentially.
 EXACT_SPAN_MAX_PRIME = 13
+
+# GUIDED's first scan window holds at least this many entries, and at least twice the largest
+# sieving prime (no candidate lies below it); each next window is twice as wide
+_GUIDED_WIDTH = 4096
 
 
 def _check_even_target(two_n: int) -> None:
@@ -164,7 +168,8 @@ def _pair_lows(two_n: int, mode: str, allow_zero_eta: bool, table: PrimeTable | 
     # zero parts first: each CRT candidate exceeds every sieving prime
     zero = [q for q in plan.primes if is_prime(two_n - q, table)] if allow_zero_eta else []
     lows = [np.array(zero, dtype=np.int64)]
-    for window in scan_windows(plan.eta_spec(), 2, two_n // 2):
+    width = max(_GUIDED_WIDTH, 2 * plan.primes[-1]) if mode == "GUIDED" else SEGMENT_ODD_BITS
+    for window in scan_windows(plan.eta_spec(), 2, two_n // 2, width):
         if len(window):  # _certify needs a candidate
             lows.append(window[:1] if mode == "GUIDED" else window)
             _certify(lows[-1], two_n, plan.primes)

@@ -45,6 +45,9 @@ CACHE_MAGIC = b"PRIMSET1"
 # Odd numbers covered by one sieve segment.
 SEGMENT_ODD_BITS = 1 << 20
 
+# Bitmap bytes that load_cache unpacks at a time.
+_CACHE_CHUNK = 1 << 15
+
 
 class CacheError(ValueError):
     """Base class for prime-cache file problems."""
@@ -327,24 +330,31 @@ def save_cache(table: PrimeTable, path) -> None:
     os.replace(tmp, path)
 
 
-def load_cache(path) -> PrimeTable:
-    """Read a cache file written by :func:`save_cache`; round-trip identity."""
+def load_cache(path, need: int | None = None) -> PrimeTable:
+    """Read a cache file written by :func:`save_cache`: its table to min(need, limit), or to its
+    limit when need is None (round-trip identity).
+
+    The magic, the length and the trailing prime count are checked over the whole file, the
+    bitmap _CACHE_CHUNK bytes at a time, so memory beyond the table is one chunk.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16 or raw[:8] != CACHE_MAGIC:
-        raise CacheMagicError("bad magic: not a prime cache file")
-    limit = struct.unpack("<Q", raw[8:16])[0]
-    n_bytes = (limit + 1 + 15) // 16
-    if len(raw) < 16 + n_bytes + 8:
-        raise CacheTruncatedError(
-            f"expected {16 + n_bytes + 8} bytes for limit {limit}, got {len(raw)}"
-        )
-    bitmap = np.frombuffer(raw[16 : 16 + n_bytes], dtype=np.uint8)
-    declared = struct.unpack("<Q", raw[16 + n_bytes : 24 + n_bytes])[0]
-    bits = np.unpackbits(bitmap, bitorder="little")
-    table = _table_from_odd_bits(limit, bits[: (limit + 1) // 2].astype(bool))
-    if len(table) != declared:
-        raise CacheChecksumError(
-            f"bitmap holds {len(table)} primes but trailer declares {declared}"
-        )
-    return table
+        head = fh.read(16)
+        if len(head) < 16 or head[:8] != CACHE_MAGIC:
+            raise CacheMagicError("bad magic: not a prime cache file")
+        limit = struct.unpack("<Q", head[8:])[0]
+        n_bytes = (limit + 1 + 15) // 16
+        size = os.fstat(fh.fileno()).st_size
+        if size < 16 + n_bytes + 8:
+            raise CacheTruncatedError(f"expected {16 + n_bytes + 8} bytes for limit {limit}, got {size}")
+        top = limit if need is None else min(need, limit)
+        odd, keep = (limit + 1) // 2, (top + 1) // 2  # the bits of the odd numbers <= limit, <= top
+        kept, found = [], int(limit >= 2)  # the bits up to top, and the primes: 2 and the set bits
+        for at in range(0, n_bytes, _CACHE_CHUNK):
+            chunk = np.frombuffer(fh.read(min(_CACHE_CHUNK, n_bytes - at)), dtype=np.uint8)
+            bits = np.unpackbits(chunk, bitorder="little")[:odd - 8 * at].view(bool)
+            found += int(np.count_nonzero(bits))
+            kept.append(bits[:max(keep - 8 * at, 0)].copy())
+        declared = struct.unpack("<Q", fh.read(8))[0]
+    if found != declared:
+        raise CacheChecksumError(f"bitmap holds {found} primes but trailer declares {declared}")
+    return _table_from_odd_bits(top, np.concatenate(kept))

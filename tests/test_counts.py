@@ -333,7 +333,8 @@ def test_legendre_pi_exact(x):
 
 
 @pytest.mark.parametrize("k, pi", [(5, 9_592), (6, 78_498), (7, 664_579), (8, 5_761_455),
-                                   (9, 50_847_534), (10, 455_052_511), (11, 4_118_054_813)])
+                                   (9, 50_847_534), (10, 455_052_511), (11, 4_118_054_813),
+                                   (12, 37_607_912_018)])
 def test_phi_floor_gives_the_published_pi_of_powers_of_ten(k, pi):
     primes = sieving_prime_set(10**k)
     assert counts._phi_floor(10**k, primes) + len(primes) - 1 == pi
@@ -358,6 +359,16 @@ def test_phi_floor_matches_the_loop_only_recursion_at_cubes_and_squares():
     cubes = [p**3 + d for p in sieve_primes(216).primes.tolist() for d in (-1, 0, 1)]
     squares = [p * p + d for p in sieve_primes(1000).primes.tolist() for d in (-1, 0, 1)]
     for x in sorted(set(cubes + squares) - {3}):
+        primes = sieving_prime_set(x)
+        assert counts._phi_floor(x, primes) == loop_only_phi(x, primes), x
+
+
+def test_phi_floor_matches_the_loop_only_recursion_in_chunks_of_16(monkeypatch):
+    # every chunk edge of both updates, below and above the seed's 13^3
+    monkeypatch.setattr(counts, "_FLOOR_CHUNK", 16)
+    xs = [*range(4, 3000, 7), 2196, 2197, 2198, *(p * p + d for p in (53, 257, 1009) for d in (-1, 0, 1)),
+          12_582_917, 10**7]
+    for x in xs:
         primes = sieving_prime_set(x)
         assert counts._phi_floor(x, primes) == loop_only_phi(x, primes), x
 
@@ -411,6 +422,35 @@ def test_phi_reads_no_oracle_on_either_path(monkeypatch):
     assert floor_calls == [x, x - 3, x + 65]
     last = counts._phi_last
     assert type(last) is tuple and len(last) == 3 and last[:2] == (168, x + 65)
+
+
+def remainder_table(lo, hi, primes):
+    """The n in (lo, hi] coprime to every prime, by one remainder table, as _coprime_between was."""
+    return int(np.count_nonzero((np.arange(lo + 1, hi + 1)[:, None] % primes).all(axis=1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 25, 168, 1229])
+def test_coprime_between_matches_the_remainder_table(k):
+    primes = sieve_primes(10_000).primes[:k]
+    for lo in (0, int(primes[-1]) ** 2 - 33, 10**6 + 12_345, 2**40 - 7):
+        for hi in range(lo, lo + 65):
+            assert counts._coprime_between(lo, hi, primes) == remainder_table(lo, hi, primes), (lo, hi)
+    products = counts._phi_products
+    assert products[0] == k and math.prod(products[1]) == math.prod(primes.tolist())
+    counts._coprime_between(10**6, 10**6 + 64, primes)
+    assert counts._phi_products is products  # built once per k
+
+
+def test_phi_step_memory_is_bounded():
+    x = 10**12
+    primes = sieving_prime_set(x)  # 78 498 primes: a 64 x k remainder table takes 38 MiB
+    tracemalloc.start()
+    try:
+        assert counts._coprime_between(x, x + 64, primes) == 3  # 10^12 + 39, + 61 and + 63
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 _SQUARE_PRIMES = sieve_primes(1000).primes.tolist()

@@ -200,6 +200,21 @@ def test_scan_strikes_from_unaligned_starts():
         assert scan_in_windows(spec, lo, lo + 3000, chunk) == want
 
 
+@given(scan_specs(), st.integers(0, 10**6), st.integers(0, 500), st.integers(1, 7))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_scan_windows_double_from_their_first_width_up_to_the_segment(spec, lo, span, first):
+    # with segments of 16 entries, windows of first, 2 first, ... entries stop doubling at 16
+    with mock.patch.object(crt, "SEGMENT_ODD_BITS", 16):
+        windows = list(crt.scan_windows(spec, lo, lo + span, first))
+    start, width, bounds = lo, first, []
+    while start <= lo + span:
+        bounds.append((start, min(start + width - 1, lo + span)))
+        start, width = start + width, min(2 * width, 16)
+    assert len(windows) == len(bounds)
+    assert all(a <= v <= b for window, (a, b) in zip(windows, bounds) for v in window.tolist())
+    assert flat(windows) == brute_enumerate(spec, lo, lo + span)
+
+
 def test_scan_refuses_bounds_past_int64():
     spec = allow_spec([(3, [1]), (5, [2, 3])])  # 2 classes: a range of width 1 takes the scan path
     top = 1 << 62

@@ -1,5 +1,6 @@
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from primelab.goldbach import (
     twin_crt_search,
 )
 from primelab.residues import ResidueSpec
-from primelab.sieve import is_prime, sieve_primes
+from primelab.sieve import is_prime, sieve_primes, sieving_prime_set
 
 
 def test_split_remainder_listings():
@@ -192,9 +193,9 @@ def test_twin_crt_search_beyond_certification_filters():
 
 def injecting(position, value):
     """A scan_windows stand-in that swaps the candidate at one stream position for value."""
-    def windows(spec, lo, hi):
+    def windows(spec, lo, hi, width):
         seen = 0
-        for window in crt.scan_windows(spec, lo, hi):
+        for window in crt.scan_windows(spec, lo, hi, width):
             if seen <= position < seen + len(window):
                 window = window.copy()
                 window[position - seen] = value
@@ -286,14 +287,15 @@ def test_goldbach_enumerate_needs_no_table_past_the_sieving_primes(monkeypatch):
 
 @pytest.mark.parametrize("width", [1, 2, 7, sieve.SEGMENT_ODD_BITS])
 def test_chunk_edges_keep_every_pair(monkeypatch, width):
-    window_width(monkeypatch, width)  # width 1 leaves most windows empty
+    narrow = partial(sieve.avoiding_windows, width=width)  # width 1 leaves most windows empty
+    monkeypatch.setattr(goldbach, "_GUIDED_WIDTH", width)
     # a narrow window costs a residue mask and a verification step of its own, so the narrow
     # widths stop below 3000 (every 2n <= 3000 at width 1 alone takes over two minutes)
     top = {1: 400, 2: 600, 7: 1000}.get(width, 3000)
     pulled = []
 
-    def counted(spec, lo, hi):
-        for window in crt.scan_windows(spec, lo, hi):
+    def counted(spec, lo, hi, first):
+        for window in crt.scan_windows(spec, lo, hi, first):
             pulled.append(window)
             yield window
 
@@ -302,14 +304,18 @@ def test_chunk_edges_keep_every_pair(monkeypatch, width):
     for two_n in range(6, top + 1, 2):
         want = brute_goldbach_pairs(two_n, table)
         root = math.isqrt(two_n)
-        exact = goldbach_enumerate(two_n, "EXACT", table=table)
-        assert exact == [pq for pq in want if pq[0] > root], two_n
+        with mock.patch.object(crt, "avoiding_windows", narrow):  # EXACT in windows of width
+            exact = goldbach_enumerate(two_n, "EXACT", table=table)
+            assert exact == [pq for pq in want if pq[0] > root], two_n
+            assert goldbach_enumerate(two_n, "EXACT", allow_zero_eta=True, table=table) == want, two_n
         pulled.clear()
         assert goldbach_enumerate(two_n, "GUIDED", table=table) == exact[:1], two_n
-        # GUIDED pulls no window after the one holding its pair, which starts at 2 + k * width
-        last = (exact[0][0] - 2) // width if exact else (two_n // 2 - 2) // width
-        assert len(pulled) == last + 1, two_n
-        assert goldbach_enumerate(two_n, "EXACT", allow_zero_eta=True, table=table) == want, two_n
+        # GUIDED pulls no window after the one holding its pair.  Its first window holds
+        # max(width, 2 p_k) entries and each next one twice as many, so window j starts at
+        # 2 + first * (2^j - 1)
+        first = max(width, 2 * int(sieving_prime_set(two_n, table)[-1]))
+        last = exact[0][0] if exact else two_n // 2
+        assert len(pulled) == ((last - 2) // first + 1).bit_length(), two_n
 
 
 def direct_span_candidates(two_n):

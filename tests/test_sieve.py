@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -191,6 +192,41 @@ def test_cache_checksum(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CacheChecksumError):
         load_cache(path)
+
+
+def test_cache_loads_the_table_up_to_need(tmp_path):
+    path = tmp_path / "primes.cache"
+    save_cache(sieve_primes(10_000), path)
+    for need in (0, 1, 2, 3, 15, 16, 17, 1000, 9999, 10_000, 20_000):
+        loaded, want = load_cache(path, need), sieve_primes(min(need, 10_000))
+        assert loaded.limit == want.limit, need
+        assert np.array_equal(loaded.primes, want.primes) and np.array_equal(loaded.odd_bits, want.odd_bits)
+
+
+def test_cache_checks_the_whole_file_whatever_need_is(tmp_path, monkeypatch):
+    monkeypatch.setattr(sieve, "_CACHE_CHUNK", 7)  # 90 chunks of the 626-byte bitmap, the last short
+    path = tmp_path / "primes.cache"
+    save_cache(sieve_primes(10_000), path)
+    assert load_cache(path, 100).limit == 100
+    raw = path.read_bytes()
+    path.write_bytes(raw[:16 + 600] + bytes([raw[16 + 600] ^ 0x01]) + raw[16 + 601:])  # clears the prime 9601
+    with pytest.raises(CacheChecksumError, match="^bitmap holds 1228 primes but trailer declares 1229$"):
+        load_cache(path, 100)
+    path.write_bytes(raw[:-1])
+    with pytest.raises(CacheTruncatedError):
+        load_cache(path, 100)
+
+
+def test_cache_load_memory_follows_need(tmp_path):
+    path = tmp_path / "primes.cache"
+    save_cache(sieve_primes(10**7), path)  # a 625 KB bitmap: unpacked whole, 5 MB
+    tracemalloc.start()
+    try:
+        assert len(load_cache(path, 1000)) == 168
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @given(st.integers(0, 5000))

@@ -27,7 +27,14 @@ SUITE is one of the tables in ``SUITES``:
   mode over the 92 160 classes coprime to 255 255 = 3*5*7*11*13*17 for two periods
   (184 320 values), the paper's 20-class example over 1..210, a range scan of the
   numbers up to 1e6 coprime to the nine primes up to 23, and product mode over one
-  class mod 3 up to 3e6 (a million periods of one value each).
+  class mod 3 up to 3e6 (a million periods of one value each);
+- ``phi``: the two routes of Legendre's phi in ``primelab.counts``, called directly:
+  ``_phi_floor`` at 1e10, 1e11, 1e12 and 1e13, each in a child of its own that checks the
+  published pi(x) and reports its time and the child's peak RSS (see ``PHI_FLOOR_CHILD``);
+  the step ``_coprime_between`` over 64 x after 1e11 and 1e12 and over one x after
+  1e7 + 12 345, with the time and tracemalloc peak of the first call (a cold one) and of a
+  warm call beside the per-call times; and ``_phi_floor`` at 1e5 and 1e7 + 12 345, the
+  floor calls of a lib-sweep run, per call (see ``PHI_PER_CALL_CHILD``).
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=<checkout>/src`` and stdout
 to /dev/null. Wall time is taken around the child, CPU time (user + system) and peak
@@ -58,7 +65,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNS = 10
 ENV_FLAGS = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS")
-SELF_TIMING = {"specs", "sweep"}  # suites whose children print their own JSON
+SELF_TIMING = {"specs", "sweep", "phi"}  # suites whose children print their own JSON
 
 
 def cli(*args) -> list[str]:
@@ -180,6 +187,53 @@ for x in (10**6, 10**9, 10**12):
 print(json.dumps(per_call_us(cases)))
 """
 
+# phi's two private routes keep their names and arguments in every checkout timed so far.
+# The floor child takes k and times _phi_floor(10**k) once; its peak RSS is the process's.
+PHI_FLOOR_CHILD = """
+import json, resource, sys, time
+import primelab.counts as counts
+from primelab import sieving_prime_set
+
+PUBLISHED_PI = {10: 455_052_511, 11: 4_118_054_813, 12: 37_607_912_018, 13: 346_065_536_839}  # OEIS A006880
+k = int(sys.argv[1])
+primes = sieving_prime_set(10**k)
+start = time.perf_counter()
+phi = counts._phi_floor(10**k, primes)
+ms = (time.perf_counter() - start) * 1e3
+assert phi + len(primes) - 1 == PUBLISHED_PI[k]
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
+print(json.dumps({f"floor 1e{k}": {"ms": ms, "peak_rss_mb": rss}}))
+"""
+
+PHI_PER_CALL_CHILD = FIVE_SAMPLES + """
+import time, tracemalloc
+import primelab.counts as counts
+from primelab import sieving_prime_set
+
+def step(x, dx):
+    primes = sieving_prime_set(x)
+    return lambda: counts._coprime_between(x, x + dx, primes), 1
+
+def floor(x):
+    primes = sieving_prime_set(x)
+    return lambda: counts._phi_floor(x, primes), 1
+
+cases = {"step 64 at 1e11": step(10**11, 64), "step 64 at 1e12": step(10**12, 64),
+         "step 1 at 1e7": step(10**7 + 12_345, 1),
+         "floor 1e5": floor(10**5), "floor 1e7": floor(10**7 + 12_345)}
+first = {}
+for case, (run, _) in cases.items():  # each step case has a k of its own: its first call is cold
+    start = time.perf_counter()
+    run()
+    first[case] = {"cold_ms": (time.perf_counter() - start) * 1e3}
+    tracemalloc.start()
+    run()  # a warm call, traced
+    first[case]["warm_traced_kib"] = tracemalloc.get_traced_memory()[1] / 1024
+    tracemalloc.stop()
+times = per_call_us(cases)
+print(json.dumps({case: {**times[case], **first[case]} for case in cases}))
+"""
+
 SUITES = {
     "render": {f"{fmt} {limit}": cli("--format", fmt, "primes", "--limit", limit, "--list")
                for fmt in ("json", "csv", "table") for limit in (10**5, 10**6, 10**7)},
@@ -207,6 +261,8 @@ SUITES = {
                              "--hi", 10**6),
         "product 1 class to 3e6": cli("crt", "--allow", "3=1", "--hi", 3_000_000),
     },
+    "phi": {**{f"floor 1e{k}": ["-c", PHI_FLOOR_CHILD, str(k)] for k in (10, 11, 12, 13)},
+            "per call": ["-c", PHI_PER_CALL_CHILD]},
 }
 
 
