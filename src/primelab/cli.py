@@ -70,7 +70,10 @@ def _cmd_count(args, report: Report) -> int:
     elif args.kind == "twin":
         cr = counts.twin_count_formula(args.x, table)
     elif args.kind == "tuple":
-        offsets = tuple(int(t) for t in args.offsets.split(","))
+        try:
+            offsets = tuple(int(t) for t in args.offsets.split(","))
+        except ValueError:
+            raise ValueError(f"malformed --offsets token {args.offsets!r}: want d,d,...") from None
         report.params["offsets"] = list(offsets)
         cr = counts.tuple_count_formula(args.x, AdmissibleTuple(offsets), table)
     elif args.kind == "mersenne":
@@ -123,6 +126,8 @@ def _parse_allow(tokens) -> ResidueSpec:
             m, allowed = int(head), {int(r) for r in tail.split(",")}
         except ValueError:
             raise ValueError(f"malformed --allow token {token!r}: want m=r,r,...") from None
+        if m < 1:
+            raise ValueError(f"--allow modulus {m} is below 1")
         if any(not 0 <= r < m for r in allowed):
             raise ValueError(f"residue out of range mod {m}")
         if m > _ALLOW_MAX_MODULUS:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .residues import ResidueSpec, _check_coprime
-from .sieve import SEGMENT_ODD_BITS, avoiding_mask, avoiding_windows
+from .sieve import avoiding_mask, avoiding_windows
 
 __all__ = [
     "CongruenceSystem",
@@ -109,24 +109,20 @@ def _product_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray
         yield values[values.searchsorted(lo):values.searchsorted(hi, "right")]
 
 
-def scan_windows(spec: ResidueSpec, lo: int, hi: int, width: int = SEGMENT_ODD_BITS) -> Iterator[np.ndarray]:
+def scan_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
     """crt_windows' scan path: one ascending int64 array (maybe empty) per avoiding_windows window.
 
-    The first window holds width entries, and each next one twice as many, up to
-    SEGMENT_ODD_BITS.  Each modulus strikes its struck residues, or, when more residues are
-    struck than kept, the kept ones on a mask that is then inverted: at most
-    min(u, m - u) slices per modulus and window, whatever the modulus.
+    Each modulus strikes its struck residues, or, when more residues are struck than kept,
+    the kept ones on a mask that is then inverted: at most min(u, m - u) slices per modulus
+    and window, whatever the modulus.
     """
     kept = [(m, [r for r in range(m) if r not in s]) for m, s in spec.entries if 2 * len(s) > m]
     struck = [(m, s) for m, s in spec.entries if 2 * len(s) <= m]
-    while lo <= hi:
-        last = min(lo + width - 1, hi)
-        for start, mask in avoiding_windows(lo, last, struck):  # one window at the default width
-            stop = start + len(mask) - 1
-            for entry in kept:
-                mask &= ~avoiding_mask(start, stop, (entry,))
-            yield np.flatnonzero(mask) + start
-        lo, width = last + 1, min(2 * width, SEGMENT_ODD_BITS)
+    for start, mask in avoiding_windows(lo, hi, struck):
+        stop = start + len(mask) - 1
+        for entry in kept:
+            mask &= ~avoiding_mask(start, stop, (entry,))
+        yield np.flatnonzero(mask) + start
 
 
 def crt_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:

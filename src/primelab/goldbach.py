@@ -4,8 +4,8 @@ The pipeline: split the remainders of the even target 2n into nonzero parts
 at every sieving prime, enumerate the resulting CRT classes, and read off
 prime pairs.  A candidate p in [2, n] avoids 0 and 2n modulo every sieving
 prime q <= sqrt(2n), so p and 2n - p are both prime (their trial-division
-certificates are vacuous).  Striking the sieving primes' multiples over each
-scan window checks that certificate; no table past sqrt(2n) is built.
+certificates are vacuous).  Striking the sieving primes' multiples over what
+was read, EXACT's scan windows or GUIDED's first candidate, checks that certificate.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from .crt import crt_enumerate, scan_windows
 from .residues import ResidueSpec, _form_entries
-from .sieve import SEGMENT_ODD_BITS, PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set
+from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set
 
 __all__ = [
     "SplitPlan",
@@ -39,10 +40,6 @@ __all__ = [
 # Full-period span enumeration is capped at sieving primes up to 13
 # (period 30030, at most 5760 classes); the class count grows exponentially.
 EXACT_SPAN_MAX_PRIME = 13
-
-# GUIDED's first scan window holds at least this many entries, and at least twice the largest
-# sieving prime (no candidate lies below it); each next window is twice as wide
-_GUIDED_WIDTH = 4096
 
 
 def _check_even_target(two_n: int) -> None:
@@ -149,11 +146,11 @@ def goldbach_enumerate(
     """Prime pairs (p, q), p <= q, p + q = two_n, from the split-plan classes.
 
     Every CRT candidate p in [2, two_n / 2] is the smaller member of a pair: its partner
-    two_n - p is a candidate too.  EXACT reads them all; GUIDED reads only the first one
-    and returns its pair.  Each scan window read gets the certificate (no sieving-prime
-    multiple among the candidates or their partners), the only check; nothing needs a
-    prime table beyond sqrt(two_n).  allow_zero_eta additionally admits pairs whose
-    smaller member is itself a sieving prime (the zero-part splits the plan omits).
+    two_n - p is a candidate too.  EXACT scans them all; GUIDED tests n past the largest
+    sieving prime against the spec's struck sets and returns the first candidate's pair.
+    What is read gets the certificate (no sieving-prime multiple among the candidates or their
+    partners), the only check; nothing needs a prime table beyond sqrt(two_n).  allow_zero_eta
+    also admits pairs whose smaller member is a sieving prime (the zero-part splits omitted).
     """
     low = _pair_lows(two_n, mode, allow_zero_eta, table)
     return list(zip(low.tolist(), (two_n - low).tolist()))
@@ -165,16 +162,17 @@ def _pair_lows(two_n: int, mode: str, allow_zero_eta: bool, table: PrimeTable | 
     if mode not in ("EXACT", "GUIDED"):
         raise ValueError(f"mode must be EXACT or GUIDED, not {mode!r}")
     plan = build_split_plan(two_n, table)
-    # zero parts first: each CRT candidate exceeds every sieving prime
+    # zero parts first: every n <= p_k is a sieving prime or has a sieving-prime factor
     zero = [q for q in plan.primes if is_prime(two_n - q, table)] if allow_zero_eta else []
+    spec, lo, hi = plan.eta_spec(), plan.primes[-1] + 1, two_n // 2
+    # GUIDED's one candidate: the first n outside every struck set, read off the spec itself
+    first = (n for n in range(lo, hi + 1) if all(n % p not in s for p, s in spec.entries))
+    windows = [np.fromiter(islice(first, 1), np.int64)] if mode == "GUIDED" else scan_windows(spec, lo, hi)
     lows = [np.array(zero, dtype=np.int64)]
-    width = max(_GUIDED_WIDTH, 2 * plan.primes[-1]) if mode == "GUIDED" else SEGMENT_ODD_BITS
-    for window in scan_windows(plan.eta_spec(), 2, two_n // 2, width):
+    for window in windows:
         if len(window):  # _certify needs a candidate
-            lows.append(window[:1] if mode == "GUIDED" else window)
-            _certify(lows[-1], two_n, plan.primes)
-            if mode == "GUIDED":
-                break
+            _certify(window, two_n, plan.primes)
+            lows.append(window)
     return np.concatenate(lows)
 
 

@@ -209,6 +209,13 @@ def test_malformed_allow_token_exits_1_naming_it(capsys, token):
     assert err == f"error: malformed --allow token {token!r}: want m=r,r,...\n"
 
 
+@pytest.mark.parametrize("token, m", [("0=0", 0), ("-3=1", -3)])
+def test_allow_modulus_below_1_exits_1_naming_it(capsys, token, m):
+    # checked before the residues, which no modulus below 1 can have in range
+    code, err = run_error(capsys, "crt", f"--allow={token}")
+    assert (code, err) == (1, f"error: --allow modulus {m} is below 1\n")
+
+
 def test_allow_modulus_beyond_the_complement_bound_exits_1(capsys):
     code, err = run_error(capsys, "crt", "--allow", "1000003=1", "--hi", "10")
     assert (code, err) == (1, "error: --allow modulus 1000003 exceeds 1000000\n")
@@ -218,6 +225,12 @@ def test_allow_modulus_beyond_the_complement_bound_exits_1(capsys):
 def test_malformed_congruence_token_exits_1_naming_it(capsys, token):
     code, err = run_error(capsys, "crt", "2:3", token)
     assert (code, err) == (1, f"error: malformed congruence token {token!r}: want r:m\n")
+
+
+@pytest.mark.parametrize("offsets", ["2,x", ",", "2,,6"])
+def test_malformed_offsets_exit_1_naming_them(capsys, offsets):
+    code, err = run_error(capsys, "count", "tuple", "--x", "100", "--offsets", offsets)
+    assert (code, err) == (1, f"error: malformed --offsets token {offsets!r}: want d,d,...\n")
 
 
 CRT_PATHS = {"product": crt._product_windows, "scan": crt.scan_windows}  # crt_windows' two paths

@@ -1,6 +1,5 @@
 import math
 from functools import partial
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from primelab.goldbach import (
     twin_crt_search,
 )
 from primelab.residues import ResidueSpec
-from primelab.sieve import is_prime, sieve_primes, sieving_prime_set
+from primelab.sieve import is_prime, sieve_primes
 
 
 def test_split_remainder_listings():
@@ -73,6 +72,10 @@ def test_enumerate_worked_examples():
 
 def test_enumerate_guided_stops_at_first():
     assert goldbach_enumerate(100, "GUIDED") == [(11, 89)]
+    table = sieve_primes(math.isqrt(20_000))
+    for two_n in range(6, 20_001, 2):
+        exact = goldbach_enumerate(two_n, "EXACT", table=table)
+        assert goldbach_enumerate(two_n, "GUIDED", table=table) == exact[:1], two_n
 
 
 @given(st.integers(3, 1500))
@@ -193,9 +196,9 @@ def test_twin_crt_search_beyond_certification_filters():
 
 def injecting(position, value):
     """A scan_windows stand-in that swaps the candidate at one stream position for value."""
-    def windows(spec, lo, hi, width):
+    def windows(spec, lo, hi):
         seen = 0
-        for window in crt.scan_windows(spec, lo, hi, width):
+        for window in crt.scan_windows(spec, lo, hi):
             if seen <= position < seen + len(window):
                 window = window.copy()
                 window[position - seen] = value
@@ -209,9 +212,9 @@ def window_width(monkeypatch, width):
     monkeypatch.setattr(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width))
 
 
-# 1000's candidates 47, 53, 59, 71, 89, 113, ... fill one default window; windows of 64
-# entries from 2 hold positions 0-2, 3-5, 6-9, ...  Every candidate is the smaller member
-# of a pair, so GUIDED reads position 0 alone and never reads positions 1 or 2.
+# 1000's candidates 47, 53, 59, 71, 89, 113, ... lie above its largest sieving prime 31 and
+# fill one default window; windows of 64 entries from 32 hold positions 0-4, 5-6, 7-9, ...
+# GUIDED reads its one candidate off the spec, and never any position of this stream.
 @pytest.mark.parametrize("mode, position", [("EXACT", 0), ("EXACT", 1), ("EXACT", 2), ("EXACT", 3),
                                             ("EXACT", 4), ("EXACT", 6), ("EXACT", 8),
                                             ("GUIDED", 0), ("GUIDED", 1), ("GUIDED", 2)])
@@ -225,7 +228,7 @@ def test_certificate_rejects_a_sieving_prime_multiple_anywhere_in_a_chunk(monkey
         window_width(monkeypatch, width)
         for value, message in rejected:
             monkeypatch.setattr(goldbach, "scan_windows", injecting(position, value))
-            if mode == "GUIDED" and position > 0:  # past the pair: never read
+            if mode == "GUIDED":  # the stream is never read
                 assert goldbach_enumerate(1000, mode) == [(47, 953)]
                 continue
             with pytest.raises(AssertionError, match=f"^{message}$"):
@@ -236,7 +239,7 @@ def test_certificate_rejects_a_sieving_prime_multiple_anywhere_in_a_chunk(monkey
 def test_certificate_rejects_a_coprime_composite(monkeypatch, position):
     # 121 = 11^2 has no factor among 2n = 100's sieving primes 2, 3, 5, 7; no such composite
     # lies below 11^2 > 2n, so the certificate's range [2, n] rules it out.  Windows of
-    # 6 entries from 2 hold the candidates 11, 17 and 29 apart, between empty ones
+    # 6 entries from 8 hold the candidates 11, 17 and 29 apart, an empty one before 29's
     for width in (sieve.SEGMENT_ODD_BITS, 6):
         window_width(monkeypatch, width)
         monkeypatch.setattr(goldbach, "scan_windows", injecting(position, 121))
@@ -247,16 +250,16 @@ def test_certificate_rejects_a_coprime_composite(monkeypatch, position):
 @pytest.mark.parametrize("kept", [0, 1])
 @pytest.mark.parametrize("mode", ["EXACT", "GUIDED"])
 def test_certificate_rejects_a_spec_missing_a_struck_residue(monkeypatch, kept, mode):
-    # at 2n = 1000 = 1 (mod 3) the spec strikes {0, 1} mod 3; keeping 0 lets the multiple
-    # of 3 that is 3 itself through, keeping 1 lets a candidate whose partner is one through
+    # at 2n = 40 = 1 (mod 3) the spec strikes {0, 1} mod 3 and reads from p_k + 1 = 6;
+    # keeping 0 makes 9 the first survivor, keeping 1 makes it 7, whose partner is 33 = 3 * 11
     def eta_spec(plan):
         return ResidueSpec(tuple((p, frozenset((0, b)) - ({kept} if p == 3 else set()))
                                  for p, b in zip(plan.primes, plan.beta)))
 
     monkeypatch.setattr(goldbach.SplitPlan, "eta_spec", eta_spec)
-    side = "^candidate 3" if kept == 0 else "^partner [0-9]+ of candidate [0-9]+"
-    with pytest.raises(AssertionError, match=f"{side} divisible by sieving prime 3$"):
-        goldbach_enumerate(1000, mode)
+    side = "candidate 9" if kept == 0 else "partner 33 of candidate 7"
+    with pytest.raises(AssertionError, match=f"^{side} divisible by sieving prime 3$"):
+        goldbach_enumerate(40, mode)
 
 
 def test_goldbach_enumerate_needs_no_table_past_the_sieving_primes(monkeypatch):
@@ -272,6 +275,7 @@ def test_goldbach_enumerate_needs_no_table_past_the_sieving_primes(monkeypatch):
 
     monkeypatch.setattr(sieve, "sieve_primes", bounded)
     assert goldbach_enumerate(10**10, "GUIDED") == [(100109, 9999899891)]
+    assert goldbach_enumerate(10**12, "GUIDED") == [(1000409, 999998999591)]
     tables = {root: sieve_primes(root) for root in range(2, math.isqrt(3000) + 1)}
     oracle = sieve_primes(3000)
     monkeypatch.setattr(sieve, "_shared_table", None)  # no process table can answer instead
@@ -287,35 +291,18 @@ def test_goldbach_enumerate_needs_no_table_past_the_sieving_primes(monkeypatch):
 
 @pytest.mark.parametrize("width", [1, 2, 7, sieve.SEGMENT_ODD_BITS])
 def test_chunk_edges_keep_every_pair(monkeypatch, width):
-    narrow = partial(sieve.avoiding_windows, width=width)  # width 1 leaves most windows empty
-    monkeypatch.setattr(goldbach, "_GUIDED_WIDTH", width)
+    window_width(monkeypatch, width)  # width 1 leaves most windows empty
     # a narrow window costs a residue mask and a verification step of its own, so the narrow
     # widths stop below 3000 (every 2n <= 3000 at width 1 alone takes over two minutes)
     top = {1: 400, 2: 600, 7: 1000}.get(width, 3000)
-    pulled = []
-
-    def counted(spec, lo, hi, first):
-        for window in crt.scan_windows(spec, lo, hi, first):
-            pulled.append(window)
-            yield window
-
-    monkeypatch.setattr(goldbach, "scan_windows", counted)
     table = sieve_primes(top)
     for two_n in range(6, top + 1, 2):
         want = brute_goldbach_pairs(two_n, table)
         root = math.isqrt(two_n)
-        with mock.patch.object(crt, "avoiding_windows", narrow):  # EXACT in windows of width
-            exact = goldbach_enumerate(two_n, "EXACT", table=table)
-            assert exact == [pq for pq in want if pq[0] > root], two_n
-            assert goldbach_enumerate(two_n, "EXACT", allow_zero_eta=True, table=table) == want, two_n
-        pulled.clear()
+        exact = goldbach_enumerate(two_n, "EXACT", table=table)
+        assert exact == [pq for pq in want if pq[0] > root], two_n
+        assert goldbach_enumerate(two_n, "EXACT", allow_zero_eta=True, table=table) == want, two_n
         assert goldbach_enumerate(two_n, "GUIDED", table=table) == exact[:1], two_n
-        # GUIDED pulls no window after the one holding its pair.  Its first window holds
-        # max(width, 2 p_k) entries and each next one twice as many, so window j starts at
-        # 2 + first * (2^j - 1)
-        first = max(width, 2 * int(sieving_prime_set(two_n, table)[-1]))
-        last = exact[0][0] if exact else two_n // 2
-        assert len(pulled) == ((last - 2) // first + 1).bit_length(), two_n
 
 
 def direct_span_candidates(two_n):

@@ -7,7 +7,7 @@ SUITE is one of the tables in ``SUITES``:
 - ``render``: ``primelab --format F primes --limit L --list`` for F in json, csv,
   table and L in 1e5, 1e6, 1e7;
 - ``goldbach``: ``primelab goldbach --even E --mode M`` for E in 1e6, 1e8 and M in
-  exact, guided;
+  exact, guided, and guided at E = 1e12;
 - ``specs``: the six struck-residue spec builders (twins, Sophie Germain, the tuples
   (2,6) and (2,6,8), Goldbach's eta spec and ``lambda_filter(11, 13, .)``) over the
   first 11, 65, 1 229 and 9 592 primes, timed inside the child (see ``SPECS_CHILD``);
@@ -237,8 +237,9 @@ print(json.dumps({case: {**times[case], **first[case]} for case in cases}))
 SUITES = {
     "render": {f"{fmt} {limit}": cli("--format", fmt, "primes", "--limit", limit, "--list")
                for fmt in ("json", "csv", "table") for limit in (10**5, 10**6, 10**7)},
-    "goldbach": {f"{even} {mode}": cli("goldbach", "--even", even, "--mode", mode)
-                 for even in (10**6, 10**8) for mode in ("exact", "guided")},
+    "goldbach": {**{f"{even} {mode}": cli("goldbach", "--even", even, "--mode", mode)
+                    for even in (10**6, 10**8) for mode in ("exact", "guided")},
+                 "1e12 guided": cli("goldbach", "--even", 10**12, "--mode", "guided")},
     "specs": {"builders": ["-c", SPECS_CHILD]},
     "sweep": {"sweeps": ["-c", SWEEP_CHILD]},
     "startup": {
