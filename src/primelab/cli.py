@@ -58,6 +58,14 @@ def _cmd_primes(args, report: Report) -> int:
     return 0
 
 
+# each kind's library function by name, looked up when it runs (so a rebinding is what runs)
+_COUNT_KINDS = {"pi": "legendre_pi", "twin": "twin_count_formula", "tuple": "tuple_count_formula",
+                "mersenne": "mersenne_exact_count", "fermat": "fermat_exact_count"}
+_ESTIMATE_KINDS = {"psi": "psi_estimate", "omega": "omega_estimate", "ap-psi": "ap_psi_estimate",
+                   "ap-omega": "ap_omega_estimate", "mersenne": "mersenne_estimate",
+                   "fermat": "fermat_estimate", "twin-constant": "twin_constant_probe"}
+
+
 def _cmd_count(args, report: Report) -> int:
     from . import counts
     from .residues import AdmissibleTuple
@@ -65,21 +73,15 @@ def _cmd_count(args, report: Report) -> int:
     # the formulas read the sieving primes <= sqrt(x); an oracle that needs more sieves it uncached
     table = _table_from_cache(args.cache, math.isqrt(max(args.x, 0)))
     report.params = {"kind": args.kind, "x": args.x}
-    if args.kind == "pi":
-        cr = counts.legendre_pi(args.x, table)
-    elif args.kind == "twin":
-        cr = counts.twin_count_formula(args.x, table)
-    elif args.kind == "tuple":
+    pattern = ()
+    if args.kind == "tuple":
         try:
             offsets = tuple(int(t) for t in args.offsets.split(","))
         except ValueError:
             raise ValueError(f"malformed --offsets token {args.offsets!r}: want d,d,...") from None
         report.params["offsets"] = list(offsets)
-        cr = counts.tuple_count_formula(args.x, AdmissibleTuple(offsets), table)
-    elif args.kind == "mersenne":
-        cr = counts.mersenne_exact_count(args.x, table)
-    else:  # fermat
-        cr = counts.fermat_exact_count(args.x, table)
+        pattern = (AdmissibleTuple(offsets),)
+    cr = getattr(counts, _COUNT_KINDS[args.kind])(args.x, *pattern, table)
     report.rows.append(cr.row())
     if cr.delta:
         report.warn(f"formula deviates from oracle by {cr.delta}")
@@ -91,21 +93,12 @@ def _cmd_estimate(args, report: Report) -> int:
 
     table = _table_from_cache(args.cache, math.isqrt(max(args.x, 0)))  # as in _cmd_count
     report.params = {"kind": args.kind, "x": args.x}
-    if args.kind == "psi":
-        er = densities.psi_estimate(args.x, table)
-    elif args.kind == "omega":
-        er = densities.omega_estimate(args.x, table)
-    elif args.kind == "ap-psi":
-        er = densities.ap_psi_estimate(args.x, args.a, args.b, table)
-    elif args.kind == "ap-omega":
-        er = densities.ap_omega_estimate(args.x, args.a, args.b, table)
-    elif args.kind == "mersenne":
-        er = densities.mersenne_estimate(args.x, table)
-    elif args.kind == "fermat":
-        er = densities.fermat_estimate(args.x, table)
-    else:  # twin-constant
-        report.rows.extend(densities.twin_constant_probe([args.x], table))
+    estimate = getattr(densities, _ESTIMATE_KINDS[args.kind])
+    if args.kind == "twin-constant":  # rows over an x grid, not one report
+        report.rows.extend(estimate([args.x], table))
         return 0
+    progression = (args.a, args.b) if args.kind.startswith("ap-") else ()
+    er = estimate(args.x, *progression, table)
     report.rows.append(er.row())
     report.warnings.extend(er.warnings)
     return 0
@@ -377,14 +370,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_primes, modules=("sieve",))
 
     p = add_sub("count", help="exact inclusion-exclusion counts vs. oracles")
-    p.add_argument("kind", choices=["pi", "twin", "tuple", "mersenne", "fermat"])
+    p.add_argument("kind", choices=list(_COUNT_KINDS))
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--offsets", default="2,6", help="tuple offsets, comma separated")
     p.set_defaults(handler=_cmd_count, modules=("counts", "residues", "sieve"))
 
     p = add_sub("estimate", help="density heuristics vs. brute oracles")
-    p.add_argument("kind", choices=["psi", "omega", "ap-psi", "ap-omega",
-                                    "mersenne", "fermat", "twin-constant"])
+    p.add_argument("kind", choices=list(_ESTIMATE_KINDS))
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--a", type=int, default=1, help="progression first term")
     p.add_argument("--b", type=int, default=2, help="progression difference")

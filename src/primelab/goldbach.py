@@ -5,7 +5,8 @@ at every sieving prime, enumerate the resulting CRT classes, and read off
 prime pairs.  A candidate p in [2, n] avoids 0 and 2n modulo every sieving
 prime q <= sqrt(2n), so p and 2n - p are both prime (their trial-division
 certificates are vacuous).  Striking the sieving primes' multiples over what
-was read, EXACT's scan windows or GUIDED's first candidate, checks that certificate.
+was read, EXACT's scan windows or GUIDED's first candidate, checks that certificate;
+the same slices over the partners 2n - q of the sieving primes q find the zero parts.
 """
 
 from __future__ import annotations
@@ -110,6 +111,14 @@ def build_split_plan(two_n: int, table: PrimeTable | None = None) -> SplitPlan:
     return SplitPlan(two_n, primes)
 
 
+def _unstruck(start: int, stop: int, primes) -> np.ndarray:
+    """[start, stop] as a mask, False at every multiple of a sieving prime: the certificate's slices."""
+    free = np.ones(stop - start + 1, dtype=bool)
+    for q in primes:
+        free[-start % q :: q] = False
+    return free
+
+
 def _certify(candidates: np.ndarray, two_n: int, primes) -> None:
     """The paper's certificate, by plain slices: every candidate p lies in [2, two_n / 2], and
     neither p nor its partner two_n - p is a multiple of a sieving prime, so both are prime."""
@@ -118,10 +127,7 @@ def _certify(candidates: np.ndarray, two_n: int, primes) -> None:
         raise AssertionError(f"candidate {lo if lo < 2 else hi} outside [2, {two_n // 2}]")
     for values in (candidates, two_n - candidates):  # spans [lo, hi] and [two_n - hi, two_n - lo]
         start = int(values.min())
-        free = np.ones(hi - lo + 1, dtype=bool)
-        for q in primes:
-            free[-start % q :: q] = False
-        struck = ~free[values - start]
+        struck = ~_unstruck(start, start + hi - lo, primes)[values - start]
         if struck.any():
             i = struck.argmax()
             p, v = int(candidates[i]), int(values[i])
@@ -157,18 +163,21 @@ def goldbach_enumerate(
 
 
 def _pair_lows(two_n: int, mode: str, allow_zero_eta: bool, table: PrimeTable | None) -> np.ndarray:
-    """The smaller members p of goldbach_enumerate's pairs, ascending, as an int64 array."""
+    """The smaller members p of goldbach_enumerate's pairs, ascending, as an int64 array; a zero
+    part q is kept when the certificate's slices leave its partner 2n - q (> sqrt(2n)) unstruck."""
     _check_even_target(two_n)
     if mode not in ("EXACT", "GUIDED"):
         raise ValueError(f"mode must be EXACT or GUIDED, not {mode!r}")
     plan = build_split_plan(two_n, table)
     # zero parts first: every n <= p_k is a sieving prime or has a sieving-prime factor
-    zero = [q for q in plan.primes if is_prime(two_n - q, table)] if allow_zero_eta else []
+    lows = [np.zeros(0, dtype=np.int64)]
+    if allow_zero_eta:  # the partners 2n - q of the sieving primes q span [2n - p_k, 2n - 2]
+        q, start = np.array(plan.primes, dtype=np.int64), two_n - plan.primes[-1]
+        lows = [q[_unstruck(start, two_n - 2, plan.primes)[two_n - start - q]]]
     spec, lo, hi = plan.eta_spec(), plan.primes[-1] + 1, two_n // 2
     # GUIDED's one candidate: the first n outside every struck set, read off the spec itself
     first = (n for n in range(lo, hi + 1) if all(n % p not in s for p, s in spec.entries))
     windows = [np.fromiter(islice(first, 1), np.int64)] if mode == "GUIDED" else scan_windows(spec, lo, hi)
-    lows = [np.array(zero, dtype=np.int64)]
     for window in windows:
         if len(window):  # _certify needs a candidate
             _certify(window, two_n, plan.primes)

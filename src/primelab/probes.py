@@ -95,6 +95,7 @@ def twin_bertrand_scan(
 
     Both members strictly inside: x < p and p + 2 < alpha * x.  The
     hypothesis x >= 7 is the smallest for which (11, 13) in (7, 14) works.
+    An x fails when the first upper member past x + 2 is not below alpha * x.
     """
     if x_min < 7:
         raise ValueError("x_min must be >= 7")
@@ -103,19 +104,12 @@ def twin_bertrand_scan(
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     top = math.ceil(alpha * x_max) + 2
-    table = table_for(top, table)
-    primes = table.prefix_le(top)
-    lowers = primes[:-1][np.diff(primes) == 2]  # lower twin members p
-    # twin_count[v] = number of twin pairs with p + 2 <= v
-    twin_flags = np.zeros(top + 1, dtype=np.int64)
-    twin_flags[lowers + 2] = 1
-    twin_count = np.cumsum(twin_flags)
-    failures = []
-    for x in range(x_min, x_max + 1):
-        hi = math.ceil(alpha * x) - 1  # largest integer < alpha * x
-        if hi < x + 3 or twin_count[hi] - twin_count[x + 2] == 0:
-            failures.append(x)
-    return ScanResult("twin-bertrand", {"alpha": alpha}, x_min, x_max, tuple(failures))
+    primes = table_for(top, table).prefix_le(top)
+    uppers = np.append(primes[1:][np.diff(primes) == 2], top + 1)  # the p + 2, then a sentinel
+    x = np.arange(x_min, x_max + 1, dtype=np.int64)
+    hi = np.ceil(alpha * x).astype(np.int64) - 1  # largest integer < alpha * x
+    fail = uppers[uppers.searchsorted(x + 2, "right")] > hi
+    return ScanResult("twin-bertrand", {"alpha": alpha}, x_min, x_max, tuple(x[fail].tolist()))
 
 
 def hl_identity_row(x: int, y: int, table: PrimeTable | None = None) -> dict:

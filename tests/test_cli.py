@@ -46,6 +46,20 @@ def test_count_twin_example(capsys):
     assert doc["rows"][0]["oracle"] == 4
 
 
+def test_every_kind_names_a_function_of_its_module(capsys, monkeypatch):
+    from primelab import counts, densities
+
+    tables = {"count": (cli._COUNT_KINDS, counts, "pi,twin,tuple,mersenne,fermat"),
+              "estimate": (cli._ESTIMATE_KINDS, densities,
+                           "psi,omega,ap-psi,ap-omega,mersenne,fermat,twin-constant")}
+    for command, (kinds, module, choices) in tables.items():
+        assert all(callable(getattr(module, name)) for name in kinds.values()), command
+        code, out = run(capsys, command, "--help")  # the parser's choices, in the table's order
+        assert code == 0 and "{" + choices + "}" in out, command
+    monkeypatch.setattr(counts, "legendre_pi", lambda x, table: counts.twin_count_formula(x))
+    assert run_json(capsys, "count", "pi", "--x", "20")[1]["rows"][0]["formula"] == 4  # the rebinding runs
+
+
 def test_goldbach_five_pairs(capsys):
     code, doc = run_json(capsys, "goldbach", "--even", "100", "--mode", "exact")
     assert code == 0

@@ -187,6 +187,17 @@ def test_goldbach_enumerate_complete_at_large_targets(two_n):
     assert any(pq[0] <= root for pq in want)
 
 
+@pytest.mark.parametrize("two_n, count, first, last", [
+    (10**8, 120, (11, 99999989), (10037, 99989963)),
+    (10**10, 739, (71, 9999999929), (100109, 9999899891)),
+])
+def test_guided_zero_parts_at_large_targets(two_n, count, first, last):
+    """Every zero-part pair (smaller member a sieving prime), then GUIDED's first candidate."""
+    pairs = goldbach_enumerate(two_n, "GUIDED", allow_zero_eta=True)
+    assert (len(pairs), pairs[0], pairs[-1]) == (count, first, last)
+    assert pairs[-1] == goldbach_enumerate(two_n, "GUIDED")[0]
+
+
 def test_twin_crt_search_beyond_certification_filters():
     pairs = twin_crt_search((2, 3, 5), 200)
     for p in pairs:

@@ -18,6 +18,7 @@ from primelab.probes import (
     xi_sigma_probe,
     xi_smooth_series,
 )
+from primelab.sieve import is_prime
 
 
 def test_scan_result_invariants():
@@ -58,6 +59,16 @@ def test_twin_bertrand_small_range_clean():
 def test_twin_bertrand_generalized_alpha_reports():
     r = twin_bertrand_scan(500, 2000, alpha=1.5)
     assert isinstance(r.failures, tuple)  # reported, not asserted clean
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.05, 1.1, 1.5, 2.0])
+def test_twin_bertrand_matches_its_definition(alpha):
+    def has_pair(x):  # a twin pair (p, p + 2) with x < p and p + 2 < alpha * x
+        return any(p + 2 < alpha * x and is_prime(p) and is_prime(p + 2)
+                   for p in range(x + 1, math.ceil(alpha * x)))
+    want = tuple(x for x in range(7, 3001) if not has_pair(x))
+    assert twin_bertrand_scan(7, 3000, alpha).failures == want
+    assert bool(want) == (alpha < 2)  # the narrow intervals do fail
 
 
 def test_hl_scan_boundary_equality():
@@ -157,6 +168,8 @@ def test_witness_condition_names():
     assert r["failed"] == "q is not prime"
     r = mersenne_composite_witness(4, 2)  # q = 15 composite
     assert r["failed"] == "q is not prime"
+    r = mersenne_composite_witness(5, 2)  # q = 19 = 3 mod 4, but 2q + 1 = 39 = 3 * 13
+    assert r["failed"] == "2q + 1 is not prime"
     r = mersenne_composite_witness(1, 2)  # q = 3: divisor 7 IS 2^3 - 1
     assert r["verdict"] == "NOT-APPLICABLE"
     assert "equals" in r["failed"]

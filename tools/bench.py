@@ -7,7 +7,9 @@ SUITE is one of the tables in ``SUITES``:
 - ``render``: ``primelab --format F primes --limit L --list`` for F in json, csv,
   table and L in 1e5, 1e6, 1e7;
 - ``goldbach``: ``primelab goldbach --even E --mode M`` for E in 1e6, 1e8 and M in
-  exact, guided, and guided at E = 1e12;
+  exact, guided, guided at E = 1e12, and guided with ``--allow-zero-eta`` at E = 1e10;
+- ``scans``: ``primelab bertrand --twin --min 7 --max 1e6`` at alpha 2 and 1.1, and
+  ``primelab bertrand --min 1 --max 1e6``;
 - ``specs``: the six struck-residue spec builders (twins, Sophie Germain, the tuples
   (2,6) and (2,6,8), Goldbach's eta spec and ``lambda_filter(11, 13, .)``) over the
   first 11, 65, 1 229 and 9 592 primes, timed inside the child (see ``SPECS_CHILD``);
@@ -239,7 +241,12 @@ SUITES = {
                for fmt in ("json", "csv", "table") for limit in (10**5, 10**6, 10**7)},
     "goldbach": {**{f"{even} {mode}": cli("goldbach", "--even", even, "--mode", mode)
                     for even in (10**6, 10**8) for mode in ("exact", "guided")},
-                 "1e12 guided": cli("goldbach", "--even", 10**12, "--mode", "guided")},
+                 "1e12 guided": cli("goldbach", "--even", 10**12, "--mode", "guided"),
+                 "1e10 guided zero-eta": cli("goldbach", "--even", 10**10, "--mode", "guided",
+                                             "--allow-zero-eta")},
+    "scans": {**{f"twin 1e6 alpha {alpha}": cli("bertrand", "--twin", "--alpha", alpha, "--min", 7,
+                                                "--max", 10**6) for alpha in (2, 1.1)},
+              "bertrand 1e6": cli("bertrand", "--min", 1, "--max", 10**6)},
     "specs": {"builders": ["-c", SPECS_CHILD]},
     "sweep": {"sweeps": ["-c", SWEEP_CHILD]},
     "startup": {
