@@ -18,9 +18,9 @@ from itertools import islice
 
 import numpy as np
 
-from .crt import crt_enumerate, scan_windows
+from .crt import choice_count, crt_enumerate, scan_windows
 from .residues import ResidueSpec, _form_entries
-from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set
+from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set, table_for
 
 __all__ = [
     "SplitPlan",
@@ -48,16 +48,13 @@ def _check_even_target(two_n: int) -> None:
         raise ValueError("target must be an even integer >= 6")
 
 
-def _next_prime(n: int) -> int:
-    return next(m for m in range(n + 1, 2 * n + 1) if is_prime(m))  # Bertrand: n >= 1
-
-
 def _prime_prefix(k: int) -> list[int]:
-    """The first k >= 1 primes, 2, 3, 5, ..., p_k."""
-    prefix = [2]
-    while len(prefix) < k:
-        prefix.append(_next_prime(prefix[-1]))
-    return prefix
+    """The first k + 1 primes, 2, 3, 5, ..., p_k and the next prime p_(k+1), off the shared
+    table, doubled until it holds them: sized by the count k, never by a caller's member."""
+    table = table_for(1 << 16)
+    while len(table) <= k:
+        table = table_for(2 * table.limit)
+    return table.primes[: k + 1].tolist()
 
 
 def split_remainder(beta: int, p: int) -> list[tuple[int, int]]:
@@ -89,12 +86,12 @@ class SplitPlan:
 
     @property
     def u(self) -> tuple[int, ...]:
-        """Residues removed per prime: 1 where beta = 0, else 2."""
-        return tuple(1 if b == 0 else 2 for b in self.beta)
+        """Residues removed per prime: the sizes of the eta spec's struck sets {0, beta}."""
+        return self.eta_spec().cardinalities()
 
     @property
     def class_count(self) -> int:
-        return math.prod(p - u for p, u in zip(self.primes, self.u))
+        return choice_count(self.eta_spec())
 
     @cached_property
     def splits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -237,7 +234,6 @@ def _theoretical_min(primes: tuple[int, ...], u_value: int) -> int:
 
 
 def span_report(two_n: int, table: PrimeTable | None = None) -> SpanReport:
-    _check_even_target(two_n)
     plan = build_split_plan(two_n, table)
     m = math.prod(plan.primes)
     threshold = m - two_n
@@ -341,12 +337,11 @@ def partition_probe(
     if part_a & part_b or not part_a or not part_b:
         raise ValueError("A and B must be disjoint and nonempty")
     union = sorted(part_a | part_b)
-    prefix = _prime_prefix(len(union))
+    *prefix, next_prime = _prime_prefix(len(union))
     if union != prefix:
         raise ValueError(f"A union B = {union} is not the prime prefix {prefix}")
     if any(exponents.get(q, 0) < 1 for q in union):
         raise ValueError("every prefix prime needs an exponent >= 1")
-    next_prime = _next_prime(prefix[-1])
     alpha = math.prod(q ** exponents[q] for q in sorted(part_a)) + sign * math.prod(
         q ** exponents[q] for q in sorted(part_b)
     )
@@ -380,9 +375,10 @@ def twin_crt_search(
     pair is kept only if both members pass is_prime, tagged uncertified.
     The certificate needs every prime up to p_k, so any other set is rejected.
     """
-    if list(primes) != _prime_prefix(len(primes)):  # also rejects the empty set
+    *prefix, next_prime = _prime_prefix(len(primes))
+    if not prefix or list(primes) != prefix:
         raise ValueError(f"primes {tuple(primes)} are not the prime prefix 2, 3, 5, ..., p_k")
-    cert_bound = _next_prime(primes[-1]) ** 2
+    cert_bound = next_prime**2
     pairs = []
     for n in crt_enumerate(ResidueSpec.twins(primes), 5, bound):
         certified = n < cert_bound

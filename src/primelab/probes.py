@@ -113,15 +113,12 @@ def twin_bertrand_scan(
 
 
 def hl_identity_row(x: int, y: int, table: PrimeTable | None = None) -> dict:
-    """The decomposition pi(x+y) = pi(x) + (primes in (x, x+y]); one audit row."""
-    pi = _pi_table(x + y, table)
-    return {
-        "x": x, "y": y,
-        "pi_sum": int(pi[x + y]),
-        "pi_x": int(pi[x]),
-        "interval_count": int(pi[x + y] - pi[x]),
-        "pi_y": int(pi[y]),
-    }
+    """The decomposition pi(x+y) = pi(x) + (primes in (x, x+y]); one audit row, its counts read
+    off a table reaching x + y (hl-scan's, which its scan already grew)."""
+    table = table_for(x + y, table)
+    pi_sum, pi_x = table.count_upto(x + y), table.count_upto(x)
+    return {"x": x, "y": y, "pi_sum": pi_sum, "pi_x": pi_x, "interval_count": pi_sum - pi_x,
+            "pi_y": table.count_upto(y)}
 
 
 def hl_inequality_scan(x_max: int, y_max: int, table: PrimeTable | None = None) -> ScanResult:
@@ -202,7 +199,8 @@ def xi_euler_product(s: float, p_max: int, table: PrimeTable | None = None) -> f
 
 
 def xi_smooth_series(s: float, p_max: int, n_max: int = 10**13) -> float:
-    """Sum of 2^Omega(n)/n^s over the p_max-smooth integers n <= n_max.
+    """Sum of 2^Omega(n)/n^s over the p_max-smooth integers n <= n_max, the primes p <= p_max
+    read off a table reaching p_max.
 
     Smooth integers are enumerated explicitly (there are only on the order
     of (log n_max)^k of them), each term computed from its factorization,
@@ -214,7 +212,7 @@ def xi_smooth_series(s: float, p_max: int, n_max: int = 10**13) -> float:
         raise ValueError("s must exceed 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    primes = [p for p in range(2, p_max + 1) if is_prime(p)]
+    primes = table_for(p_max).prefix_le(p_max).tolist()
     terms = []
     # stack of (value, Omega, index of next prime allowed to divide further)
     stack = [(1, 0, 0)]

@@ -257,3 +257,25 @@ def test_stream_is_ascending_and_periodic():
     first = list(crt_enumerate(spec, 1, 30))
     second = list(crt_enumerate(spec, 31, 60))
     assert second == [v + 30 for v in first]
+
+
+def test_scan_strikes_few_residues_per_window_for_a_big_modulus(monkeypatch):
+    """An entry striking most of a big modulus (10 007, 5 residues kept) costs a window a few
+    dozen strikes, not one slice per struck residue (about 10 000): the kept/struck split's purpose."""
+    strikes = []  # residues struck per window, by avoiding_windows and by avoiding_mask
+
+    def windows(lo, hi, entries):
+        for window in sieve.avoiding_windows(lo, hi, entries, width=4096):
+            strikes.append(sum(len(struck) for _, struck in entries))
+            yield window
+
+    def mask(lo, hi, entries):
+        strikes[-1] += sum(len(struck) for _, struck in entries)
+        return sieve.avoiding_mask(lo, hi, entries)
+
+    monkeypatch.setattr(crt, "avoiding_windows", windows)
+    monkeypatch.setattr(crt, "avoiding_mask", mask)
+    spec = allow_spec([(10_007, [1, 2, 3, 4, 5])])
+    hi = 3 * 10_007 + 2
+    assert flat(crt.scan_windows(spec, 0, hi)) == brute_enumerate(spec, 0, hi)
+    assert len(strikes) == 8 and max(strikes) <= 32

@@ -1,4 +1,5 @@
 import math
+import time
 from functools import partial
 
 import numpy as np
@@ -143,6 +144,26 @@ def test_partition_probe():
         partition_probe({2, 3}, {3}, {2: 1, 3: 1}, +1)  # not disjoint
 
 
+@pytest.mark.parametrize("reject", [
+    lambda: partition_probe({2}, {10**12}, {2: 1, 10**12: 1}, +1),
+    lambda: twin_crt_search((2, 3, 10**12 + 39), 100),
+])
+def test_prefix_check_sizes_its_table_by_the_count_not_a_member(monkeypatch, reject):
+    monkeypatch.setattr(sieve, "_shared_table", None)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="prime prefix"):
+        reject()
+    assert time.perf_counter() - start < 0.1
+    assert sieve._shared_table.limit == 1 << 16
+
+
+def test_prime_prefix_grows_past_the_first_shared_table(monkeypatch):
+    monkeypatch.setattr(sieve, "_shared_table", None)
+    prefix = goldbach._prime_prefix(7000)  # the 2**16 table holds 6 542 primes
+    assert len(prefix) == 7001 and prefix[:3] == [2, 3, 5] and prefix[-1] == 70663
+    assert prefix == sieve_primes(70663).primes.tolist()
+
+
 def test_twin_crt_search_worked_examples():
     uppers = [p.upper for p in twin_crt_search((2, 3, 5), 49) if p.certified]
     assert uppers == [13, 19, 31, 43]
@@ -155,7 +176,7 @@ def test_twin_crt_search_worked_examples():
         (5, 7), (11, 13), (17, 19)]
 
 
-@pytest.mark.parametrize("primes", [(3, 5, 7), (2, 5, 7), (2, 3, 7)])
+@pytest.mark.parametrize("primes", [(3, 5, 7), (2, 5, 7), (2, 3, 7), ()])
 def test_twin_crt_search_rejects_a_set_that_is_not_the_prime_prefix(primes):
     # the certificate (n below the next prime squared) needs every prime up to p_k
     with pytest.raises(ValueError, match="prime prefix"):

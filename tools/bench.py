@@ -28,8 +28,11 @@ SUITE is one of the tables in ``SUITES``:
 - ``crt``: ``primelab crt --allow ...`` listings on both enumeration paths: product
   mode over the 92 160 classes coprime to 255 255 = 3*5*7*11*13*17 for two periods
   (184 320 values), the paper's 20-class example over 1..210, a range scan of the
-  numbers up to 1e6 coprime to the nine primes up to 23, and product mode over one
-  class mod 3 up to 3e6 (a million periods of one value each);
+  numbers up to 1e6 coprime to the nine primes up to 23, product mode over one
+  class mod 3 up to 3e6 (a million periods of one value each), and a range scan
+  (``--format csv``, ten windows) of [0, 1e7] keeping five residues of the one big
+  modulus 999 983 beside 7, 11, 13, 17 and 19 with every residue allowed, which
+  times the scan's kept/struck split;
 - ``phi``: the two routes of Legendre's phi in ``primelab.counts``, called directly:
   ``_phi_floor`` at 1e10, 1e11, 1e12 and 1e13, each in a child of its own that checks the
   published pi(x) and reports its time and the child's peak RSS (see ``PHI_FLOOR_CHILD``);
@@ -74,9 +77,9 @@ def cli(*args) -> list[str]:
     return ["-m", "primelab.cli", *map(str, args)]
 
 
-def coprime_to(*primes) -> list[str]:
-    """``--allow`` tokens keeping every unit residue of each prime."""
-    return [a for p in primes for a in ("--allow", f"{p}=" + ",".join(map(str, range(1, p))))]
+def coprime_to(*primes, first: int = 1) -> list[str]:
+    """``--allow`` tokens keeping the residues first, ..., p - 1 of each prime p: the units by default."""
+    return [a for p in primes for a in ("--allow", f"{p}=" + ",".join(map(str, range(first, p))))]
 
 
 # The timing core of the self-timing children: cases maps a case to (run, the number of
@@ -268,6 +271,9 @@ SUITES = {
         "scan 9 primes": cli("crt", *coprime_to(2, 3, 5, 7, 11, 13, 17, 19, 23), "--lo", 1,
                              "--hi", 10**6),
         "product 1 class to 3e6": cli("crt", "--allow", "3=1", "--hi", 3_000_000),
+        "scan one big modulus": cli("--format", "csv", "crt", "--allow", "999983=1,2,3,4,5",
+                                    *coprime_to(7, 11, 13, 17, 19, first=0), "--lo", 0,
+                                    "--hi", 10**7),
     },
     "phi": {**{f"floor 1e{k}": ["-c", PHI_FLOOR_CHILD, str(k)] for k in (10, 11, 12, 13)},
             "per call": ["-c", PHI_PER_CALL_CHILD]},
