@@ -114,9 +114,8 @@ def scan_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
 
     Each modulus strikes its struck residues, or, when more residues are struck than kept,
     the kept ones on a mask that is then inverted: at most min(u, m - u) slices per modulus
-    and window, whatever the modulus.  So an ``--allow`` modulus near 10**6 keeping a few
-    residues costs a window a few slices, not one per struck residue (about 10**6): without
-    the split, a ten-window scan of 999983=1,2,3,4,5 ran about 8x slower.
+    and window, whatever the modulus: a ten-window scan keeping 999983=1,2,3,4,5 and the units
+    of 7, ..., 19 took 0.32 s on two x86-64 cores, 2.55 s striking the 999 978 residues one by one.
     """
     kept = [(m, [r for r in range(m) if r not in s]) for m, s in spec.entries if 2 * len(s) > m]
     struck = [(m, s) for m, s in spec.entries if 2 * len(s) <= m]

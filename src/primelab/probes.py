@@ -64,11 +64,8 @@ class ScanResult:
 
 def _pi_table(limit: int, table: PrimeTable | None) -> np.ndarray:
     """pi(0..limit) as a cumulative array."""
-    table = table_for(limit, table)
-    flags = np.zeros(limit + 1, dtype=np.int64)
-    primes = table.prefix_le(limit)
-    flags[primes] = 1
-    return np.cumsum(flags)
+    primes = table_for(limit, table).prefix_le(limit)
+    return np.bincount(primes, minlength=limit + 1).cumsum()
 
 
 def bertrand_scan(
@@ -113,12 +110,16 @@ def twin_bertrand_scan(
 
 
 def hl_identity_row(x: int, y: int, table: PrimeTable | None = None) -> dict:
-    """The decomposition pi(x+y) = pi(x) + (primes in (x, x+y]); one audit row, its counts read
-    off a table reaching x + y (hl-scan's, which its scan already grew)."""
+    """The decomposition pi(x+y) = pi(x) + (primes in (x, x+y]); one audit row, read off a table
+    reaching x + y (hl-scan passes the one its scan grew)."""
     table = table_for(x + y, table)
-    pi_sum, pi_x = table.count_upto(x + y), table.count_upto(x)
-    return {"x": x, "y": y, "pi_sum": pi_sum, "pi_x": pi_x, "interval_count": pi_sum - pi_x,
-            "pi_y": table.count_upto(y)}
+    return {
+        "x": x, "y": y,
+        "pi_sum": table.count_upto(x + y),
+        "pi_x": table.count_upto(x),
+        "interval_count": table.count_upto(x + y) - table.count_upto(x),
+        "pi_y": table.count_upto(y),
+    }
 
 
 def hl_inequality_scan(x_max: int, y_max: int, table: PrimeTable | None = None) -> ScanResult:

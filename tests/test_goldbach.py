@@ -1,5 +1,4 @@
 import math
-import time
 from functools import partial
 
 import numpy as np
@@ -150,10 +149,8 @@ def test_partition_probe():
 ])
 def test_prefix_check_sizes_its_table_by_the_count_not_a_member(monkeypatch, reject):
     monkeypatch.setattr(sieve, "_shared_table", None)
-    start = time.perf_counter()
     with pytest.raises(ValueError, match="prime prefix"):
         reject()
-    assert time.perf_counter() - start < 0.1
     assert sieve._shared_table.limit == 1 << 16
 
 
