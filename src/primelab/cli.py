@@ -109,8 +109,9 @@ _ALLOW_MAX_MODULUS = 10**6
 
 
 def _parse_allow(tokens) -> ResidueSpec:
-    """--allow m=r,r,... tokens as a struck-residue spec: the complement, taken once, by modulus."""
-    from .residues import ResidueSpec
+    """--allow m=r,r,... tokens as a struck-residue spec: the complement, taken once, by modulus;
+    the moduli are checked coprime in the order given, so an error names the later token."""
+    from .residues import ResidueSpec, _check_coprime
 
     entries = []
     for token in tokens:
@@ -126,6 +127,7 @@ def _parse_allow(tokens) -> ResidueSpec:
         if m > _ALLOW_MAX_MODULUS:
             raise ValueError(f"--allow modulus {m} exceeds {_ALLOW_MAX_MODULUS}")
         entries.append((m, [r for r in range(m) if r not in allowed]))
+    _check_coprime(m for m, _ in entries)
     return ResidueSpec.from_pairs(sorted(entries))
 
 

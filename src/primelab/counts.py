@@ -3,10 +3,11 @@
 Legendre's prime count (phi over the floor values [x/i], a bounded chunk at
 a time from one period of 2*3*5*7*11*13, looping over the primes p <= cbrt(x)
 and gathering the rest, whose [x/p] only q <= sqrt(x/p) < cbrt(x) rewrite),
-the twin and k-tuple residue-survivor formulas (a windowed residue sieve; the
-paper's literal inclusion-exclusion over CRT classes is its test reference,
-in tests/test_counts.py), and the order-based counts of the Mersenne and
-Fermat primes 2^q -+ 1 <= x.  phi and the survivor count step from the
+the twin and k-tuple residue-survivor formulas (a windowed residue sieve over
+the row of the one class mod 6, or mod 30 for (2,6,8), that the specs keep at
+their leading moduli; the paper's literal inclusion-exclusion over CRT classes
+is its test reference, in tests/test_counts.py), and the order-based counts of
+the Mersenne and Fermat primes 2^q -+ 1 <= x.  phi and the survivor count step from the
 previous call when it was near (_step; phi tests each n it steps over by gcd
 against products of consecutive primes); neither reads the oracle.  Every
 formula value here is an exact integer; approximation lives in
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .residues import AdmissibleTuple, ResidueSpec
-from .sieve import (PrimeTable, avoiding_windows, count_congruent, count_primes, factorize,
-                    is_prime, pattern_starts, sieving_prime_set)
+from .sieve import (PrimeTable, avoiding_row, avoiding_windows, count_congruent, count_primes,
+                    factorize, is_prime, pattern_starts, sieving_prime_set)
 
 __all__ = [
     "CountReport",
@@ -92,11 +93,22 @@ def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
 # Survivor counting: numbers in [1, x] avoiding per-prime forbidden residues
 
 
+_survivor_row = (None, None)  # (entries, avoiding_row(1, entries)) of the last sieved count, replaced whole
+
+
 def _survivor_windows(x: int, entries) -> int:
-    """survivor_count by a windowed residue sieve: sieve.avoiding_windows strikes every
-    forbidden class across [1, x], one window of at most 1 Mi entries at a time, and the
-    survivors of each window are added up."""
-    return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(1, x, entries))
+    """survivor_count by a windowed residue sieve: the survivors lie on sieve.avoiding_row's row
+    over [1, x] (one class mod 6 for the twin, (2,6) and Sophie Germain specs, mod 30 for (2,6,8)),
+    avoiding_windows strikes the other entries' classes on it, one window of at most 1 Mi row
+    entries at a time, and the survivors of each window are added up.  The row is laid out again
+    only for entries other than the last sieved count's (``is``)."""
+    global _survivor_row
+    last, row = _survivor_row
+    if last is not entries:
+        row = avoiding_row(1, entries)
+        _survivor_row = (entries, row)
+    first, step, rest = row
+    return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(first, x, rest, step=step))
 
 
 _SURVIVOR_STEP = 4  # the largest |dx| stepped: at 8 a step is slower than the sieve below x = 100

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .residues import ResidueSpec, _check_coprime
-from .sieve import avoiding_mask, avoiding_windows
+from .sieve import avoiding_mask, avoiding_row, avoiding_windows
 
 __all__ = [
     "CongruenceSystem",
@@ -112,18 +112,21 @@ def _product_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray
 def scan_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
     """crt_windows' scan path: one ascending int64 array (maybe empty) per avoiding_windows window.
 
-    Each modulus strikes its struck residues, or, when more residues are struck than kept,
+    The values lie on sieve.avoiding_row's row, one class modulo the leading moduli that keep one
+    residue each (mod 2 or mod 6 for Goldbach's eta spec), and the window width counts row entries.
+    Each other modulus strikes its struck residues, or, when it keeps fewer residues than it strikes,
     the kept ones on a mask that is then inverted: at most min(u, m - u) slices per modulus
     and window, whatever the modulus: a ten-window scan keeping 999983=1,2,3,4,5 and the units
     of 7, ..., 19 took 0.32 s on two x86-64 cores, 2.55 s striking the 999 978 residues one by one.
     """
-    kept = [(m, [r for r in range(m) if r not in s]) for m, s in spec.entries if 2 * len(s) > m]
-    struck = [(m, s) for m, s in spec.entries if 2 * len(s) <= m]
-    for start, mask in avoiding_windows(lo, hi, struck):
-        stop = start + len(mask) - 1
+    first, step, rest = avoiding_row(lo, spec.entries)
+    kept = [(m, [r for r in range(m) if r not in s]) for m, s in rest if 2 * len(s) > m]
+    struck = [(m, s) for m, s in rest if 2 * len(s) <= m]
+    for start, mask in avoiding_windows(first, hi, struck, step=step):
+        stop = start + (len(mask) - 1) * step
         for entry in kept:
-            mask &= ~avoiding_mask(start, stop, (entry,))
-        yield np.flatnonzero(mask) + start
+            mask &= ~avoiding_mask(start, stop, (entry,), step)
+        yield np.flatnonzero(mask) * step + start
 
 
 def crt_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:

@@ -4,9 +4,12 @@ The pipeline: split the remainders of the even target 2n into nonzero parts
 at every sieving prime, enumerate the resulting CRT classes, and read off
 prime pairs.  A candidate p in [2, n] avoids 0 and 2n modulo every sieving
 prime q <= sqrt(2n), so p and 2n - p are both prime (their trial-division
-certificates are vacuous).  Striking the sieving primes' multiples over what
-was read, EXACT's scan windows or GUIDED's first candidate, checks that certificate;
-the same slices over the partners 2n - q of the sieving primes q find the zero parts.
+certificates are vacuous).  Striking the odd sieving primes' multiples over the odd
+numbers read, EXACT's scan windows or GUIDED's first candidate, and over their partners
+checks that certificate; the partners' span reaches on to 2n - 3, so the same slices
+find the zero parts (the sieving primes q with 2n - q unstruck).  Where the candidates'
+span nearly touches the partners' (every EXACT scan of one window), one span
+[candidate, 2n - 3] serves all three, each odd sieving prime struck once per call.
 """
 
 from __future__ import annotations
@@ -109,28 +112,44 @@ def build_split_plan(two_n: int, table: PrimeTable | None = None) -> SplitPlan:
 
 
 def _unstruck(start: int, stop: int, primes) -> np.ndarray:
-    """[start, stop] as a mask, False at every multiple of a sieving prime: the certificate's slices."""
-    free = np.ones(stop - start + 1, dtype=bool)
-    for q in primes:
-        free[-start % q :: q] = False
+    """The odd numbers start, start + 2, ..., <= stop (start odd) as a mask, False at every multiple
+    of an odd sieving prime (primes[0] is 2): the certificate's slices, one per odd prime."""
+    free = np.ones((stop - start) // 2 + 1, dtype=bool)
+    for q in primes[1:]:  # the odd multiples of q are q mod 2q: the first from start is start + 2i
+        free[(q - start) % (2 * q) >> 1 :: q] = False
     return free
 
 
-def _certify(candidates: np.ndarray, two_n: int, primes) -> None:
+def _certify(candidates: np.ndarray, two_n: int, primes, top: int | None = None) -> tuple[int, np.ndarray]:
     """The paper's certificate, by plain slices: every candidate p lies in [2, two_n / 2], and
-    neither p nor its partner two_n - p is a multiple of a sieving prime, so both are prime."""
+    neither p nor its partner two_n - p is even or a multiple of an odd sieving prime, so both are
+    prime.  The candidates' span [lo, hi] and the partners' [two_n - hi, top] (top is two_n - lo,
+    or above it to take in the zero parts' partners) are struck as one odd-only span when the gap
+    between them is no longer than the candidates' span, else apart.  Returns (start, mask) of the
+    span holding the partners."""
     lo, hi = int(candidates.min()), int(candidates.max())
     if lo < 2 or 2 * hi > two_n:
         raise AssertionError(f"candidate {lo if lo < 2 else hi} outside [2, {two_n // 2}]")
-    for values in (candidates, two_n - candidates):  # spans [lo, hi] and [two_n - hi, two_n - lo]
-        start = int(values.min())
-        struck = ~_unstruck(start, start + hi - lo, primes)[values - start]
+    top = two_n - lo if top is None else top
+    bounds = [(lo, top)] if two_n - 2 * hi <= hi - lo else [(lo, hi), (two_n - hi, top)]
+    spans = [((a - 1) | 1, _unstruck((a - 1) | 1, b, primes)) for a, b in bounds]
+    for values, (start, free) in zip((candidates, two_n - candidates), (spans[0], spans[-1])):
+        struck = (values % 2 == 0) | ~free[(values - start) >> 1]
         if struck.any():
             i = struck.argmax()
             p, v = int(candidates[i]), int(values[i])
             q = next(q for q in primes if v % q == 0)
             name = f"candidate {p}" if v == p else f"partner {v} of candidate {p}"
             raise AssertionError(f"{name} divisible by sieving prime {q}")
+    return spans[-1]
+
+
+def _zero_lows(two_n: int, primes, start: int, free: np.ndarray) -> np.ndarray:
+    """The zero parts: the odd sieving primes q whose partners 2n - q (all in [2n - p_k, 2n - 3],
+    above sqrt(2n)) the span (start, free) of _certify or _unstruck leaves unstruck; 2's partner
+    is even."""
+    q = np.array(primes[1:], dtype=np.int64)
+    return q[free[(two_n - q - start) >> 1]]
 
 
 def brute_goldbach_pairs(two_n: int, table: PrimeTable | None = None) -> list[tuple[int, int]]:
@@ -166,19 +185,23 @@ def _pair_lows(two_n: int, mode: str, allow_zero_eta: bool, table: PrimeTable | 
     if mode not in ("EXACT", "GUIDED"):
         raise ValueError(f"mode must be EXACT or GUIDED, not {mode!r}")
     plan = build_split_plan(two_n, table)
-    # zero parts first: every n <= p_k is a sieving prime or has a sieving-prime factor
-    lows = [np.zeros(0, dtype=np.int64)]
-    if allow_zero_eta:  # the partners 2n - q of the sieving primes q span [2n - p_k, 2n - 2]
-        q, start = np.array(plan.primes, dtype=np.int64), two_n - plan.primes[-1]
-        lows = [q[_unstruck(start, two_n - 2, plan.primes)[two_n - start - q]]]
     spec, lo, hi = plan.eta_spec(), plan.primes[-1] + 1, two_n // 2
     # GUIDED's one candidate: the first n outside every struck set, read off the spec itself
     first = (n for n in range(lo, hi + 1) if all(n % p not in s for p, s in spec.entries))
     windows = [np.fromiter(islice(first, 1), np.int64)] if mode == "GUIDED" else scan_windows(spec, lo, hi)
+    # zero parts first, certified with the first window: every n <= p_k is a sieving prime or
+    # has a sieving-prime factor
+    lows, zero = [np.zeros(0, dtype=np.int64)], allow_zero_eta
     for window in windows:
         if len(window):  # _certify needs a candidate
-            _certify(window, two_n, plan.primes)
+            span = _certify(window, two_n, plan.primes, two_n - 3 if zero else None)
+            if zero:
+                lows.append(_zero_lows(two_n, plan.primes, *span))
+                zero = False
             lows.append(window)
+    if zero:  # no candidate: the zero parts' partners alone
+        start = (two_n - plan.primes[-1] - 1) | 1
+        lows.append(_zero_lows(two_n, plan.primes, start, _unstruck(start, two_n - 3, plan.primes)))
     return np.concatenate(lows)
 
 

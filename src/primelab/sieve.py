@@ -32,6 +32,7 @@ __all__ = [
     "pattern_starts",
     "avoiding_mask",
     "avoiding_windows",
+    "avoiding_row",
     "save_cache",
     "load_cache",
     "CacheError",
@@ -292,25 +293,49 @@ def pattern_starts(lo: int, hi: int, forms, table: PrimeTable | None = None) -> 
     return starts
 
 
-def avoiding_mask(lo: int, hi: int, entries) -> np.ndarray:
-    """Mask over n in [lo, hi], True where n mod p avoids the struck residues of each (p, struck).
+def avoiding_mask(lo: int, hi: int, entries, step: int = 1) -> np.ndarray:
+    """Mask over the row lo, lo + step, ..., <= hi, True where n mod p avoids the struck residues of
+    each (p, struck); step is coprime to every p.
 
-    Each class is struck as a sieve strikes multiples, one slice per residue.
+    Each class is struck as a sieve strikes multiples, one slice per residue: lo + step*i is r mod p
+    at i = (r - lo) * step^-1 mod p.
     """
-    mask = np.ones(hi - lo + 1, dtype=bool)
+    mask = np.ones((hi - lo) // step + 1, dtype=bool)
     for p, struck in entries:
+        inv = pow(step, -1, p)
         for r in struck:
-            mask[(r - lo) % p :: p] = False
+            mask[(r - lo) * inv % p :: p] = False
     return mask
 
 
-def avoiding_windows(lo: int, hi: int, entries, width: int = SEGMENT_ODD_BITS):
-    """Yield (start, avoiding_mask(start, stop, entries)) over [lo, hi], windows of width entries.
+def avoiding_windows(lo: int, hi: int, entries, width: int = SEGMENT_ODD_BITS, step: int = 1):
+    """Yield (start, avoiding_mask(start, stop, entries, step)) over the row lo, lo + step, ..., <= hi,
+    windows of width row entries.
 
-    The last window ends at hi; memory is one window, whatever the range.
+    The last window ends at the row's last value; memory is one window, whatever the range.
     """
-    for start in range(lo, hi + 1, width):
-        yield start, avoiding_mask(start, min(start + width - 1, hi), entries)
+    for start in range(lo, hi + 1, width * step):
+        yield start, avoiding_mask(start, min(start + (width - 1) * step, hi), entries, step)
+
+
+def avoiding_row(lo: int, entries):
+    """(first, step, rest): every n >= lo avoiding the entries' struck residues lies on the row
+    first, first + step, ..., and avoids the struck residues of rest, the other entries.
+
+    step is the product of the leading moduli that keep one residue each, folded in while it stays
+    below 2**62 (so that a row offset fits int64), and first the least n >= lo of the one class a
+    they keep.  Folding a modulus p takes its p - 1 slices out of every window and leaves a row p
+    times shorter, while every other modulus pays one inverse and each of its slices one
+    multiplication, whatever step is: mod 6 never lost to mod 2 where 3 keeps one residue.
+    """
+    a, step, folded = 0, 1, 0
+    for p, struck in entries:
+        if len(struck) != p - 1 or step * p >= 1 << 62:
+            break
+        kept = p * (p - 1) // 2 - sum(struck)
+        a += step * ((kept - a) * pow(step, -1, p) % p)
+        step, folded = step * p, folded + 1
+    return lo + (a - lo) % step, step, entries[folded:]
 
 
 def save_cache(table: PrimeTable, path) -> None:

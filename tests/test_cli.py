@@ -195,6 +195,15 @@ def run_error(capsys, *argv):
     return code, captured.err
 
 
+@pytest.mark.parametrize("first, later, shared", [("4=1", "2=1", 2), ("2=1", "4=1", 2),
+                                                   ("9=1", "3=2", 3), ("3=2", "9=1", 3)])
+def test_non_coprime_allow_moduli_name_the_later_token(capsys, first, later, shared):
+    # the moduli are checked in the order given, not sorted first
+    code, err = run_error(capsys, "crt", "--allow", first, "--allow", later, "--hi", "9")
+    m = later.split("=")[0]
+    assert (code, err) == (1, f"error: modulus {m} shares factor {shared} with an earlier modulus\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("primes", "--limit", "-1"), "limit must be nonnegative"),
     (("mersenne-witness", "--k", "3", "--n", "-1"), "n must be >= 0, not -1"),

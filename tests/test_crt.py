@@ -264,14 +264,14 @@ def test_scan_strikes_few_residues_per_window_for_a_big_modulus(monkeypatch):
     dozen strikes, not one slice per struck residue (about 10 000): the kept/struck split's purpose."""
     strikes = []  # residues struck per window, by avoiding_windows and by avoiding_mask
 
-    def windows(lo, hi, entries):
-        for window in sieve.avoiding_windows(lo, hi, entries, width=4096):
+    def windows(lo, hi, entries, **row):
+        for window in sieve.avoiding_windows(lo, hi, entries, width=4096, **row):
             strikes.append(sum(len(struck) for _, struck in entries))
             yield window
 
-    def mask(lo, hi, entries):
+    def mask(lo, hi, entries, *row):
         strikes[-1] += sum(len(struck) for _, struck in entries)
-        return sieve.avoiding_mask(lo, hi, entries)
+        return sieve.avoiding_mask(lo, hi, entries, *row)
 
     monkeypatch.setattr(crt, "avoiding_windows", windows)
     monkeypatch.setattr(crt, "avoiding_mask", mask)

@@ -242,7 +242,7 @@ def window_width(monkeypatch, width):
 
 
 # 1000's candidates 47, 53, 59, 71, 89, 113, ... lie above its largest sieving prime 31 and
-# fill one default window; windows of 64 entries from 32 hold positions 0-4, 5-6, 7-9, ...
+# fill one default window; rows of 11 entries (66 numbers) from 35 hold positions 0-4, 5-6, 7-10, ...
 # GUIDED reads its one candidate off the spec, and never any position of this stream.
 @pytest.mark.parametrize("mode, position", [("EXACT", 0), ("EXACT", 1), ("EXACT", 2), ("EXACT", 3),
                                             ("EXACT", 4), ("EXACT", 6), ("EXACT", 8),
@@ -253,7 +253,7 @@ def test_certificate_rejects_a_sieving_prime_multiple_anywhere_in_a_chunk(monkey
     rejected = ((7 * 13, "candidate 91 divisible by sieving prime 7"),
                 (17 * 29, "candidate 493 divisible by sieving prime 17"),
                 (43, "partner 957 of candidate 43 divisible by sieving prime 3"))
-    for width in (sieve.SEGMENT_ODD_BITS, 64):
+    for width in (sieve.SEGMENT_ODD_BITS, 11):
         window_width(monkeypatch, width)
         for value, message in rejected:
             monkeypatch.setattr(goldbach, "scan_windows", injecting(position, value))
@@ -264,12 +264,76 @@ def test_certificate_rejects_a_sieving_prime_multiple_anywhere_in_a_chunk(monkey
                 goldbach_enumerate(1000, mode)
 
 
+def unstruck_spans(monkeypatch):
+    """The (start, stop) of every odd-only span the certificate strikes, in order."""
+    spans, real = [], goldbach._unstruck
+
+    def record(start, stop, primes):
+        spans.append((start, stop))
+        return real(start, stop, primes)
+
+    monkeypatch.setattr(goldbach, "_unstruck", record)
+    return spans
+
+
+def test_certificate_strikes_one_span_when_candidates_and_partners_nearly_touch(monkeypatch):
+    spans = unstruck_spans(monkeypatch)
+    # one window: its candidates 47, ..., 491, their partners and the zero parts' partners
+    # 2n - q (q = 3, ..., 31) lie in one odd-only span, so each odd sieving prime is struck once
+    pairs = goldbach_enumerate(1000, allow_zero_eta=True)
+    assert spans == [(47, 997)] and (pairs[0], pairs[-1]) == ((3, 997), (491, 509))
+    # windows of 16 row entries (96 numbers): the first window's candidates lie far from their
+    # partners, which reach on to the zero parts' 997; the last window's nearly touch theirs
+    spans.clear()
+    window_width(monkeypatch, 16)
+    assert goldbach_enumerate(1000, allow_zero_eta=True) == pairs
+    (lo, hi), (low, top) = spans[:2]
+    assert (lo, top, low) == (47, 997, 1000 - hi) and 1000 - 2 * hi > hi - lo
+    assert spans[-1] == (spans[-1][0], 1000 - spans[-1][0]) and len(spans) < 2 * len(pairs)
+    # GUIDED at 1e12: one window, one candidate, its partner far off: two one-number spans
+    spans.clear()
+    assert goldbach_enumerate(10**12, "GUIDED") == [(1000409, 999998999591)]
+    assert spans == [(1000409, 1000409), (999998999591, 999998999591)]
+
+
+# 1000's candidates run 47, 53, ..., 491; the first lies in a window whose candidates are struck
+# apart from their partners at 16 row entries, the last in one struck with its partners as one span.
+# The spans hold odd numbers only, and an even value reads an odd neighbour's slot: 62 reads 61's
+# and its partner 938 reads 937's, both unstruck, so only the parity test rejects it
+@pytest.mark.parametrize("width", [16, sieve.SEGMENT_ODD_BITS])
+@pytest.mark.parametrize("value, message", [
+    (7 * 13, "candidate 91 divisible by sieving prime 7"),
+    (43, "partner 957 of candidate 43 divisible by sieving prime 3"),
+    (62, "candidate 62 divisible by sieving prime 2"),
+])
+def test_certificate_rejects_an_injected_value_on_both_span_paths(monkeypatch, width, value, message):
+    last = len(goldbach_enumerate(1000)) - 1
+    window_width(monkeypatch, width)
+    for position in (0, last):
+        monkeypatch.setattr(goldbach, "scan_windows", injecting(position, value))
+        for zero in (False, True):
+            with pytest.raises(AssertionError, match=f"^{message}$"):
+                goldbach_enumerate(1000, allow_zero_eta=zero)
+
+
+@pytest.mark.parametrize("width", [16, sieve.SEGMENT_ODD_BITS])
+def test_zero_parts_drop_a_sieving_prime_whose_partner_is_struck(monkeypatch, width):
+    # 1000 - q for the sieving primes q = 3, ..., 31: 997, 983, 977 and 971 are prime; 995 = 5 * 199
+    window_width(monkeypatch, width)
+    zero = [pq for pq in goldbach_enumerate(1000, allow_zero_eta=True) if pq[0] <= 31]
+    assert zero == [(3, 997), (17, 983), (23, 977), (29, 971)]
+    real = goldbach._unstruck  # the zero parts read the certificate's span: without 5's slices,
+    monkeypatch.setattr(goldbach, "_unstruck",  # 995 stays unstruck and (5, 995) gets in
+                        lambda start, stop, primes: real(start, stop, [q for q in primes if q != 5]))
+    assert (5, 995) in goldbach_enumerate(1000, allow_zero_eta=True)
+
+
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_certificate_rejects_a_coprime_composite(monkeypatch, position):
     # 121 = 11^2 has no factor among 2n = 100's sieving primes 2, 3, 5, 7; no such composite
-    # lies below 11^2 > 2n, so the certificate's range [2, n] rules it out.  Windows of
-    # 6 entries from 8 hold the candidates 11, 17 and 29 apart, an empty one before 29's
-    for width in (sieve.SEGMENT_ODD_BITS, 6):
+    # lies below 11^2 > 2n, so the certificate's range [2, n] rules it out.  Rows of
+    # 1 entry from 11 hold the candidates 11, 17 and 29 apart, an empty one before 29's
+    for width in (sieve.SEGMENT_ODD_BITS, 1):
         window_width(monkeypatch, width)
         monkeypatch.setattr(goldbach, "scan_windows", injecting(position, 121))
         with pytest.raises(AssertionError, match=r"^candidate 121 outside \[2, 50\]$"):

@@ -7,7 +7,8 @@ SUITE is one of the tables in ``SUITES``:
 - ``render``: ``primelab --format F primes --limit L --list`` for F in json, csv,
   table and L in 1e5, 1e6, 1e7;
 - ``goldbach``: ``primelab goldbach --even E --mode M`` for E in 1e6, 1e8 and M in
-  exact, guided, guided at E = 1e12, and guided with ``--allow-zero-eta`` at E = 1e10;
+  exact, exact at E = 1e9, guided at E = 1e12, and guided with ``--allow-zero-eta`` at
+  E = 1e10;
 - ``scans``: ``primelab bertrand --twin --min 7 --max 1e6`` at alpha 2 and 1.1, and
   ``primelab bertrand --min 1 --max 1e6``;
 - ``specs``: the six struck-residue spec builders (twins, Sophie Germain, the tuples
@@ -23,6 +24,12 @@ SUITE is one of the tables in ``SUITES``:
   the oracle, so the stepped phi dominates), and ``mersenne_exact_count`` and
   ``fermat_exact_count`` at 1e6, 1e9 and 1e12, timed per call inside the child (see
   ``SWEEP_CHILD``);
+- ``rows``: the residue rows and the Goldbach certificate, timed inside the child: full survivor
+  counts (``counts._survivor_windows``, the route a call far from the last one takes) for the twin
+  and (2,6,8) specs at x = 1e3, 1e4 and 1e5, and ``goldbach_enumerate(2n, "EXACT",
+  allow_zero_eta=True)`` at 2n = 1e3, 1e4 and 1e5, per call (see ``ROWS_CHILD``); the twin count
+  at 1e8 and 1e9 and the eta spec's ``crt.scan_windows`` over (p_k, n] at 2n = 1e9, once per
+  child (see ``ROWS_ONCE_CHILD``);
 - ``startup``: ``import primelab``, ``import primelab.cli`` and one small operation
   per subcommand family;
 - ``crt``: ``primelab crt --allow ...`` listings on both enumeration paths: product
@@ -33,7 +40,8 @@ SUITE is one of the tables in ``SUITES``:
   (``--format csv``, ten windows) of [0, 1e7] keeping five residues of the one big
   modulus 999 983, which times the scan's kept/struck split; the units of 7, 11, 13,
   17 and 19 beside it lift the class count to 1 036 800, past ``PRODUCT_MODE_CAP``,
-  so that it range-scans;
+  so that it range-scans, and, no modulus keeping a single residue, on today's layout
+  (a row of step 1), where "scan 9 primes" scans the odd numbers (2 keeps 1 alone);
 - ``phi``: the two routes of Legendre's phi in ``primelab.counts``, called directly:
   ``_phi_floor`` at 1e10, 1e11, 1e12 and 1e13, each in a child of its own that checks the
   published pi(x) and reports its time and the child's peak RSS (see ``PHI_FLOOR_CHILD``);
@@ -71,7 +79,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNS = 10
 ENV_FLAGS = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS")
-SELF_TIMING = {"specs", "sweep", "phi"}  # suites whose children print their own JSON
+SELF_TIMING = {"specs", "sweep", "phi", "rows"}  # suites whose children print their own JSON
 
 
 def cli(*args) -> list[str]:
@@ -240,11 +248,50 @@ times = per_call_us(cases)
 print(json.dumps({case: {**times[case], **first[case]} for case in cases}))
 """
 
+# Full survivor counts call the sieve route directly: survivor_count would step between near x.
+ROWS_CHILD = FIVE_SAMPLES + """
+import primelab.counts as counts
+from primelab import ResidueSpec, goldbach_enumerate, sieving_prime_set
+
+SPECS = {"twin": ResidueSpec.twins, "2,6,8": lambda ps: ResidueSpec.for_tuple((2, 6, 8), ps)}
+cases = {}
+for x in (10**3, 10**4, 10**5):
+    for name, build in SPECS.items():
+        entries = build([int(p) for p in sieving_prime_set(x)]).entries
+        cases[f"survivors {name} {x}"] = (lambda x=x, e=entries: counts._survivor_windows(x, e), 1)
+for two_n in (10**3, 10**4, 10**5):
+    cases[f"exact zero-eta {two_n}"] = (
+        lambda t=two_n: goldbach_enumerate(t, "EXACT", allow_zero_eta=True), 1)
+print(json.dumps(per_call_us(cases)))
+"""
+
+# One timed call per child: CASE is "twin X" (the full twin survivor count at X) or "eta 2N" (the
+# eta spec's scan_windows over (p_k, N], every window drawn, as EXACT Goldbach reads it).
+ROWS_ONCE_CHILD = """
+import json, sys, time
+import primelab.counts as counts
+import primelab.crt as crt
+from primelab import ResidueSpec, build_split_plan, sieving_prime_set
+
+kind, x = sys.argv[1], int(float(sys.argv[2]))
+if kind == "twin":
+    entries = ResidueSpec.twins([int(p) for p in sieving_prime_set(x)]).entries
+    run = lambda: counts._survivor_windows(x, entries)
+else:
+    plan = build_split_plan(x)
+    spec = plan.eta_spec()
+    run = lambda: sum(len(w) for w in crt.scan_windows(spec, plan.primes[-1] + 1, x // 2))
+start = time.perf_counter()
+run()
+print(json.dumps({f"{kind} {sys.argv[2]}": {"ms": (time.perf_counter() - start) * 1e3}}))
+"""
+
 SUITES = {
     "render": {f"{fmt} {limit}": cli("--format", fmt, "primes", "--limit", limit, "--list")
                for fmt in ("json", "csv", "table") for limit in (10**5, 10**6, 10**7)},
     "goldbach": {**{f"{even} {mode}": cli("goldbach", "--even", even, "--mode", mode)
                     for even in (10**6, 10**8) for mode in ("exact", "guided")},
+                 "1e9 exact": cli("goldbach", "--even", 10**9, "--mode", "exact"),
                  "1e12 guided": cli("goldbach", "--even", 10**12, "--mode", "guided"),
                  "1e10 guided zero-eta": cli("goldbach", "--even", 10**10, "--mode", "guided",
                                              "--allow-zero-eta")},
@@ -253,6 +300,9 @@ SUITES = {
               "bertrand 1e6": cli("bertrand", "--min", 1, "--max", 10**6)},
     "specs": {"builders": ["-c", SPECS_CHILD]},
     "sweep": {"sweeps": ["-c", SWEEP_CHILD]},
+    "rows": {"per call": ["-c", ROWS_CHILD],
+             **{f"{kind} {x}": ["-c", ROWS_ONCE_CHILD, kind, x]
+                for kind, x in (("twin", "1e8"), ("twin", "1e9"), ("eta", "1e9"))}},
     "startup": {
         "import primelab": ["-c", "import primelab"],
         "import primelab.cli": ["-c", "import primelab.cli"],
