@@ -29,7 +29,6 @@ __all__ = [
     "omega_k_estimate",
     "ap_psi_estimate",
     "ap_omega_estimate",
-    "ap_asymptotic",
     "mersenne_estimate",
     "fermat_estimate",
     "twin_constant_probe",
@@ -162,33 +161,6 @@ def ap_omega_estimate(x: int, a: int, b: int, table: PrimeTable | None = None) -
     est = _ap_leading(x, a, b) / 2 * _product(1 - 2 / int(p) for p in primes if p != 2)
     oracle = brute_ap_twin_count(x, a, b, table)
     return EstimateReport(x, est, oracle, {"a": a, "b": b}, warnings)
-
-
-def ap_asymptotic(
-    x: int,
-    a: int,
-    b: int,
-    kind: str,
-    constant: float | None = None,
-    table: PrimeTable | None = None,
-) -> EstimateReport:
-    """The log-form asymptotics for primes (PRIME) or twin pairs (TWIN) in an AP."""
-    _check_ap(x, a, b)
-    t = (x - a) / b
-    if t <= 1:
-        raise ValueError("log argument (x - a)/b must exceed 1")
-    if kind == "PRIME":
-        est = t / math.log(t)
-        oracle = brute_ap_prime_count(x, a, b, table)
-        params = {"a": a, "b": b, "kind": kind}
-    elif kind == "TWIN":
-        c = twin_constant() if constant is None else constant
-        est = 2 * c * t / math.log(t) ** 2
-        oracle = brute_ap_twin_count(x, a, b, table)
-        params = {"a": a, "b": b, "kind": kind, "C": c}
-    else:
-        raise ValueError(f"kind must be PRIME or TWIN, not {kind!r}")
-    return EstimateReport(x, est, oracle, params)
 
 
 def brute_mersenne_count(x: int) -> int:

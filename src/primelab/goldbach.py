@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .crt import choice_count, crt_enumerate, scan_windows
+from .crt import choice_count, crt_enumerate, crt_windows
 from .residues import ResidueSpec, _form_entries
 from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set, table_for
 
@@ -188,7 +188,7 @@ def _pair_lows(two_n: int, mode: str, allow_zero_eta: bool, table: PrimeTable | 
     spec, lo, hi = plan.eta_spec(), plan.primes[-1] + 1, two_n // 2
     # GUIDED's one candidate: the first n outside every struck set, read off the spec itself
     first = (n for n in range(lo, hi + 1) if all(n % p not in s for p, s in spec.entries))
-    windows = [np.fromiter(islice(first, 1), np.int64)] if mode == "GUIDED" else scan_windows(spec, lo, hi)
+    windows = [np.fromiter(islice(first, 1), np.int64)] if mode == "GUIDED" else crt_windows(spec, lo, hi)
     # zero parts first, certified with the first window: every n <= p_k is a sieving prime or
     # has a sieving-prime factor
     lows, zero = [np.zeros(0, dtype=np.int64)], allow_zero_eta
@@ -268,7 +268,7 @@ def span_report(two_n: int, table: PrimeTable | None = None) -> SpanReport:
                 f"full-period enumeration cap {EXACT_SPAN_MAX_PRIME}",
             ),
         )
-    candidates = np.concatenate(list(scan_windows(plan.eta_spec(), 1, m)))
+    candidates = np.concatenate(list(crt_windows(plan.eta_spec(), 1, m)))
     lo, hi = int(candidates[0]), int(candidates[-1])
     notes = []
     if lo == 1:

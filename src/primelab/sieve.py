@@ -8,10 +8,15 @@ size grows with the limit; :func:`count_primes` is the bounded path, an
 odd-only segmented sieve that holds one segment (about 1 MiB) at a time.
 :func:`table_for` is the one "a table reaching n" helper, and the cache
 (:func:`save_cache`, :func:`load_cache`) is a file read and written by path.
+The residue core is :func:`avoiding_row`, the wheel that lays out the numbers
+avoiding a spec's struck residues, and :func:`avoiding_windows`, its masks a
+window at a time: every survivor count, CRT listing and EXACT Goldbach scan
+reads them.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import struct
@@ -30,7 +35,6 @@ __all__ = [
     "factorize",
     "count_congruent",
     "pattern_starts",
-    "avoiding_mask",
     "avoiding_windows",
     "avoiding_row",
     "save_cache",
@@ -293,49 +297,66 @@ def pattern_starts(lo: int, hi: int, forms, table: PrimeTable | None = None) -> 
     return starts
 
 
-def avoiding_mask(lo: int, hi: int, entries, step: int = 1) -> np.ndarray:
-    """Mask over the row lo, lo + step, ..., <= hi, True where n mod p avoids the struck residues of
-    each (p, struck); step is coprime to every p.
+def avoiding_row(lo: int, hi: int, entries):
+    """The wheel (Pritchard, Comm. ACM 24, 1981) on which the n in [lo, hi] avoiding the struck
+    residues of every entry (p, struck) lie: (step, offsets, strikes, reach).
 
-    Each class is struck as a sieve strikes multiples, one slice per residue: lo + step*i is r mod p
-    at i = (r - lo) * step^-1 mod p.
+    Row k, class j holds n = lo + k*step + offsets[j], the offsets ascending in [0, step).  An entry
+    keeping one residue folds into step.  One keeping u <= s of the s residues it strikes folds too,
+    largest modulus first, if at most SEGMENT_ODD_BITS classes result, while the rows span more
+    than one window of SEGMENT_ODD_BITS positions or where that saves slices: u * R < R + s, R the
+    slices per class of the entries that strike.  strikes holds those entries and their inverses
+    step^-1 mod p, one per call.  The rule reads the range only as hi against
+    lo + (rows in a window)*step: the same entries fold for every hi in reach = (low, high).
     """
-    mask = np.ones((hi - lo) // step + 1, dtype=bool)
-    for p, struck in entries:
-        inv = pow(step, -1, p)
-        for r in struck:
-            mask[(r - lo) * inv % p :: p] = False
-    return mask
-
-
-def avoiding_windows(lo: int, hi: int, entries, width: int = SEGMENT_ODD_BITS, step: int = 1):
-    """Yield (start, avoiding_mask(start, stop, entries, step)) over the row lo, lo + step, ..., <= hi,
-    windows of width row entries.
-
-    The last window ends at the row's last value; memory is one window, whatever the range.
-    """
-    for start in range(lo, hi + 1, width * step):
-        yield start, avoiding_mask(start, min(start + (width - 1) * step, hi), entries, step)
-
-
-def avoiding_row(lo: int, entries):
-    """(first, step, rest): every n >= lo avoiding the entries' struck residues lies on the row
-    first, first + step, ..., and avoids the struck residues of rest, the other entries.
-
-    step is the product of the leading moduli that keep one residue each, folded in while it stays
-    below 2**62 (so that a row offset fits int64), and first the least n >= lo of the one class a
-    they keep.  Folding a modulus p takes its p - 1 slices out of every window and leaves a row p
-    times shorter, while every other modulus pays one inverse and each of its slices one
-    multiplication, whatever step is: mod 6 never lost to mod 2 where 3 keeps one residue.
-    """
-    a, step, folded = 0, 1, 0
-    for p, struck in entries:
-        if len(struck) != p - 1 or step * p >= 1 << 62:
+    step, a, lead = 1, 0, 0
+    for p, struck in entries:  # the leading entries keeping one residue each, and their class a
+        if len(struck) != p - 1:
             break
         kept = p * (p - 1) // 2 - sum(struck)
-        a += step * ((kept - a) * pow(step, -1, p) % p)
-        step, folded = step * p, folded + 1
-    return lo + (a - lo) % step, step, entries[folded:]
+        a += step * ((kept - lo - a) * pow(step, -1, p) % p)
+        step, lead = step * p, lead + 1
+    rest, offsets, low, high = entries[lead:], [a], lo, math.inf
+    few = [(p, struck) for p, struck in rest if 2 * len(struck) >= p]
+    slices = few and sum(len(struck) for p, struck in rest if 2 * len(struck) < p)
+    for p, struck in reversed(few):  # the largest moduli, the most rows saved, first
+        s, u, c = len(struck), p - len(struck), len(offsets)
+        edge = lo + SEGMENT_ODD_BITS // c * step  # from hi = edge on, the rows span two windows
+        fits, saves, wide = c * u <= SEGMENT_ODD_BITS, u * slices < slices + s, hi >= edge
+        if fits and not saves:  # the range decides
+            low, high = (max(low, edge), high) if wide else (low, min(high, edge - 1))
+        if not (fits and (saves or wide)):
+            slices += s
+            continue
+        inv = pow(step, -1, p)
+        kept = [r - lo for r in range(p) if r not in struck]
+        offsets = sorted(o + step * ((r - o) * inv % p) for o in offsets for r in kept)
+        step *= p
+        rest = [(q, struck) for q, struck in rest if q != p]
+    return step, offsets, (rest, [pow(step, -1, p) for p, _ in rest]), (low, high)
+
+
+def avoiding_windows(lo: int, hi: int, row, width: int = SEGMENT_ODD_BITS):
+    """Yield (start, mask) over the wheel row = avoiding_row(lo, hi, entries): each mask holds
+    width // c rows (at least one) from the row of start = lo + k*step, c positions a row, False
+    where n mod p is struck; the last one ends at the last position <= hi.
+
+    Class j's positions are the mask's view j::c, and residue r mod p falls on its rows
+    i = (r - start - offsets[j]) * step^-1 mod p, i + p, ...: one slice per class and struck
+    residue, as a sieve strikes multiples.  Memory is one window, whatever the range.
+    """
+    step, offsets, (rest, invs), _ = row
+    c = len(offsets)
+    length, span = max(1, width // c) * c, hi - lo + 1
+    total = span // step * c + bisect.bisect_left(offsets, span % step) if span > 0 else 0
+    for t in range(0, total, length):
+        mask, start = np.ones(min(length, total - t), dtype=bool), lo + t // c * step
+        for j, o in enumerate(offsets):
+            view, d = mask[j::c], start + o
+            for (p, struck), inv in zip(rest, invs):
+                for r in struck:
+                    view[(r - d) * inv % p :: p] = False
+        yield start, mask
 
 
 def save_cache(table: PrimeTable, path) -> None:

@@ -2,10 +2,11 @@
 
 tools/bench.py keeps its cases as data: CLI argument lists and ``-c``
 programs. Checking them here, without starting a child, keeps a CLI or API
-rename from surfacing only at the next bench run.
+rename or deletion from surfacing only at the next bench run.
 """
 
 import ast
+import importlib
 import importlib.util
 import pathlib
 
@@ -50,3 +51,17 @@ def test_every_program_case_compiles_and_imports_only_exported_names():
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     assert importlib.util.find_spec(alias.name), (suite, case, alias.name)
+
+
+def test_every_program_case_reads_attributes_its_primelab_modules_have():
+    for suite, case, args in CASES:
+        if args[0] != "-c":
+            continue
+        tree = ast.parse(args[1])
+        modules = {alias.asname or alias.name: importlib.import_module(alias.name)
+                   for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name.startswith("primelab.")}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                assert hasattr(modules[node.value.id], node.attr), (suite, case, node.attr)

@@ -170,6 +170,12 @@ def test_crt_product_mode_past_int64_lists_exact_values(capsys):
     assert out == "n\n" + "".join(f"{n}\n" for n in range(9223372036854775801, 9223372036854775831, 3))
 
 
+@pytest.mark.parametrize("lo, hi", [(-5, -10), (-1, 10)])
+def test_crt_negative_lo_exits_1_with_message(capsys, lo, hi):
+    code, err = run_error(capsys, "crt", "--allow", "3=1", "--lo", str(lo), "--hi", str(hi))
+    assert (code, err) == (1, "error: range must satisfy 0 <= lo <= hi\n")
+
+
 def test_corrupt_cache_exits_1_with_message(tmp_path):
     cache = tmp_path / "primes.cache"
     cache.write_bytes(b"NOTMAGIC" + b"\0" * 32)
@@ -256,13 +262,10 @@ def test_malformed_offsets_exit_1_naming_them(capsys, offsets):
     assert (code, err) == (1, f"error: malformed --offsets token {offsets!r}: want d,d,...\n")
 
 
-CRT_PATHS = {"product": crt._product_windows, "scan": crt.scan_windows}  # crt_windows' two paths
-
-
-@pytest.mark.parametrize("mode", ["product", "scan"])
+@pytest.mark.parametrize("width", [1, sieve.SEGMENT_ODD_BITS])
 @pytest.mark.parametrize("order", [("9=1,2", "4=3"), ("4=3", "9=1,2")])
-def test_allow_composite_unordered_moduli_match_a_brute_filter(capsys, monkeypatch, mode, order):
-    monkeypatch.setattr(crt, "crt_windows", CRT_PATHS[mode])
+def test_allow_composite_unordered_moduli_match_a_brute_filter(capsys, monkeypatch, width, order):
+    monkeypatch.setattr(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width))
     argv = [a for token in order for a in ("--allow", token)]
     code, doc = run_json(capsys, "crt", *argv, "--lo", "0", "--hi", "200")
     assert code == 0
@@ -276,12 +279,11 @@ def without_runtime(text):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("allow, lo, hi", [
-    (["3=1", "5=2,4"], 0, 1500),  # 2 classes mod 15: the product path
-    (["7=1,2,3,4,5,6", "11=1,2,3,4,5,6,7,8,9,10"], 950, 1008),  # 60 classes, width 59: scan
+    (["3=1", "5=2,4"], 0, 1500),  # both fold: 2 classes mod 15, 4 rows a window
+    (["7=1,2,3,4,5,6", "11=1,2,3,4,5,6,7,8,9,10"], 950, 1008),  # both strike rows of step 1
 ])
 def test_crt_listing_in_several_windows_renders_as_one_block(capsys, monkeypatch, fmt, allow,
                                                              lo, hi):
-    monkeypatch.setattr(crt, "_BATCH_VALUES", 7)
     monkeypatch.setattr(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=8))
     windows = [w for w in crt.crt_windows(cli._parse_allow(allow), lo, hi) if len(w)]
     # several windows, and a later one sets the table's column width

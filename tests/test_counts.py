@@ -230,7 +230,7 @@ def test_oracles_do_not_use_the_residue_windows(monkeypatch):
 
     spec = ResidueSpec.twins([2, 3, 5, 7])  # built unpatched: survivor_count itself must refuse
     for module in (sieve, counts, crt, residues, densities, goldbach, schinzel):
-        for name in ("avoiding_mask", "avoiding_windows", "_form_entries",
+        for name in ("avoiding_row", "avoiding_windows", "_form_entries",
                      "tuple_forbidden", "twin_forbidden", "sophie_forbidden"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
@@ -263,12 +263,12 @@ def test_goldbach_oracle_and_certificate_stand_apart_from_the_stream(monkeypatch
         raise AssertionError("read the prime table")
 
     # the candidate certificate binds neither residue-window function
-    assert not hasattr(goldbach, "avoiding_mask") and not hasattr(goldbach, "avoiding_windows")
+    assert not hasattr(goldbach, "avoiding_row") and not hasattr(goldbach, "avoiding_windows")
     for module in (sieve, crt):
-        for name in ("avoiding_mask", "avoiding_windows"):
+        for name in ("avoiding_row", "avoiding_windows"):
             monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(goldbach, "crt_enumerate", refuse)
-    monkeypatch.setattr(goldbach, "scan_windows", refuse)
+    monkeypatch.setattr(goldbach, "crt_windows", refuse)
     monkeypatch.setattr(goldbach, "ResidueSpec", refuse)
     table = sieve_primes(20_000)
     assert len(brute_goldbach_pairs(10_000, table)) == 127

@@ -22,8 +22,14 @@ def allow_spec(pairs):
 
 
 def flat(windows):
-    """A window stream of crt_enumerate's (product or scan) as the list of its values."""
+    """A window stream of crt_windows' as the list of its values."""
     return [n for window in windows for n in window.tolist()]
+
+
+def listed(spec, lo, hi, width=sieve.SEGMENT_ODD_BITS):
+    """crt_windows' values over [lo, hi] in avoiding_windows windows of `width` positions."""
+    with mock.patch.object(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width)):
+        return flat(crt.crt_windows(spec, lo, hi))
 
 
 def test_classic_solution():
@@ -53,20 +59,21 @@ def test_big_moduli_stay_exact():
     assert sol.value == sol.modulus - 1
 
 
-def test_product_mode_past_int64_yields_exact_python_ints():
+def test_59_primorial_listing_past_int64_yields_exact_python_ints():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     allowed = [(p, [1, p - 1] if p % 4 == 1 else [p - 1]) for p in primes]
     spec = allow_spec(allowed)
     m = spec.modulus
-    assert m > crt._NUMPY_MOD_CAP and choice_count(spec) == 128
+    assert m > 1 << 62 and choice_count(spec) == 128
     classes = [crt_solve(CongruenceSystem.of(zip(rs, primes))).value
                for rs in itertools.product(*(residues for _, residues in allowed))]
     for lo, hi in ((0, m), (m // 2, m + m // 2)):  # one period, then across its end
+        step, offsets = sieve.avoiding_row(lo, hi, spec.entries)[:2]
+        assert (step, len(offsets)) == (m, 128)  # every entry folds: a row a period, every class
         want = sorted(v + k * m for v in classes for k in (0, 1) if lo <= v + k * m <= hi)
-        got = flat(crt._product_windows(spec, lo, hi))
+        got = list(crt_enumerate(spec, lo, hi))
         assert got == want
         assert all(type(v) is int for v in got)
-        assert list(crt_enumerate(spec, lo, hi)) == want  # crt_enumerate picks product here too
 
 
 def test_validation():
@@ -109,54 +116,50 @@ def brute_enumerate(spec, lo, hi):
     ]
 
 
-def test_modes_agree_on_worked_example():
+def test_worked_example_lists_twenty_values():
     spec = allow_spec([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])])
     want = brute_enumerate(spec, 1, 210)
-    assert flat(crt._product_windows(spec, 1, 210)) == want
-    assert flat(crt.scan_windows(spec, 1, 210)) == want
-    assert len(want) == 20
+    assert list(crt_enumerate(spec, 1, 210)) == want
+    assert len(want) == 20 == choice_count(spec)
 
 
-def test_crt_enumerate_picks_product_while_the_range_holds_every_class(monkeypatch):
-    spec = allow_spec([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])])  # 20 classes
-
-    def refuse(*args):
-        raise AssertionError("took the other path")
-
-    monkeypatch.setattr(crt, "scan_windows", refuse)
-    assert list(crt_enumerate(spec, 1, 20)) == brute_enumerate(spec, 1, 20)  # width 20: product
-    monkeypatch.undo()
-    monkeypatch.setattr(crt, "_product_windows", refuse)
-    assert list(crt_enumerate(spec, 1, 19)) == brute_enumerate(spec, 1, 19)  # width 19: scan
+BIG = 10_007  # a prime longer than most windows below
 
 
-def product_in_batches(spec, lo, hi, values):
-    """The product path's stream with batches of about `values` values (at least a period)."""
-    with mock.patch.object(crt, "_BATCH_VALUES", values):
-        return list(crt._product_windows(spec, lo, hi))
-
-
-@given(
-    st.lists(
-        st.sampled_from([2, 3, 5, 7, 11]), min_size=1, max_size=4, unique=True
-    ),
-    st.integers(0, 50),
-    st.integers(0, 400),
-    st.integers(0, 7),
-    st.sampled_from([1, 2, 7, crt._BATCH_VALUES]),
-)
-@settings(max_examples=120, derandomize=True, deadline=None)
-def test_modes_agree_randomized(primes, lo, width, seed, batch):
+@st.composite
+def wheel_cases(draw):
+    """(spec, lo, hi, width): composite and prime moduli keeping every residue, one, at most half
+    or any subset, maybe BIG keeping 1-5 residues; hi near one of the first window ends."""
+    moduli = []
+    for m in draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 25, 27]), max_size=4,
+                           unique=True)):
+        if all(math.gcd(m, k) == 1 for k in moduli):
+            moduli.append(m)
     entries = []
-    for i, p in enumerate(sorted(primes)):
-        allowed = [(seed + i + j) % p for j in range(1 + (seed + i) % p)]
-        entries.append((p, sorted(set(allowed))))
-    spec = allow_spec(entries)
-    hi = lo + width
-    want = brute_enumerate(spec, lo, hi)
-    assert flat(product_in_batches(spec, lo, hi, batch)) == want
-    assert flat(crt.scan_windows(spec, lo, hi)) == want
-    assert list(crt_enumerate(spec, lo, hi)) == want
+    for m in moduli:
+        kind = draw(st.sampled_from(["every", "one", "half", "any"]))
+        size = {"every": m, "one": 1, "half": max(1, m // 2)}.get(kind) or draw(st.integers(1, m))
+        entries.append((m, draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size,
+                                         unique=True))))
+    if draw(st.booleans()):
+        entries.append((BIG, draw(st.lists(st.integers(0, BIG - 1), min_size=1, max_size=5,
+                                           unique=True))))
+    spec = allow_spec(sorted(entries))
+    width = draw(st.sampled_from([1, 7, 16, sieve.SEGMENT_ODD_BITS]))
+    lo = draw(st.integers(0, 3 * BIG))
+    step, offsets = sieve.avoiding_row(lo, lo + 3 * BIG, spec.entries)[:2]
+    edge = lo + draw(st.integers(0, 3)) * max(1, width // len(offsets)) * step
+    hi = min(edge + draw(st.integers(-2, 2)), lo + 3 * BIG)
+    return spec, lo, max(hi, lo - 1), width
+
+
+@given(wheel_cases())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_crt_windows_match_a_brute_filter(case):
+    spec, lo, hi, width = case
+    got = listed(spec, lo, hi, width)
+    assert got == brute_enumerate(spec, lo, hi)
+    assert all(type(v) is int for v in got)
 
 
 @st.composite
@@ -177,18 +180,12 @@ def scan_specs(draw):
     return allow_spec(entries)
 
 
-def scan_in_windows(spec, lo, hi, width):
-    """The range-scan path's stream with residue windows of `width` entries."""
-    with mock.patch.object(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width)):
-        return flat(crt.scan_windows(spec, lo, hi))
-
-
 @given(scan_specs(), st.integers(0, 10**6), st.integers(0, 120), st.integers(1, 7))
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_scan_matches_filter_at_chunk_edges(spec, lo, width, chunk):
     # windows of 1-7 entries are shorter than most moduli, and lo is unaligned
     hi = lo + width
-    got = scan_in_windows(spec, lo, hi, chunk)
+    got = listed(spec, lo, hi, chunk)
     assert got == brute_enumerate(spec, lo, hi)
     assert all(type(v) is int for v in got)
 
@@ -197,52 +194,44 @@ def test_scan_strikes_from_unaligned_starts():
     spec = allow_spec([(7, range(7)), (11, [4]), (13, [0, 5, 12])])
     for lo, chunk in ((1001, 1), (1003, 6), (999_999, 7), (12_345, sieve.SEGMENT_ODD_BITS)):
         want = brute_enumerate(spec, lo, lo + 3000)
-        assert scan_in_windows(spec, lo, lo + 3000, chunk) == want
+        assert listed(spec, lo, lo + 3000, chunk) == want
 
 
-def test_scan_refuses_bounds_past_int64():
-    spec = allow_spec([(3, [1]), (5, [2, 3])])  # 2 classes: a range of width 1 takes the scan path
-    top = 1 << 62
-    assert [list(crt_enumerate(spec, n, n)) for n in (top - 6, top)] == [[top - 6], []]  # top scans
-    with pytest.raises(ValueError, match="range-scan bounds must fit in int64"):
-        crt_enumerate(spec, top + 1, top + 1)  # raised on the call, before a value is drawn
+def test_values_at_and_past_2_62_are_exact():
+    # 3 and 5 fold into the wheel (one class mod 3, two mod 5), 7 strikes its rows
+    spec = allow_spec([(3, [1]), (5, [2, 3]), (7, [1, 2, 3, 4, 5, 6])])
+    assert [m for m, _ in sieve.avoiding_row(0, 10, spec.entries)[2][0]] == [7]
+    for top in (1 << 62, 1 << 63, 1 << 64):
+        for width in (1, sieve.SEGMENT_ODD_BITS):
+            got = listed(spec, top - 60, top + 60, width)
+            assert got == brute_enumerate(spec, top - 60, top + 60) and len(got) > 3
+            assert all(type(v) is int for v in got)
 
 
 @pytest.mark.parametrize("top", [47, 59])  # 47#: the int64 path; 59#: past 2**62, Python ints
-@pytest.mark.parametrize("batch", [1, 7, crt._BATCH_VALUES])
-def test_product_periods_past_2_53_reach_hi_exactly(top, batch):
-    """The period starts are exact integers: with a modulus past 2**53, a period that starts
-    at or just below hi is listed, though (hi + 1 - base) / m rounds to a whole float."""
+@pytest.mark.parametrize("width", [1, 7, 65536])
+def test_product_periods_past_2_53_reach_hi_exactly(top, width):
+    """The period starts k*m of the product m of the moduli are exact integers: with m past 2**53,
+    a period that starts at or just below hi is listed, though (hi + 1 - base) / m rounds to a
+    whole float.  Every modulus keeps one residue, so the wheel steps by m."""
     zero = allow_spec([(p, [0]) for p in sieve.sieve_primes(top).primes.tolist()])
     m = zero.modulus  # its one class is 0
-    assert 2**53 < m and (2 * m < crt._NUMPY_MOD_CAP) == (top == 47) and choice_count(zero) == 1
+    assert 2**53 < m and (2 * m < 1 << 62) == (top == 47) and choice_count(zero) == 1
     for lo, hi, want in ((1, m, [m]), (0, m + 1, [0, m]), (m, 3 * m + 2**9, [m, 2 * m, 3 * m])):
-        got = flat(product_in_batches(zero, lo, hi, batch))
+        assert sieve.avoiding_row(lo, hi, zero.entries)[:2] == (m, [-lo % m])
+        got = listed(zero, lo, hi, width)
         assert got == want and all(type(v) is int for v in got)
     assert list(crt_enumerate(zero, 1, m)) == [m]
 
 
-def test_product_windows_hold_whole_periods_of_about_the_batch_size():
-    one_class = allow_spec([(3, [1])])
-    assert [w.tolist() for w in product_in_batches(one_class, 2, 29, 4)] == [
-        [4, 7, 10], [13, 16, 19, 22], [25, 28]]  # periods [0, 12), [12, 24), [24, 36), cut
-    twenty = allow_spec([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])])
-    windows = product_in_batches(twenty, 0, 3 * 210 - 1, 7)  # fewer values than a period
-    assert [len(w) for w in windows] == [20, 20, 20]
-    assert [w.tolist() for w in windows[1:]] == [(w + k * 210).tolist()
-                                                 for k, w in ((1, windows[0]), (2, windows[0]))]
-
-
-@pytest.mark.parametrize("batch", [1, 3, crt._BATCH_VALUES])
-def test_modulus_1_spec_takes_the_product_path(monkeypatch, batch):
+@pytest.mark.parametrize("width", [1, 3, 65536])
+def test_modulus_1_spec_lists_every_n(width):
     spec = ResidueSpec(())
     assert (spec.modulus, choice_count(spec)) == (1, 1)
-    monkeypatch.setattr(crt, "scan_windows", None)  # product, for every range
-    monkeypatch.setattr(crt, "_BATCH_VALUES", batch)
-    assert list(crt_enumerate(spec, 3, 17)) == list(range(3, 18))
-    assert list(crt_enumerate(spec, 0, 0)) == [0]
+    assert listed(spec, 3, 17, width) == list(range(3, 18))
+    assert listed(spec, 0, 0, width) == [0]
     top = 1 << 63
-    got = list(crt_enumerate(spec, top - 2, top + 2))
+    got = listed(spec, top - 2, top + 2, width)
     assert got == list(range(top - 2, top + 3)) and all(type(v) is int for v in got)
 
 
@@ -261,21 +250,17 @@ def test_stream_is_ascending_and_periodic():
 
 def test_scan_strikes_few_residues_per_window_for_a_big_modulus(monkeypatch):
     """An entry striking most of a big modulus (10 007, 5 residues kept) costs a window a few
-    dozen strikes, not one slice per struck residue (about 10 000): the kept/struck split's purpose."""
-    strikes = []  # residues struck per window, by avoiding_windows and by avoiding_mask
+    dozen strikes, not one slice per struck residue (about 10 000): it folds into the wheel's
+    classes, and the entries left strike each class once per struck residue."""
+    strikes = []  # slices per window
 
-    def windows(lo, hi, entries, **row):
-        for window in sieve.avoiding_windows(lo, hi, entries, width=4096, **row):
-            strikes.append(sum(len(struck) for _, struck in entries))
+    def windows(lo, hi, row, **width):
+        for window in sieve.avoiding_windows(lo, hi, row, width=16):
+            strikes.append(len(row[1]) * sum(len(struck) for _, struck in row[2][0]))
             yield window
 
-    def mask(lo, hi, entries, *row):
-        strikes[-1] += sum(len(struck) for _, struck in entries)
-        return sieve.avoiding_mask(lo, hi, entries, *row)
-
     monkeypatch.setattr(crt, "avoiding_windows", windows)
-    monkeypatch.setattr(crt, "avoiding_mask", mask)
-    spec = allow_spec([(10_007, [1, 2, 3, 4, 5])])
-    hi = 3 * 10_007 + 2
-    assert flat(crt.scan_windows(spec, 0, hi)) == brute_enumerate(spec, 0, hi)
+    spec = allow_spec([(7, range(1, 7)), (BIG, [1, 2, 3, 4, 5])])
+    hi = 3 * 7 * BIG + 2  # 22 rows of 5 classes, 3 rows a window
+    assert flat(crt.crt_windows(spec, 0, hi)) == brute_enumerate(spec, 0, hi)
     assert len(strikes) == 8 and max(strikes) <= 32

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from primelab.densities import (
-    ap_asymptotic,
     ap_omega_estimate,
     ap_psi_estimate,
     brute_ap_prime_count,
@@ -101,17 +100,6 @@ def test_ap_psi_warns_when_prime_divides_difference():
 def test_ap_estimate_requires_coprimality():
     with pytest.raises(ValueError):
         ap_psi_estimate(100, 2, 4)
-
-
-def test_ap_asymptotic_kinds():
-    r = ap_asymptotic(10_000, 1, 2, "PRIME")
-    assert r.oracle == brute_ap_prime_count(10_000, 1, 2)
-    t = ap_asymptotic(10_000, 1, 2, "TWIN", constant=0.66)
-    assert t.params["C"] == 0.66
-    with pytest.raises(ValueError):
-        ap_asymptotic(10_000, 1, 2, "CUBES")
-    with pytest.raises(ValueError):
-        ap_asymptotic(3, 1, 2, "PRIME")  # log argument 1
 
 
 def test_brute_mersenne_and_fermat():

@@ -224,10 +224,10 @@ def test_twin_crt_search_beyond_certification_filters():
 
 
 def injecting(position, value):
-    """A scan_windows stand-in that swaps the candidate at one stream position for value."""
+    """A crt_windows stand-in that swaps the candidate at one stream position for value."""
     def windows(spec, lo, hi):
         seen = 0
-        for window in crt.scan_windows(spec, lo, hi):
+        for window in crt.crt_windows(spec, lo, hi):
             if seen <= position < seen + len(window):
                 window = window.copy()
                 window[position - seen] = value
@@ -237,7 +237,7 @@ def injecting(position, value):
 
 
 def window_width(monkeypatch, width):
-    """Scan in sieve.avoiding_windows windows of `width` entries."""
+    """Scan in sieve.avoiding_windows windows of `width` positions."""
     monkeypatch.setattr(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width))
 
 
@@ -256,7 +256,7 @@ def test_certificate_rejects_a_sieving_prime_multiple_anywhere_in_a_chunk(monkey
     for width in (sieve.SEGMENT_ODD_BITS, 11):
         window_width(monkeypatch, width)
         for value, message in rejected:
-            monkeypatch.setattr(goldbach, "scan_windows", injecting(position, value))
+            monkeypatch.setattr(goldbach, "crt_windows", injecting(position, value))
             if mode == "GUIDED":  # the stream is never read
                 assert goldbach_enumerate(1000, mode) == [(47, 953)]
                 continue
@@ -310,7 +310,7 @@ def test_certificate_rejects_an_injected_value_on_both_span_paths(monkeypatch, w
     last = len(goldbach_enumerate(1000)) - 1
     window_width(monkeypatch, width)
     for position in (0, last):
-        monkeypatch.setattr(goldbach, "scan_windows", injecting(position, value))
+        monkeypatch.setattr(goldbach, "crt_windows", injecting(position, value))
         for zero in (False, True):
             with pytest.raises(AssertionError, match=f"^{message}$"):
                 goldbach_enumerate(1000, allow_zero_eta=zero)
@@ -335,7 +335,7 @@ def test_certificate_rejects_a_coprime_composite(monkeypatch, position):
     # 1 entry from 11 hold the candidates 11, 17 and 29 apart, an empty one before 29's
     for width in (sieve.SEGMENT_ODD_BITS, 1):
         window_width(monkeypatch, width)
-        monkeypatch.setattr(goldbach, "scan_windows", injecting(position, 121))
+        monkeypatch.setattr(goldbach, "crt_windows", injecting(position, 121))
         with pytest.raises(AssertionError, match=r"^candidate 121 outside \[2, 50\]$"):
             goldbach_enumerate(100)
 

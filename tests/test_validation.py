@@ -16,6 +16,8 @@ RAISES = [
     (lambda: residues.ap_residue_sequence(1, 1, 5).constant, ValueError, "not a constant cycle"),
     (lambda: list(crt.crt_windows(THREE_KEEPS_1, -1, 5)), ValueError,
      "range must satisfy 0 <= lo <= hi"),
+    pytest.param(lambda: list(crt.crt_windows(THREE_KEEPS_1, -3, -5)), ValueError,
+                 "range must satisfy 0 <= lo <= hi", id="crt_windows-lo-below-0-and-hi"),
     (lambda: crt.CongruenceSystem(((0, 0),)), ValueError, "moduli must be positive"),
     (lambda: list(reporting.report_parts(reporting.Report("x"), "xml")), ValueError,
      "unknown format 'xml'"),

@@ -28,20 +28,21 @@ SUITE is one of the tables in ``SUITES``:
   counts (``counts._survivor_windows``, the route a call far from the last one takes) for the twin
   and (2,6,8) specs at x = 1e3, 1e4 and 1e5, and ``goldbach_enumerate(2n, "EXACT",
   allow_zero_eta=True)`` at 2n = 1e3, 1e4 and 1e5, per call (see ``ROWS_CHILD``); the twin count
-  at 1e8 and 1e9 and the eta spec's ``crt.scan_windows`` over (p_k, n] at 2n = 1e9, once per
+  at 1e8 and 1e9 and the eta spec's ``crt.crt_windows`` over (p_k, n] at 2n = 1e9, once per
   child (see ``ROWS_ONCE_CHILD``);
 - ``startup``: ``import primelab``, ``import primelab.cli`` and one small operation
   per subcommand family;
-- ``crt``: ``primelab crt --allow ...`` listings on both enumeration paths: product
-  mode over the 92 160 classes coprime to 255 255 = 3*5*7*11*13*17 for two periods
-  (184 320 values), the paper's 20-class example over 1..210, a range scan of the
-  numbers up to 1e6 coprime to the nine primes up to 23, product mode over one
-  class mod 3 up to 3e6 (a million periods of one value each), and a range scan
-  (``--format csv``, ten windows) of [0, 1e7] keeping five residues of the one big
-  modulus 999 983, which times the scan's kept/struck split; the units of 7, 11, 13,
-  17 and 19 beside it lift the class count to 1 036 800, past ``PRODUCT_MODE_CAP``,
-  so that it range-scans, and, no modulus keeping a single residue, on today's layout
-  (a row of step 1), where "scan 9 primes" scans the odd numbers (2 keeps 1 alone);
+- ``crt``: ``primelab crt --allow ...`` listings, each on the wheel its entries fold into
+  (``sieve.avoiding_row``): "product 92160 classes" lists the numbers coprime to
+  255 255 = 3*5*7*11*13*17 for two periods (184 320 values; every prime keeps all but one
+  residue, so each strikes a row of step 1), "example 20 classes" the paper's example over
+  1..210 (2 and 3 keep one residue each: a row of step 6), "scan 9 primes" the numbers up to
+  1e6 coprime to the nine primes up to 23 (the odd numbers, 2 keeping 1 alone), "product 1
+  class to 3e6" the one class 1 mod 3 up to 3e6 (a row of step 3, nothing struck), and "scan one
+  big modulus" (``--format csv``) [0, 1e7] keeping five residues of the one big modulus 999 983
+  beside the units of 7, 11, 13, 17 and 19: 999 983 folds into five classes and the small
+  primes strike their rows; the case names predate the one stream and are kept so that the
+  keys in ``BENCH_crt.json`` still compare;
 - ``phi``: the two routes of Legendre's phi in ``primelab.counts``, called directly:
   ``_phi_floor`` at 1e10, 1e11, 1e12 and 1e13, each in a child of its own that checks the
   published pi(x) and reports its time and the child's peak RSS (see ``PHI_FLOOR_CHILD``);
@@ -266,7 +267,7 @@ print(json.dumps(per_call_us(cases)))
 """
 
 # One timed call per child: CASE is "twin X" (the full twin survivor count at X) or "eta 2N" (the
-# eta spec's scan_windows over (p_k, N], every window drawn, as EXACT Goldbach reads it).
+# eta spec's crt_windows over (p_k, N], every window drawn, as EXACT Goldbach reads it).
 ROWS_ONCE_CHILD = """
 import json, sys, time
 import primelab.counts as counts
@@ -280,7 +281,7 @@ if kind == "twin":
 else:
     plan = build_split_plan(x)
     spec = plan.eta_spec()
-    run = lambda: sum(len(w) for w in crt.scan_windows(spec, plan.primes[-1] + 1, x // 2))
+    run = lambda: sum(len(w) for w in crt.crt_windows(spec, plan.primes[-1] + 1, x // 2))
 start = time.perf_counter()
 run()
 print(json.dumps({f"{kind} {sys.argv[2]}": {"ms": (time.perf_counter() - start) * 1e3}}))
