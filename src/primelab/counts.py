@@ -4,8 +4,8 @@ Legendre's prime count (phi over the floor values [x/i], a bounded chunk at
 a time from one period of 2*3*5*7*11*13, looping over the primes p <= cbrt(x)
 and gathering the rest, whose [x/p] only q <= sqrt(x/p) < cbrt(x) rewrite),
 the twin and k-tuple residue-survivor formulas (a windowed residue sieve over
-sieve.avoiding_row's wheel, below a few million the one class mod 6, or mod 30
-for (2,6,8), that the specs keep; the paper's literal inclusion-exclusion over
+sieve.avoiding_row's wheel, the one class mod 6, or mod 30 for (2,6,8), that
+the specs keep; the paper's literal inclusion-exclusion over
 CRT classes is its test reference, in tests/test_counts.py), and the order-based
 counts of the Mersenne and Fermat primes 2^q -+ 1 <= x.  phi and the survivor count step from the
 previous call when it was near (_step; phi tests each n it steps over by gcd
@@ -93,21 +93,20 @@ def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
 # Survivor counting: numbers in [1, x] avoiding per-prime forbidden residues
 
 
-_survivor_row = (None, 0, -1, None)  # (entries, *reach, avoiding_row(1, x, entries)), replaced whole
+_survivor_row = (None, None)  # (entries, avoiding_row(1, entries)) of the last sieved count, replaced whole
 
 
 def _survivor_windows(x: int, entries) -> int:
     """survivor_count by a windowed residue sieve: avoiding_windows strikes the entries' classes on
-    sieve.avoiding_row's wheel over [1, x] (below a few million, one class mod 6 for the twin, (2,6)
-    and Sophie Germain specs, mod 30 for (2,6,8)), one window of about 1 Mi positions at a time,
-    and the survivors of each window are added up.  The wheel is laid out again only for entries
-    other than the last sieved count's (``is``), or for an x out of its reach, where the fold rule
-    could pick another."""
+    sieve.avoiding_row's wheel over [1, x] (one class mod 6 for the twin, (2,6) and Sophie Germain
+    specs, mod 30 for (2,6,8)), one window of about 1 Mi positions at a time, and the survivors of
+    each window are added up.  The wheel is laid out again only for entries other than the last
+    sieved count's (``is``)."""
     global _survivor_row
-    last, low, high, row = _survivor_row
-    if last is not entries or not low <= x <= high:
-        row = avoiding_row(1, x, entries)
-        _survivor_row = (entries, *row[3], row)
+    last, row = _survivor_row
+    if last is not entries:
+        row = avoiding_row(1, entries)
+        _survivor_row = (entries, row)
     return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(1, x, row))
 
 

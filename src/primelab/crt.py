@@ -85,16 +85,16 @@ def crt_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
     int64 while hi + step is below 2**62, else exact Python ints.  lo is checked on the call."""
     if lo < 0:
         raise ValueError("range must satisfy 0 <= lo <= hi")
-    return _values(lo, hi, avoiding_row(lo, hi, spec.entries)) if lo <= hi else iter(())
+    return _values(lo, hi, avoiding_row(lo, spec.entries)) if lo <= hi else iter(())
 
 
 def _values(lo: int, hi: int, row) -> Iterator[np.ndarray]:
     """crt_windows' arrays, in place: position t of a window is row t // c, class t % c."""
-    step, offsets, _, _ = row
+    step, offsets, _ = row
     dtype = np.int64 if hi + step < 1 << 62 else object  # values and their sums fit int64
     classes = np.array(offsets, dtype=dtype) if len(offsets) > 1 else None
     for start, mask in avoiding_windows(lo, hi, row):
-        values = np.flatnonzero(mask)
+        values = mask.nonzero()[0]
         if classes is not None:
             values, j = np.divmod(values, len(offsets))
         values = values if dtype is np.int64 else values.astype(object)

@@ -297,17 +297,15 @@ def pattern_starts(lo: int, hi: int, forms, table: PrimeTable | None = None) -> 
     return starts
 
 
-def avoiding_row(lo: int, hi: int, entries):
-    """The wheel (Pritchard, Comm. ACM 24, 1981) on which the n in [lo, hi] avoiding the struck
-    residues of every entry (p, struck) lie: (step, offsets, strikes, reach).
+def avoiding_row(lo: int, entries):
+    """The wheel (Pritchard, Comm. ACM 24, 1981) on which every n >= lo avoiding the struck
+    residues of every entry (p, struck) lies: (step, offsets, strikes).
 
     Row k, class j holds n = lo + k*step + offsets[j], the offsets ascending in [0, step).  An entry
     keeping one residue folds into step.  One keeping u <= s of the s residues it strikes folds too,
-    largest modulus first, if at most SEGMENT_ODD_BITS classes result, while the rows span more
-    than one window of SEGMENT_ODD_BITS positions or where that saves slices: u * R < R + s, R the
-    slices per class of the entries that strike.  strikes holds those entries and their inverses
-    step^-1 mod p, one per call.  The rule reads the range only as hi against
-    lo + (rows in a window)*step: the same entries fold for every hi in reach = (low, high).
+    largest modulus first, where that saves slices, u * R < R + s with R the slices per class of
+    the entries that strike, and at most SEGMENT_ODD_BITS classes result.  strikes holds the
+    entries that strike as (p, struck, step^-1 mod p), each inverse computed once per call.
     """
     step, a, lead = 1, 0, 0
     for p, struck in entries:  # the leading entries keeping one residue each, and their class a
@@ -316,28 +314,28 @@ def avoiding_row(lo: int, hi: int, entries):
         kept = p * (p - 1) // 2 - sum(struck)
         a += step * ((kept - lo - a) * pow(step, -1, p) % p)
         step, lead = step * p, lead + 1
-    rest, offsets, low, high = entries[lead:], [a], lo, math.inf
-    few = [(p, struck) for p, struck in rest if 2 * len(struck) >= p]
-    slices = few and sum(len(struck) for p, struck in rest if 2 * len(struck) < p)
+    few = []  # the entries keeping u <= s residues: the append leaves them out of strikes
+    strikes = [(p, s, pow(step, -1, p)) for p, s in entries[lead:]
+               if 2 * len(s) < p or few.append((p, s))]
+    if not few:
+        return step, [a], strikes
+    offsets, slices, folded = [a], sum(len(s) for _, s, _ in strikes), []
     for p, struck in reversed(few):  # the largest moduli, the most rows saved, first
-        s, u, c = len(struck), p - len(struck), len(offsets)
-        edge = lo + SEGMENT_ODD_BITS // c * step  # from hi = edge on, the rows span two windows
-        fits, saves, wide = c * u <= SEGMENT_ODD_BITS, u * slices < slices + s, hi >= edge
-        if fits and not saves:  # the range decides
-            low, high = (max(low, edge), high) if wide else (low, min(high, edge - 1))
-        if not (fits and (saves or wide)):
+        s, u = len(struck), p - len(struck)
+        if len(offsets) * u > SEGMENT_ODD_BITS or u * slices >= slices + s:
             slices += s
             continue
         inv = pow(step, -1, p)
         kept = [r - lo for r in range(p) if r not in struck]
         offsets = sorted(o + step * ((r - o) * inv % p) for o in offsets for r in kept)
-        step *= p
-        rest = [(q, struck) for q, struck in rest if q != p]
-    return step, offsets, (rest, [pow(step, -1, p) for p, _ in rest]), (low, high)
+        step, folded = step * p, folded + [p]
+    if folded:  # the step grew: the entries that strike take its inverse
+        strikes = [(p, s, pow(step, -1, p)) for p, s, _ in strikes]
+    return step, offsets, strikes + [(p, s, pow(step, -1, p)) for p, s in few if p not in folded]
 
 
 def avoiding_windows(lo: int, hi: int, row, width: int = SEGMENT_ODD_BITS):
-    """Yield (start, mask) over the wheel row = avoiding_row(lo, hi, entries): each mask holds
+    """Yield (start, mask) over the wheel row = avoiding_row(lo, entries): each mask holds
     width // c rows (at least one) from the row of start = lo + k*step, c positions a row, False
     where n mod p is struck; the last one ends at the last position <= hi.
 
@@ -345,15 +343,16 @@ def avoiding_windows(lo: int, hi: int, row, width: int = SEGMENT_ODD_BITS):
     i = (r - start - offsets[j]) * step^-1 mod p, i + p, ...: one slice per class and struck
     residue, as a sieve strikes multiples.  Memory is one window, whatever the range.
     """
-    step, offsets, (rest, invs), _ = row
+    step, offsets, strikes = row
     c = len(offsets)
     length, span = max(1, width // c) * c, hi - lo + 1
     total = span // step * c + bisect.bisect_left(offsets, span % step) if span > 0 else 0
     for t in range(0, total, length):
-        mask, start = np.ones(min(length, total - t), dtype=bool), lo + t // c * step
+        mask, start = np.empty(min(length, total - t), dtype=bool), lo + t // c * step
+        mask.fill(True)
         for j, o in enumerate(offsets):
             view, d = mask[j::c], start + o
-            for (p, struck), inv in zip(rest, invs):
+            for p, struck, inv in strikes:
                 for r in struck:
                     view[(r - d) * inv % p :: p] = False
         yield start, mask

@@ -19,7 +19,7 @@ def allow_spec(pairs):
     return ResidueSpec.from_pairs((m, [r for r in range(m) if r not in rs]) for m, rs in pairs)
 
 
-# each spec with the wheel its entries fold into below x = 4000: (step, classes)
+# each spec with the wheel its entries fold into: (step, classes)
 SPECS = {
     "twins": (ResidueSpec.twins(PRIMES), 6, 1),
     "sophie germain": (ResidueSpec.sophie_germain(PRIMES), 6, 1),
@@ -60,9 +60,10 @@ def window_edges(lo, step, rows):
 def test_wheel_folds_the_classes_the_rule_picks(name):
     spec, step, classes = SPECS[name]
     for lo in (0, 1, 7, 10):
-        got, offsets, strikes, _ = sieve.avoiding_row(lo, 4000, spec.entries)
+        got, offsets, strikes = sieve.avoiding_row(lo, spec.entries)
         assert (got, len(offsets)) == (step, classes) and offsets == sorted(set(offsets))
-        struck = {m for m, _ in strikes[0]}
+        struck = {m for m, _, _ in strikes}
+        assert all(inv * step % m == 1 for m, _, inv in strikes)
         folded = [(m, s) for m, s in spec.entries if m not in struck and s]
         assert math.prod(m for m, _ in folded) == step and all(0 <= o < step for o in offsets)
         # the classes are the n in [lo, lo + step) that every folded entry keeps
@@ -73,19 +74,9 @@ def test_wheel_folds_the_classes_the_rule_picks(name):
 def test_a_big_modulus_keeping_five_residues_folds_into_five_classes():
     spec = cli._parse_allow(["999983=1,2,3,4,5", *(f"{p}=" + ",".join(map(str, range(1, p)))
                                                     for p in (7, 11, 13, 17, 19))])
-    step, offsets, strikes, _ = sieve.avoiding_row(0, 10**7, spec.entries)
+    step, offsets, strikes = sieve.avoiding_row(0, spec.entries)
     assert (step, offsets) == (999_983, [1, 2, 3, 4, 5])
-    assert [m for m, _ in strikes[0]] == [7, 11, 13, 17, 19]
-
-
-def test_the_range_folds_while_the_rows_of_c_classes_span_two_windows():
-    # 13 and 11 keep 2 residues each, and 101's 41 slices make neither fold save slices
-    spec = allow_spec([(11, [1, 2]), (13, [1, 2]), (101, range(60))])
-    seg = sieve.SEGMENT_ODD_BITS
-    layouts = {hi: sieve.avoiding_row(0, hi, spec.entries) for hi in (seg - 1, seg, 6 * seg, 10**7)}
-    assert [(row[0], len(row[1])) for row in layouts.values()] == [(1, 1), (13, 2), (13, 2), (143, 4)]
-    # 11 folds from hi = (rows in a window of 2 classes) * 13 on
-    assert layouts[seg][3] == (seg, seg // 2 * 13 - 1) and layouts[10**7][3] == (seg // 2 * 13, math.inf)
+    assert [m for m, _, _ in strikes] == [7, 11, 13, 17, 19]
 
 
 @pytest.mark.parametrize("width", [16, sieve.SEGMENT_ODD_BITS])
@@ -111,8 +102,8 @@ def test_survivor_windows_count_a_literal_filter_of_1_to_x(monkeypatch, name, wi
 def test_a_row_stepping_past_2_62_scans_single_values():
     # 2, 3, ..., 47 keep one residue each and 53 keeps two: the wheel steps by 53# (about 3.3e19)
     spec = allow_spec([(p, [1]) for p in sieve.sieve_primes(47).primes.tolist()] + [(53, [1, 2])])
-    step, offsets, strikes, _ = sieve.avoiding_row(0, 1 << 62, spec.entries)
-    assert (step, len(offsets), len(strikes[0])) == (spec.modulus, 2, 0)
+    step, offsets, strikes = sieve.avoiding_row(0, spec.entries)
+    assert (step, len(offsets), len(strikes)) == (spec.modulus, 2, 0)
     value = 1229779565176982821  # the class 1 mod 47# that is 2 mod 53
     assert value % 53 == 2 and all(value % p == 1 for p, _ in spec.entries[:-1])
     for n in (value - 1, value, value + 1, (1 << 62) - 1):
@@ -122,17 +113,8 @@ def test_a_row_stepping_past_2_62_scans_single_values():
 def test_survivor_counts_lay_out_the_row_again_only_for_other_entries():
     twins, tuple268 = SPECS["twins"][0], SPECS["tuple 2,6,8"][0]
     counts._survivor_windows(100, twins.entries)
-    row = counts._survivor_row[3]
+    row = counts._survivor_row[1]
     counts._survivor_windows(3000, twins.entries)
-    assert counts._survivor_row[3] is row  # the same entries: the wheel is reused
-    assert counts._survivor_row[1:3] == (1, math.inf)  # no entry folds by the range
+    assert counts._survivor_row[1] is row  # the same entries: the wheel is reused
     counts._survivor_windows(100, tuple268.entries)
-    assert counts._survivor_row == (tuple268.entries, 1, 30 * sieve.SEGMENT_ODD_BITS,
-                                    sieve.avoiding_row(1, 100, tuple268.entries))
-    row, edge = counts._survivor_row[3], 30 * sieve.SEGMENT_ODD_BITS
-    narrow = counts._survivor_windows(edge, tuple268.entries)
-    assert counts._survivor_row[3] is row
-    # past it, 7 (keeping 3 of its residues) folds while the rows span more than one window
-    survives = all((edge + 1) % m not in s for m, s in tuple268.entries)
-    assert counts._survivor_windows(edge + 1, tuple268.entries) == narrow + survives
-    assert counts._survivor_row[3][:2] == (210, [18, 108, 198])
+    assert counts._survivor_row == (tuple268.entries, sieve.avoiding_row(1, tuple268.entries))

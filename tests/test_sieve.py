@@ -241,7 +241,7 @@ def test_prefix_le_matches_count(limit):
 def test_avoiding_windows_tile_the_range(lo, span, width):
     entries = [(3, {0}), (7, {2, 5}), (11, {4})]  # none keeps one residue or fewer than it strikes
     hi = lo + span  # span -1 is the empty range
-    windows = list(avoiding_windows(lo, hi, avoiding_row(lo, hi, entries), width=width))
+    windows = list(avoiding_windows(lo, hi, avoiding_row(lo, entries), width=width))
     assert [start for start, _ in windows] == list(range(lo, hi + 1, width))
     assert all(0 < len(mask) <= width for _, mask in windows)
     joined = np.concatenate([mask for _, mask in windows]) if windows else np.ones(0, bool)
