@@ -94,7 +94,7 @@ def _values(lo: int, hi: int, row) -> Iterator[np.ndarray]:
     dtype = np.int64 if hi + step < 1 << 62 else object  # values and their sums fit int64
     classes = np.array(offsets, dtype=dtype) if len(offsets) > 1 else None
     for start, mask in avoiding_windows(lo, hi, row):
-        values = mask.nonzero()[0]
+        values = mask.ravel().nonzero()[0]  # np.flatnonzero(mask) without its wrappers
         if classes is not None:
             values, j = np.divmod(values, len(offsets))
         values = values if dtype is np.int64 else values.astype(object)

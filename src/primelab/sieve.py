@@ -348,8 +348,7 @@ def avoiding_windows(lo: int, hi: int, row, width: int = SEGMENT_ODD_BITS):
     length, span = max(1, width // c) * c, hi - lo + 1
     total = span // step * c + bisect.bisect_left(offsets, span % step) if span > 0 else 0
     for t in range(0, total, length):
-        mask, start = np.empty(min(length, total - t), dtype=bool), lo + t // c * step
-        mask.fill(True)
+        mask, start = np.ones(min(length, total - t), dtype=bool), lo + t // c * step
         for j, o in enumerate(offsets):
             view, d = mask[j::c], start + o
             for p, struck, inv in strikes:

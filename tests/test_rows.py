@@ -32,6 +32,7 @@ SPECS = {
     "allow 2=0": (allow_spec([(2, [0]), (3, [1, 2]), (7, [0, 3]), (11, [4])]), 154, 2),
     "allow 2=1": (allow_spec([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])]), 6, 1),
     "allow 4=1, 9=5": (allow_spec([(4, [1]), (9, [5]), (25, [3, 4, 7, 11])]), 900, 4),
+    "allow 4 keeping half": (allow_spec([(3, [0, 1]), (4, [1, 3])]), 4, 2),
 }
 
 
@@ -97,6 +98,15 @@ def test_survivor_windows_count_a_literal_filter_of_1_to_x(monkeypatch, name, wi
     spec, step, classes = SPECS[name]
     for x in [0, 1, 2, *window_edges(1, step, max(1, min(width, 16) // classes)), 2999, 3000]:
         assert counts._survivor_windows(x, spec.entries) == len(literal(spec, 1, x)), x
+
+
+def test_the_wheel_stops_at_segment_odd_bits_classes():
+    # nothing strikes, so folding either modulus saves slices; both would make 1 100 000 classes
+    spec = allow_spec([(2003, range(1000)), (2203, range(1100))])
+    step, offsets, strikes = sieve.avoiding_row(0, spec.entries)
+    assert (step, len(offsets)) == (2203, 1100) and [m for m, _, _ in strikes] == [2003]
+    want = [n for n in range(20_001) if n % 2003 < 1000 and n % 2203 < 1100]
+    assert flat(crt.crt_windows(spec, 0, 20_000)) == want
 
 
 def test_a_row_stepping_past_2_62_scans_single_values():
