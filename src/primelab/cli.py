@@ -236,9 +236,7 @@ def _cmd_xi(args, report: Report) -> int:
                                 probes.xi_partial_sum(args.s, args.sum)})
         else:
             report.warn("s <= 1: series diverges; emitting growth table")
-            grid = [10 ** e for e in range(1, 8) if 10 ** e <= args.sum] or [args.sum]
-            if grid[-1] != args.sum:
-                grid.append(args.sum)
+            grid = [10 ** e for e in range(1, 8) if 10 ** e < args.sum] + [args.sum]
             report.rows.extend(probes.xi_divergence_probe(args.s, grid))
     else:
         report.warn("nothing to do: give --sigma values or --sum N --s S")

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .sieve import PrimeTable, factorize, is_prime, table_for
+from .sieve import SEGMENT_ODD_BITS, PrimeTable, factorize, is_prime, table_for
 
 __all__ = [
     "ScanResult",
@@ -31,6 +32,7 @@ __all__ = [
     "xi_sigma_probe",
     "mersenne_composite_witness",
 ]
+_HL_BLOCK_CELLS = 1 << 16  # cells hl_inequality_scan compares a step; 2^17 raises its peak RSS
 
 
 @dataclass(frozen=True)
@@ -62,27 +64,26 @@ class ScanResult:
         }
 
 
-def _pi_table(limit: int, table: PrimeTable | None) -> np.ndarray:
-    """pi(0..limit) as a cumulative array."""
-    primes = table_for(limit, table).prefix_le(limit)
-    return np.bincount(primes, minlength=limit + 1).cumsum()
-
-
 def bertrand_scan(
     alpha: float, n_min: int, n_max: int, table: PrimeTable | None = None
 ) -> ScanResult:
-    """Failures: n in [n_min, n_max] with no prime in (n, floor(alpha * n)]."""
+    """Failures: n in [n_min, n_max] with no prime in (n, floor(alpha * n)]; between primes p < q,
+    as floor(alpha * n) never falls, they run from p to the last n with floor(alpha * n) < q."""
     if not 1 < alpha <= 2:
         raise ValueError("alpha must lie in (1, 2]")
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
     top = math.floor(alpha * n_max)
-    pi = _pi_table(top, table)
-    n = np.arange(n_min, n_max + 1, dtype=np.int64)
-    upper = np.floor(alpha * n).astype(np.int64)
-    fail = pi[upper] - pi[n] == 0
-    return ScanResult("bertrand", {"alpha": alpha}, n_min, n_max,
-                      tuple(int(v) for v in n[fail]))
+    primes = table_for(top, table).prefix_le(top)
+    first, stop = primes.searchsorted([n_min, n_max], "right").tolist()
+    lo = np.concatenate(([n_min], primes[first:stop]))  # the gaps meeting [n_min, n_max]
+    ends = np.append(primes[first:stop + 1], top + 1)[:len(lo)]  # past top: a sentinel
+    last = np.ceil(ends / alpha).astype(np.int64) - 1  # then corrected as the scan rounds:
+    last += np.floor(alpha * (last + 1)) < ends
+    last -= np.floor(alpha * last) >= ends
+    counts = np.maximum(np.minimum(last, n_max) - lo + 1, 0)
+    failures = np.arange(counts.sum()) + np.repeat(lo - (counts.cumsum() - counts), counts)
+    return ScanResult("bertrand", {"alpha": alpha}, n_min, n_max, tuple(failures.tolist()))
 
 
 def twin_bertrand_scan(
@@ -98,8 +99,8 @@ def twin_bertrand_scan(
         raise ValueError("x_min must be >= 7")
     if x_max < x_min:
         raise ValueError("x_max must be >= x_min")
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    if not 1 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and exceed 1, not {alpha}")
     top = math.ceil(alpha * x_max) + 2
     primes = table_for(top, table).prefix_le(top)
     uppers = np.append(primes[1:][np.diff(primes) == 2], top + 1)  # the p + 2, then a sentinel
@@ -123,16 +124,21 @@ def hl_identity_row(x: int, y: int, table: PrimeTable | None = None) -> dict:
 
 
 def hl_inequality_scan(x_max: int, y_max: int, table: PrimeTable | None = None) -> ScanResult:
-    """Failures: (x, y) with pi(x + y) > pi(x) + pi(y), 2 <= x, y."""
+    """Failures: (x, y) with pi(x + y) > pi(x) + pi(y), 2 <= x, y; compared a block of at
+    most _HL_BLOCK_CELLS cells (x rows of y_max - 1) at a time."""
     if x_max < 2 or y_max < 2:
         raise ValueError("x_max, y_max must be >= 2")
-    pi = _pi_table(x_max + y_max, table)
-    x = np.arange(2, x_max + 1, dtype=np.int64)
+    table = table_for(x_max + y_max, table)
+    pi = table.primes.searchsorted(np.arange(x_max + y_max + 1), "right").astype(np.int32)
+    pi_sum = sliding_window_view(pi[4:], y_max - 1)
+    rows = max(1, _HL_BLOCK_CELLS // (y_max - 1))
     failures = []
-    for y in range(2, y_max + 1):
-        bad = pi[x + y] > pi[x] + pi[y]
-        failures.extend((int(v), y) for v in x[bad])
-    return ScanResult("hl-inequality", {}, 2, max(x_max, y_max), tuple(sorted(failures)))
+    for x in range(2, x_max + 1, rows):
+        stop = min(x + rows, x_max + 1)
+        bad = pi_sum[x - 2:stop - 2] > pi[x:stop, None] + pi[2:y_max + 1]
+        xs, ys = np.divmod(bad.ravel().nonzero()[0], y_max - 1)  # in x-then-y order
+        failures += zip((xs + x).tolist(), (ys + 2).tolist())
+    return ScanResult("hl-inequality", {}, 2, max(x_max, y_max), tuple(failures))
 
 
 def big_omega(n: int) -> int:
@@ -144,8 +150,9 @@ def big_omega_sieve(limit: int, table: PrimeTable | None = None) -> np.ndarray:
     """Omega(n) for n in [0, limit], by sieving (Omega of 0 and 1 set to 0).
 
     Each p <= sqrt(limit) adds 1 along its powers; a larger p adds 1 only at
-    each m*p, so one step per m <= limit // (isqrt(limit) + 1) adds them all.
-    """
+    each m*p, m <= limit // (isqrt(limit) + 1).  A multiplier m with more such
+    primes than there are multipliers from m on takes a step of its own; the
+    others share scatters of at most SEGMENT_ODD_BITS products m*p."""
     table = table_for(limit, table)
     omega = np.zeros(limit + 1, dtype=np.int64)
     primes, root = table.prefix_le(limit), math.isqrt(limit)
@@ -155,12 +162,23 @@ def big_omega_sieve(limit: int, table: PrimeTable | None = None) -> np.ndarray:
         while pk <= limit:
             omega[pk::pk] += 1
             pk *= p
-    for m in range(1, limit // (root + 1) + 1):  # the p > root with m*p <= limit
-        omega[primes[split:np.searchsorted(primes, limit // m, side="right")] * m] += 1
+    m = np.arange(1, limit // (root + 1) + 1)
+    ends = np.searchsorted(primes, limit // m, side="right")  # the p > root with m*p <= limit
+    alone = ends - split > m[::-1]
+    for k, end in zip(m[alone].tolist(), ends[alone].tolist()):
+        np.add.at(omega, primes[split:end] * k, 1)
+    m, counts = m[~alone], ends[~alone] - split  # counts never rise with m
+    step = max(1, SEGMENT_ODD_BITS // int(counts.max(initial=1)))  # multipliers a scatter
+    for i in range(0, len(m), step):
+        c = counts[i:i + step]
+        at = np.arange(c.sum()) + np.repeat(split - (c.cumsum() - c), c)
+        np.add.at(omega, primes[at] * np.repeat(m[i:i + step], c), 1)
     return omega
 
 
 def _xi_terms(s: float, n_max: int) -> np.ndarray:
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, not {s}")
     n = np.arange(1, n_max + 1, dtype=np.float64)
     return np.exp2(big_omega_sieve(n_max)[1:].astype(np.float64)) / n**s
 
@@ -189,14 +207,11 @@ def xi_euler_product(s: float, p_max: int, table: PrimeTable | None = None) -> f
     """prod_{p <= P} (1 - 2 / p^s)^(-1); every factor must converge (2/p^s < 1)."""
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
-    table = table_for(p_max, table)
-    logs = []
-    for p in table.prefix_le(p_max):
-        ratio = 2 / float(p) ** s
-        if ratio >= 1:
-            raise ValueError(f"factor at p = {int(p)} diverges (2/p^s = {ratio} >= 1)")
-        logs.append(-math.log1p(-ratio))
-    return math.exp(math.fsum(logs))
+    ratio = 2 / 2.0**s  # whenever a factor diverges, the one at p = 2 does
+    if ratio >= 1:
+        raise ValueError(f"factor at p = 2 diverges (2/p^s = {ratio} >= 1)")
+    primes = table_for(p_max, table).prefix_le(p_max)
+    return math.exp(math.fsum(-math.log1p(-2 / float(p) ** s) for p in primes))
 
 
 def xi_smooth_series(s: float, p_max: int, n_max: int = 10**13) -> float:

@@ -220,6 +220,18 @@ def test_negative_sizes_exit_1_with_one_line(argv, message):
     assert (proc.returncode, out, err.decode()) == (1, b"", f"error: {message}\n")  # no traceback
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("bertrand", "--twin", "--alpha", "inf", "--min", "7", "--max", "100"),
+     "alpha must be finite and exceed 1, not inf"),
+    (("bertrand", "--twin", "--alpha", "nan", "--min", "7", "--max", "100"),
+     "alpha must be finite and exceed 1, not nan"),
+    (("--format", "json", "xi", "--sum", "100", "--s", "nan"), "s must be finite, not nan"),
+    (("--format", "json", "xi", "--sum", "100", "--s", "inf"), "s must be finite, not inf"),
+])
+def test_non_finite_alpha_and_s_exit_1_with_one_line(capsys, argv, message):
+    assert run_error(capsys, *argv) == (1, f"error: {message}\n")
+
+
 def test_primes_limits_0_and_1_count_0(capsys):
     for limit in ("0", "1"):
         code, doc = run_json(capsys, "primes", "--limit", limit)

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primelab import probes
 from primelab.probes import (
     ScanResult,
     bertrand_scan,
@@ -18,7 +21,7 @@ from primelab.probes import (
     xi_sigma_probe,
     xi_smooth_series,
 )
-from primelab.sieve import is_prime
+from primelab.sieve import SEGMENT_ODD_BITS, PrimeTable, is_prime, sieve_primes, table_for
 
 
 def test_scan_result_invariants():
@@ -43,6 +46,33 @@ def test_bertrand_validation():
         bertrand_scan(1.0, 1, 10)
     with pytest.raises(ValueError):
         bertrand_scan(2.5, 1, 10)
+
+
+def bertrand_by_n(alpha, n_min, n_max):
+    """The scan's definition, n by n: no prime in (n, floor(alpha * n)]."""
+    top = math.floor(alpha * n_max)
+    pi = np.bincount(sieve_primes(top).primes, minlength=top + 1).cumsum()
+    n = np.arange(n_min, n_max + 1)
+    return tuple(n[pi[np.floor(alpha * n).astype(np.int64)] == pi[n]].tolist())
+
+
+# at alpha = 17 / 14 and 29 / 25, ceil(q / alpha) - 1 misses the rounded floor(alpha * n) by one,
+# down at q = 17 and up at q = 29
+BERTRAND_ALPHAS = [1 + 2**-40, 1.001, 1.01, 17 / 14, 29 / 25, 1.2, 1.5, float(np.nextafter(2, 0)),
+                   2.0]
+# single points, n at p - 1 and at p around the gaps after 113 and 1327, and longer runs
+BERTRAND_RANGES = [(1, 1), (2, 2), (1, 2), (112, 112), (113, 113), (112, 127), (126, 128),
+                   (1326, 1362), (1327, 1327), (1, 3000), (9000, 10_000)]
+
+
+@pytest.mark.parametrize("alpha", BERTRAND_ALPHAS)
+def test_bertrand_scan_matches_its_definition(alpha):
+    for n_min, n_max in BERTRAND_RANGES:
+        want = bertrand_by_n(alpha, n_min, n_max)
+        assert bertrand_scan(alpha, n_min, n_max).failures == want, (n_min, n_max)
+        # a table reaching floor(alpha * n_max) exactly: the next prime may lie beyond it
+        table = sieve_primes(math.floor(alpha * n_max))
+        assert bertrand_scan(alpha, n_min, n_max, table).failures == want, (n_min, n_max)
 
 
 def test_twin_bertrand_hypothesis_floor():
@@ -77,6 +107,42 @@ def test_hl_scan_boundary_equality():
     assert hl_inequality_scan(50, 50).failures == ()
 
 
+def hl_by_pairs(x_max, y_max, table):
+    count = table.count_upto
+    return tuple((x, y) for x in range(2, x_max + 1) for y in range(2, y_max + 1)
+                 if count(x + y) > count(x) + count(y))
+
+
+def sparse_then_dense(limit):
+    """A table of 'primes' growing denser with n, so that pi(x + y) > pi(x) + pi(y) often."""
+    rng = np.random.default_rng(3)
+    keep = rng.random(limit + 1) < np.linspace(0.1, 0.5, limit + 1)
+    return PrimeTable(limit, np.flatnonzero(keep), np.zeros(limit // 2 + 1, dtype=bool))
+
+
+@pytest.mark.parametrize("cells", [probes._HL_BLOCK_CELLS, 300, 5])  # 300: two x-rows a block
+@pytest.mark.parametrize("table, failing", [(sieve_primes(240), False),
+                                            (sparse_then_dense(240), True)],
+                         ids=["primes", "dense at the top"])
+def test_hl_scan_matches_a_double_loop(monkeypatch, cells, table, failing):
+    monkeypatch.setattr(probes, "_HL_BLOCK_CELLS", cells)
+    for x_max, y_max in [(120, 120), (120, 2), (2, 120), (57, 33)]:
+        want = hl_by_pairs(x_max, y_max, table)
+        assert hl_inequality_scan(x_max, y_max, table).failures == want
+    assert bool(hl_by_pairs(120, 120, table)) == failing
+
+
+def test_hl_scan_compares_a_block_at_a_time():
+    table = sieve_primes(6000)
+    tracemalloc.start()
+    try:
+        assert hl_inequality_scan(3000, 3000, table).failures == ()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the whole 2999 x 2999 comparison would take about 45 MB
+
+
 def test_hl_identity_decomposition():
     row = hl_identity_row(100, 50)
     assert row["pi_sum"] == row["pi_x"] + row["interval_count"]
@@ -107,6 +173,26 @@ def test_big_omega_sieve_at_every_small_limit_and_around_prime_squares():
     squares = [p * p + d for p in range(2, 101) if big_omega(p) == 1 for d in (-1, 0, 1)]
     for limit in [*range(2001), *squares]:
         assert big_omega_sieve(limit).tolist() == direct[:limit + 1], limit
+
+
+def test_big_omega_sieve_matches_direct_in_scatters_of_16(monkeypatch):
+    monkeypatch.setattr(probes, "SEGMENT_ODD_BITS", 16)
+    direct = [0] + [big_omega(n) for n in range(1, 5001)]
+    for limit in (2, 3, 25, 100, 997, 5000):
+        assert big_omega_sieve(limit).tolist() == direct[:limit + 1], limit
+
+
+@pytest.mark.parametrize("bound, mib", [(SEGMENT_ODD_BITS, 8), (1 << 16, 2)])
+def test_big_omega_sieve_temporaries_stay_bounded(monkeypatch, bound, mib):
+    monkeypatch.setattr(probes, "SEGMENT_ODD_BITS", bound)
+    table_for(2 * 10**6)  # the table is not the sieve's to count
+    tracemalloc.start()
+    try:
+        omega = big_omega_sieve(2 * 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert omega.dtype == np.int64 and peak - omega.nbytes < mib * 2**20
 
 
 def test_xi_partial_sum_values():

@@ -33,6 +33,18 @@ RAISES = [
      "every prefix prime needs an exponent >= 1"),
     (lambda: counts.multiplicative_order(2, 9), ValueError, "9 is not prime"),
     (lambda: probes.xi_partial_sum(2, 0), ValueError, "need at least one term"),
+    pytest.param(lambda: probes.xi_partial_sum(float("nan"), 100), ValueError,
+                 "s must be finite, not nan", id="xi_partial_sum-nan"),
+    pytest.param(lambda: probes.xi_partial_sum(float("inf"), 100), ValueError,
+                 "s must be finite, not inf", id="xi_partial_sum-inf"),
+    pytest.param(lambda: probes.xi_divergence_probe(float("nan"), [10]), ValueError,
+                 "s must be finite, not nan", id="xi_divergence_probe-nan"),
+    pytest.param(lambda: probes.xi_divergence_probe(float("-inf"), [10]), ValueError,
+                 "s must be finite, not -inf", id="xi_divergence_probe--inf"),
+    pytest.param(lambda: probes.twin_bertrand_scan(7, 100, float("inf")), ValueError,
+                 "alpha must be finite and exceed 1, not inf", id="twin_bertrand_scan-inf"),
+    pytest.param(lambda: probes.twin_bertrand_scan(7, 100, float("nan")), ValueError,
+                 "alpha must be finite and exceed 1, not nan", id="twin_bertrand_scan-nan"),
     (lambda: residues.remainder_sequence(5, []), ValueError, "primes must be nonempty"),
     (lambda: schinzel.verify_shifted_quotient(1, 1, 1, 1), ValueError, "p, q must be >= 2"),
 ]

@@ -9,8 +9,11 @@ SUITE is one of the tables in ``SUITES``:
 - ``goldbach``: ``primelab goldbach --even E --mode M`` for E in 1e6, 1e8 and M in
   exact, exact at E = 1e9, guided at E = 1e12, and guided with ``--allow-zero-eta`` at
   E = 1e10;
-- ``scans``: ``primelab bertrand --twin --min 7 --max 1e6`` at alpha 2 and 1.1, and
-  ``primelab bertrand --min 1 --max 1e6``;
+- ``scans``: ``primelab bertrand --twin --min 7 --max 1e6`` at alpha 2 and 1.1,
+  ``primelab bertrand --min 1 --max 1e6`` at alpha 2 and 1.01, ``primelab hl-scan --xmax 2000
+  --ymax 2000`` and ``primelab xi --sum 1e7 --s 1``; and lib-sweep's three scan calls,
+  ``hl_inequality_scan(1000, 200)``, ``xi_partial_sum(2.0, 10**5)`` and ``bertrand_scan(2.0, 1,
+  10**5)``, timed per call inside the child (see ``SCANS_CHILD``);
 - ``specs``: the six struck-residue spec builders (twins, Sophie Germain, the tuples
   (2,6) and (2,6,8), Goldbach's eta spec and ``lambda_filter(11, 13, .)``) over the
   first 11, 65, 1 229 and 9 592 primes, timed inside the child (see ``SPECS_CHILD``);
@@ -80,7 +83,6 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNS = 10
 ENV_FLAGS = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS")
-SELF_TIMING = {"specs", "sweep", "phi", "rows"}  # suites whose children print their own JSON
 
 
 def cli(*args) -> list[str]:
@@ -287,6 +289,26 @@ run()
 print(json.dumps({f"{kind} {sys.argv[2]}": {"ms": (time.perf_counter() - start) * 1e3}}))
 """
 
+# The child builds lib-sweep's table and passes it to bertrand_scan and hl_inequality_scan, as
+# lib-sweep does; xi_partial_sum reads the process-wide table. Sieving that table also frees
+# arrays of several MB, after which glibc's malloc serves the 800 KB arrays of an xi call from
+# its heap instead of fresh mappings, as in a lib-sweep session: without it, page faults take
+# about half of each xi call.
+SCANS_CHILD = FIVE_SAMPLES + """
+from primelab import bertrand_scan, hl_inequality_scan, sieve_primes, xi_partial_sum
+
+table = sieve_primes(10_100_000)
+print(json.dumps(per_call_us({
+    "hl_inequality_scan 1000 200": (lambda: hl_inequality_scan(1000, 200, table), 1),
+    "xi_partial_sum 2 1e5": (lambda: xi_partial_sum(2.0, 10**5), 1),
+    "bertrand_scan 2 1e5": (lambda: bertrand_scan(2.0, 1, 10**5, table), 1),
+})))
+"""
+
+# The programs that print their own JSON; every other case is timed from outside.
+SELF_TIMING = {SPECS_CHILD, SWEEP_CHILD, PHI_FLOOR_CHILD, PHI_PER_CALL_CHILD, ROWS_CHILD,
+               ROWS_ONCE_CHILD, SCANS_CHILD}
+
 SUITES = {
     "render": {f"{fmt} {limit}": cli("--format", fmt, "primes", "--limit", limit, "--list")
                for fmt in ("json", "csv", "table") for limit in (10**5, 10**6, 10**7)},
@@ -298,7 +320,12 @@ SUITES = {
                                              "--allow-zero-eta")},
     "scans": {**{f"twin 1e6 alpha {alpha}": cli("bertrand", "--twin", "--alpha", alpha, "--min", 7,
                                                 "--max", 10**6) for alpha in (2, 1.1)},
-              "bertrand 1e6": cli("bertrand", "--min", 1, "--max", 10**6)},
+              "bertrand 1e6": cli("bertrand", "--min", 1, "--max", 10**6),
+              "bertrand 1e6 alpha 1.01": cli("bertrand", "--alpha", 1.01, "--min", 1,
+                                             "--max", 10**6),
+              "hl-scan 2000 2000": cli("hl-scan", "--xmax", 2000, "--ymax", 2000),
+              "xi sum 1e7 s 1": cli("xi", "--sum", 10**7, "--s", 1),
+              "lib-sweep calls": ["-c", SCANS_CHILD]},
     "specs": {"builders": ["-c", SPECS_CHILD]},
     "sweep": {"sweeps": ["-c", SWEEP_CHILD]},
     "rows": {"per call": ["-c", ROWS_CHILD],
@@ -366,7 +393,7 @@ def main() -> None:
     for i in range(RUNS):
         for case, args in SUITES[suite].items():
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                for name, metrics in run(case, args, sides[side], suite in SELF_TIMING).items():
+                for name, metrics in run(case, args, sides[side], args[1] in SELF_TIMING).items():
                     for metric, value in metrics.items():
                         samples[name, metric, side].append(value)
     results = []
