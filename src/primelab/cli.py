@@ -104,31 +104,24 @@ def _cmd_estimate(args, report: Report) -> int:
     return 0
 
 
-# --allow lists m - u struck residues per modulus; this bounds that list (and its memory)
-_ALLOW_MAX_MODULUS = 10**6
-
-
 def _parse_allow(tokens) -> ResidueSpec:
-    """--allow m=r,r,... tokens as a struck-residue spec: the complement, taken once, by modulus;
-    the moduli are checked coprime in the order given, so an error names the later token."""
-    from .residues import ResidueSpec, _check_coprime
+    """--allow m=r,r,... tokens as a spec holding each modulus by the residues it keeps (residues.Kept),
+    so memory follows the residues given, whatever the modulus; the moduli are checked coprime in
+    the order given, so an error names the later token."""
+    from .residues import Kept, ResidueSpec, _check_coprime
 
     entries = []
     for token in tokens:
         head, _, tail = token.partition("=")
         try:
-            m, allowed = int(head), {int(r) for r in tail.split(",")}
+            m, allowed = int(head), frozenset(int(r) for r in tail.split(","))
         except ValueError:
             raise ValueError(f"malformed --allow token {token!r}: want m=r,r,...") from None
         if m < 1:
             raise ValueError(f"--allow modulus {m} is below 1")
-        if any(not 0 <= r < m for r in allowed):
-            raise ValueError(f"residue out of range mod {m}")
-        if m > _ALLOW_MAX_MODULUS:
-            raise ValueError(f"--allow modulus {m} exceeds {_ALLOW_MAX_MODULUS}")
-        entries.append((m, [r for r in range(m) if r not in allowed]))
+        entries.append((m, allowed))
     _check_coprime(m for m, _ in entries)
-    return ResidueSpec.from_pairs(sorted(entries))
+    return ResidueSpec.from_pairs((m, Kept(m, allowed)) for m, allowed in sorted(entries))
 
 
 def _cmd_crt(args, report: Report) -> int:

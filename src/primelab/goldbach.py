@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .crt import choice_count, crt_enumerate, crt_windows
-from .residues import ResidueSpec, _form_entries
+from .residues import Kept, ResidueSpec, _form_entries
 from .sieve import PrimeTable, factorize, is_prime, pattern_starts, sieving_prime_set, table_for
 
 __all__ = [
@@ -303,11 +303,11 @@ def fixed_prefix_candidates(
     plan = build_split_plan(two_n, table)
     if len(fixed) >= len(plan.primes):
         raise ValueError("fixed prefix must leave at least one free prime")
-    pinned = []  # each pinned prime strikes every residue but its own
+    pinned = []  # each pinned prime keeps its own residue alone
     for r, p, b in zip(fixed, plan.primes, plan.beta):
         if not 0 < r < p or r == b:
             raise ValueError(f"residue {r} not an allowed split part mod {p}")
-        pinned.append((p, [s for s in range(p) if s != r]))
+        pinned.append((p, Kept(p, frozenset((r,)))))
     spec = ResidueSpec.from_pairs(pinned + [(p, (0,)) for p in plan.primes[len(fixed):]])
     return list(crt_enumerate(spec, 1, spec.modulus))
 

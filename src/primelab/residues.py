@@ -1,13 +1,13 @@
 """Struck-residue machinery.
 
-One spec type, ResidueSpec, holds the struck (forbidden) residues per
-modulus; it feeds both the survivor counts and the CRT enumeration, and
-allowed residues are derived from it where they are read.  Every struck set
+One spec type, ResidueSpec, holds the struck (forbidden) residues per modulus,
+each set by the side it was given (a Kept holds ``crt --allow``'s kept ones);
+it feeds both the survivor counts and the CRT enumeration.  Every struck set
 comes from one linear-form rule: p strikes the n at which it divides a form
 a*n + b.  Also: the residue cycle of an arithmetic progression, admissibility
-testing, and remainder sequences.  The operations are pure; the named
-spec builders keep their last proven spec and return it again for equal
-forms and primes, so a sweep over one prime set proves it once.
+testing, and remainder sequences.  The operations are pure; the named spec
+builders keep their last proven spec and return it again for equal forms and
+primes, so a sweep over one prime set proves it once.
 """
 
 from __future__ import annotations
@@ -40,29 +40,71 @@ class NonCoprimeModuliError(ValueError):
 
 
 def _check_coprime(moduli: Iterable[int]) -> None:
-    """NonCoprimeModuliError at the first modulus sharing a factor with the product of those before it."""
+    """ValueError at a modulus below 1, NonCoprimeModuliError at the first sharing a factor with those before it."""
     before = 1
     for m in moduli:
+        if m < 1:
+            raise ValueError(f"modulus {m} is below 1")
         g = math.gcd(before, m)
         if g != 1:
             raise NonCoprimeModuliError(f"modulus {m} shares factor {g} with an earlier modulus")
         before *= m
 
 
+class Kept:
+    """The residues mod p struck by keeping only kept (a frozenset in [0, p)), a value equal by (p, kept):
+    ``in`` and ``len`` answer for them in O(len(kept)); with no ``__iter__``, a reader iterating them
+    fails rather than misreads.  A plain class: a frozen dataclass would cost each import 0.3 ms."""
+
+    __slots__ = ("p", "kept")
+
+    def __init__(self, p: int, kept: frozenset[int]):
+        self.p, self.kept = p, kept
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Kept and (self.p, self.kept) == (other.p, other.kept)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.kept))
+
+    def __contains__(self, r: int) -> bool:
+        return r not in self.kept
+
+    def __len__(self) -> int:
+        return self.p - len(self.kept)
+
+    def fit(self, p: int) -> tuple[int, ...]:
+        """What ResidueSpec's checks read of self at modulus p: the kept residues outside [0, p)."""
+        if self.p != p or not self.kept:
+            raise ValueError(f"residues kept mod {self.p} stand at modulus {p}" if self.kept
+                             else f"no residue survives mod {p}")
+        return tuple(r for r in self.kept if not 0 <= r < p)
+
+    def struck(self, most: int) -> tuple[int, ...]:
+        """The struck residues, listed: ValueError past ``most`` of them."""
+        if self.p - len(self.kept) > most:
+            raise ValueError(f"modulus {self.p} would strike {self.p - len(self.kept)} residues, more than {most}")
+        return tuple(r for r in range(self.p) if r not in self.kept)
+
+
 @dataclass(frozen=True)
 class ResidueSpec:
-    """Struck (forbidden) residue sets per modulus; moduli pairwise coprime, strictly increasing.
+    """Struck (forbidden) residue sets, or Kepts, per modulus; moduli pairwise coprime, increasing.
 
     Each fact is proved once, where it can fail: the named builders prove their moduli
-    prime, ``from_pairs`` proves any moduli (``crt --allow``'s composites) pairwise
-    coprime; the raw constructor takes ascending primes and checks residue ranges, order
-    and a survivor per modulus.  Struck sets are deduplicated ({0, 2} mod 2 is {0}).
+    prime, ``from_pairs`` proves any moduli (``crt --allow``'s composites) at least 1 and
+    pairwise coprime; the raw constructor takes ascending primes and checks residue ranges,
+    order and a survivor per modulus.  Struck sets are deduplicated ({0, 2} mod 2 is {0}).
     """
 
-    entries: tuple[tuple[int, frozenset[int]], ...]
+    entries: tuple[tuple[int, frozenset[int] | Kept], ...]
 
     def __post_init__(self):
-        outside = [p for p, forb in self.entries for r in forb if not 0 <= r < p]
+        try:  # a Kept has no __iter__: a spec holding one is checked as the spec of what Kept.fit reads
+            outside = [p for p, forb in self.entries for r in forb if not 0 <= r < p]
+        except TypeError:
+            ResidueSpec(tuple((p, forb.fit(p) if type(forb) is Kept else forb) for p, forb in self.entries))
+            return
         if outside:
             raise ValueError(f"residue out of range mod {outside[0]}")
         last = 0
@@ -74,10 +116,10 @@ class ResidueSpec:
             last = p
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, Iterable[int]]]) -> "ResidueSpec":
-        entries = tuple((int(p), frozenset(int(r) % int(p) for r in rs)) for p, rs in pairs)
-        _check_coprime(p for p, _ in entries)
-        return cls(entries)
+    def from_pairs(cls, pairs: Iterable[tuple[int, Iterable[int] | Kept]]) -> "ResidueSpec":
+        pairs = [(int(p), rs) for p, rs in pairs]  # a Kept passes as it is, struck residues reduced mod p
+        _check_coprime(p for p, _ in pairs)
+        return cls(tuple((p, rs if type(rs) is Kept else frozenset(int(r) % p for r in rs)) for p, rs in pairs))
 
     @classmethod
     def twins(cls, primes: Iterable[int]) -> "ResidueSpec":
@@ -99,7 +141,7 @@ class ResidueSpec:
     def allowed(self, p: int) -> frozenset[int]:
         for q, forb in self.entries:
             if q == p:
-                return frozenset(r for r in range(p) if r not in forb)
+                return forb.kept if type(forb) is Kept else frozenset(r for r in range(p) if r not in forb)
         raise KeyError(p)
 
     def cardinalities(self) -> tuple[int, ...]:

@@ -299,39 +299,43 @@ def pattern_starts(lo: int, hi: int, forms, table: PrimeTable | None = None) -> 
 
 def avoiding_row(lo: int, entries):
     """The wheel (Pritchard, Comm. ACM 24, 1981) on which every n >= lo avoiding the struck
-    residues of every entry (p, struck) lies: (step, offsets, strikes).
+    residues of every entry (p, struck), a set or a residues.Kept, lies: (step, offsets, strikes).
 
     Row k, class j holds n = lo + k*step + offsets[j], the offsets ascending in [0, step).  An entry
     keeping one residue folds into step.  One keeping u <= s of the s residues it strikes folds too,
     largest modulus first, where that saves slices, u * R < R + s with R the slices per class of
     the entries that strike, and at most SEGMENT_ODD_BITS classes result.  strikes holds the
-    entries that strike as (p, struck, step^-1 mod p), each inverse computed once per call.
+    entries that strike as (p, struck, step^-1 mod p), each inverse, and each Kept's struck
+    residues, computed once per call.
     """
     step, a, lead = 1, 0, 0
-    for p, struck in entries:  # the leading entries keeping one residue each, and their class a
-        if len(struck) != p - 1:
+    for p, struck in entries:  # the leading frozensets keeping one residue each, and their class a
+        if type(struck) is not frozenset or len(struck) != p - 1:
             break
         kept = p * (p - 1) // 2 - sum(struck)
         a += step * ((kept - lo - a) * pow(step, -1, p) % p)
         step, lead = step * p, lead + 1
-    few = []  # the entries keeping u <= s residues: the append leaves them out of strikes
-    strikes = [(p, s, pow(step, -1, p)) for p, s in entries[lead:]
-               if 2 * len(s) < p or few.append((p, s))]
+    few = []  # (p, struck, kept) of the frozensets keeping u <= s and every other entry (a Kept)
+    strikes = [(p, s, pow(step, -1, p)) for p, s in entries[lead:] if type(s) is frozenset and 2 * len(s) < p
+               or few.append((p, s, getattr(s, "kept", None) or [r for r in range(p) if r not in s]))]
     if not few:
         return step, [a], strikes
-    offsets, slices, folded = [a], sum(len(s) for _, s, _ in strikes), []
-    for p, struck in reversed(few):  # the largest moduli, the most rows saved, first
-        s, u = len(struck), p - len(struck)
-        if len(offsets) * u > SEGMENT_ODD_BITS or u * slices >= slices + s:
-            slices += s
+    offsets, folded = [a], []
+    slices = sum(len(s) for _, s, _ in strikes) + sum(p - len(k) for p, _, k in few if 2 * len(k) > p)
+    for p, struck, kept in reversed(few):  # the largest moduli, the most rows saved, first
+        u = len(kept)
+        if 2 * u > p:  # a Kept keeping more than it strikes: it strikes, and slices counts it
+            continue
+        if len(offsets) * u > SEGMENT_ODD_BITS or u * slices >= slices + p - u:
+            slices += p - u
             continue
         inv = pow(step, -1, p)
-        kept = [r - lo for r in range(p) if r not in struck]
-        offsets = sorted(o + step * ((r - o) * inv % p) for o in offsets for r in kept)
+        offsets = sorted(o + step * ((r - lo - o) * inv % p) for o in offsets for r in kept)
         step, folded = step * p, folded + [p]
     if folded:  # the step grew: the entries that strike take its inverse
         strikes = [(p, s, pow(step, -1, p)) for p, s, _ in strikes]
-    return step, offsets, strikes + [(p, s, pow(step, -1, p)) for p, s in few if p not in folded]
+    return step, offsets, strikes + [(p, s.struck(SEGMENT_ODD_BITS) if hasattr(s, "kept") else s, pow(step, -1, p))
+                                     for p, s, _ in few if p not in folded]
 
 
 def avoiding_windows(lo: int, hi: int, row, width: int = SEGMENT_ODD_BITS):

@@ -239,7 +239,7 @@ def test_primes_limits_0_and_1_count_0(capsys):
 
 
 def test_allow_residue_out_of_range_is_checked_before_the_complement(capsys):
-    # the struck-residue spec would reduce 5 mod 3 silently; the parser must not
+    # a struck set would reduce 5 mod 3 silently; the residues kept are checked as given
     assert run_error(capsys, "crt", "--allow", "3=5") == (1, "error: residue out of range mod 3\n")
 
 
@@ -257,9 +257,39 @@ def test_allow_modulus_below_1_exits_1_naming_it(capsys, token, m):
     assert (code, err) == (1, f"error: --allow modulus {m} is below 1\n")
 
 
-def test_allow_modulus_beyond_the_complement_bound_exits_1(capsys):
-    code, err = run_error(capsys, "crt", "--allow", "1000003=1", "--hi", "10")
-    assert (code, err) == (1, "error: --allow modulus 1000003 exceeds 1000000\n")
+def test_allow_modulus_above_10_6_lists_its_kept_residue(capsys):
+    code, doc = run_json(capsys, "crt", "--allow", "1000003=1", "--hi", "10")
+    assert code == 0 and [r["n"] for r in doc["rows"]] == [1]
+
+
+def test_allow_modulus_past_2_64_lists_exact_python_ints(capsys):
+    m = 2**64 + 13
+    code, doc = run_json(capsys, "crt", "--allow", f"{m}=1,5", "--lo", "0", "--hi", str(2 * m + 10))
+    got = [r["n"] for r in doc["rows"]]
+    assert code == 0 and got == [1, 5, m + 1, m + 5, 2 * m + 1, 2 * m + 5]
+    assert all(type(n) is int for n in got)
+
+
+def test_allow_big_modulus_memory_follows_the_residues_given():
+    cli._parse_allow(["3=1"])  # the first call's imports are not the parse's
+    tracemalloc.start()
+    try:
+        spec = cli._parse_allow(["999983=1,2,3,4,5"])
+        values = [n for window in crt.crt_windows(spec, 0, 10**7) for n in window.tolist()]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values == [k * 999_983 + r for k in range(11) for r in range(1, 6)
+                      if k * 999_983 + r <= 10**7]
+    assert peak < 2**20  # the complement of the five residues traced 105.8 MiB
+
+
+def test_allow_kept_side_striking_past_the_bound_exits_1_with_one_line(capsys, monkeypatch):
+    # 37 keeps 19 of its residues, more than it strikes, so it strikes its 18 others
+    monkeypatch.setattr(sieve, "SEGMENT_ODD_BITS", 16)
+    kept = ",".join(map(str, range(19)))
+    code, err = run_error(capsys, "crt", "--allow", f"37={kept}", "--hi", "100")
+    assert (code, err) == (1, "error: modulus 37 would strike 18 residues, more than 16\n")
 
 
 @pytest.mark.parametrize("token", ["3", "1:2:3", "x:5", "2:", ":7", "1.5:4"])

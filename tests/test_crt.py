@@ -3,21 +3,28 @@ import math
 from functools import partial
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from primelab import crt, sieve
+from primelab.counts import survivor_count
 from primelab.crt import (
     CongruenceSystem,
     choice_count,
     crt_enumerate,
     crt_solve,
 )
-from primelab.residues import NonCoprimeModuliError, ResidueSpec
+from primelab.residues import Kept, NonCoprimeModuliError, ResidueSpec
 
 
 def allow_spec(pairs):
-    """The ResidueSpec keeping only the given allowed residues: each modulus strikes the rest."""
+    """The ResidueSpec keeping only the given allowed residues, held by them (as crt --allow holds them)."""
+    return ResidueSpec.from_pairs((m, Kept(m, frozenset(rs))) for m, rs in pairs)
+
+
+def complement_spec(pairs):
+    """allow_spec's spec held by its struck side: each modulus strikes the residues it does not keep."""
     return ResidueSpec.from_pairs((m, [r for r in range(m) if r not in rs]) for m, rs in pairs)
 
 
@@ -121,6 +128,38 @@ def test_worked_example_lists_twenty_values():
     want = brute_enumerate(spec, 1, 210)
     assert list(crt_enumerate(spec, 1, 210)) == want
     assert len(want) == 20 == choice_count(spec)
+
+
+@st.composite
+def kept_pairs(draw):
+    """Small pairwise-coprime (m, kept) pairs, each m keeping one residue, all but one, or half."""
+    moduli = []
+    for m in draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 9, 11, 13, 25]), min_size=1, max_size=4,
+                           unique=True)):
+        if all(math.gcd(m, k) == 1 for k in moduli):
+            moduli.append(m)
+    pairs = []
+    for m in sorted(moduli):
+        size = {"one": 1, "all but one": max(1, m - 1), "half": max(1, m // 2)}[
+            draw(st.sampled_from(["one", "all but one", "half"]))]
+        pairs.append((m, draw(st.permutations(range(m)))[:size]))
+    return pairs
+
+
+@given(kept_pairs(), st.integers(0, 2000))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_a_kept_spec_reads_as_its_complement(pairs, lo):
+    kept, struck = allow_spec(pairs), complement_spec(pairs)
+    with mock.patch.object(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=16)):
+        for hi in (lo, lo + 37, lo + 2 * kept.modulus + 5):
+            got, want = list(crt.crt_windows(kept, lo, hi)), list(crt.crt_windows(struck, lo, hi))
+            assert len(got) == len(want)
+            assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+    assert (choice_count(kept), kept.cardinalities(), kept.modulus) == (
+        choice_count(struck), struck.cardinalities(), struck.modulus)
+    assert [kept.allowed(m) for m, _ in pairs] == [struck.allowed(m) for m, _ in pairs]
+    for x in (0, 1, lo, lo + 3, 3000):  # lo + 3 steps from lo's count
+        assert survivor_count(x, kept) == survivor_count(x, struck), x
 
 
 BIG = 10_007  # a prime longer than most windows below

@@ -9,14 +9,14 @@ import pytest
 
 from primelab import cli, counts, crt, sieve
 from primelab.goldbach import build_split_plan
-from primelab.residues import ResidueSpec
+from primelab.residues import Kept, ResidueSpec
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 def allow_spec(pairs):
-    """The ResidueSpec keeping only the given allowed residues: each modulus strikes the rest."""
-    return ResidueSpec.from_pairs((m, [r for r in range(m) if r not in rs]) for m, rs in pairs)
+    """The ResidueSpec keeping only the given allowed residues, held by them (as crt --allow holds them)."""
+    return ResidueSpec.from_pairs((m, Kept(m, frozenset(rs))) for m, rs in pairs)
 
 
 # each spec with the wheel its entries fold into: (step, classes)
@@ -32,6 +32,9 @@ SPECS = {
     "allow 2=0": (allow_spec([(2, [0]), (3, [1, 2]), (7, [0, 3]), (11, [4])]), 154, 2),
     "allow 2=1": (allow_spec([(2, [1]), (3, [2]), (5, [1, 2, 3, 4]), (7, [1, 3, 4, 5, 6])]), 6, 1),
     "allow 4=1, 9=5": (allow_spec([(4, [1]), (9, [5]), (25, [3, 4, 7, 11])]), 900, 4),
+    "allow 4=1, 9=5 by its struck side": (ResidueSpec.from_pairs(
+        (m, [r for r in range(m) if r not in rs]) for m, rs in [(4, [1]), (9, [5]), (25, [3, 4, 7, 11])]),
+        900, 4),
     "allow 4 keeping half": (allow_spec([(3, [0, 1]), (4, [1, 3])]), 4, 2),
 }
 

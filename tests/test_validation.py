@@ -46,6 +46,14 @@ RAISES = [
     pytest.param(lambda: probes.twin_bertrand_scan(7, 100, float("nan")), ValueError,
                  "alpha must be finite and exceed 1, not nan", id="twin_bertrand_scan-nan"),
     (lambda: residues.remainder_sequence(5, []), ValueError, "primes must be nonempty"),
+    pytest.param(lambda: residues.ResidueSpec.from_pairs([(0, [1])]), ValueError,
+                 "modulus 0 is below 1", id="from_pairs-modulus-0-striking-1"),
+    pytest.param(lambda: residues.ResidueSpec.from_pairs([(0, [])]), ValueError,
+                 "modulus 0 is below 1", id="from_pairs-modulus-0"),
+    pytest.param(lambda: residues.ResidueSpec.from_pairs([(-3, [])]), ValueError,
+                 "modulus -3 is below 1", id="from_pairs-modulus--3"),
+    pytest.param(lambda: residues.ResidueSpec.from_pairs([(3, residues.Kept(5, frozenset({1})))]),
+                 ValueError, "residues kept mod 5 stand at modulus 3", id="from_pairs-kept-mod-5-at-3"),
     (lambda: schinzel.verify_shifted_quotient(1, 1, 1, 1), ValueError, "p, q must be >= 2"),
 ]
 

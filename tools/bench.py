@@ -44,8 +44,10 @@ SUITE is one of the tables in ``SUITES``:
   class to 3e6" the one class 1 mod 3 up to 3e6 (a row of step 3, nothing struck), and "scan one
   big modulus" (``--format csv``) [0, 1e7] keeping five residues of the one big modulus 999 983
   beside the units of 7, 11, 13, 17 and 19: 999 983 folds into five classes and the small
-  primes strike their rows; the case names predate the one stream and are kept so that the
-  keys in ``BENCH_crt.json`` still compare;
+  primes strike their rows, and "big modulus to 10" (``--format csv``) lists [0, 10] keeping
+  the same five residues of 999 983 alone, where the parse and the spec are nearly all of the
+  run; the case names predate the one stream and are kept so that the keys in
+  ``BENCH_crt.json`` still compare;
 - ``phi``: the two routes of Legendre's phi in ``primelab.counts``, called directly:
   ``_phi_floor`` at 1e10, 1e11, 1e12 and 1e13, each in a child of its own that checks the
   published pi(x) and reports its time and the child's peak RSS (see ``PHI_FLOOR_CHILD``);
@@ -353,6 +355,8 @@ SUITES = {
         "scan one big modulus": cli("--format", "csv", "crt", "--allow", "999983=1,2,3,4,5",
                                     *coprime_to(7, 11, 13, 17, 19), "--lo", 0,
                                     "--hi", 10**7),
+        "big modulus to 10": cli("--format", "csv", "crt", "--allow", "999983=1,2,3,4,5",
+                                 "--hi", 10),
     },
     "phi": {**{f"floor 1e{k}": ["-c", PHI_FLOOR_CHILD, str(k)] for k in (10, 11, 12, 13)},
             "per call": ["-c", PHI_PER_CALL_CHILD]},
