@@ -17,8 +17,7 @@ _EXPORTS = {
                "twin_count_formula"),
     "crt": ("CongruenceSystem", "CrtSolution", "choice_count", "crt_enumerate", "crt_solve"),
     "densities": ("EstimateReport", "ap_omega_estimate", "ap_psi_estimate", "fermat_estimate",
-                  "mersenne_estimate", "omega_estimate", "omega_k_estimate",
-                  "primitive_root_census", "psi_estimate", "twin_constant",
+                  "mersenne_estimate", "omega_estimate", "omega_k_estimate", "psi_estimate",
                   "twin_constant_probe"),
     "goldbach": ("SpanReport", "SplitPlan", "TwinPair", "brute_goldbach_pairs",
                  "build_split_plan", "goldbach_enumerate", "goldbach_refine", "partition_probe",

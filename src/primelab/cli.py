@@ -288,6 +288,11 @@ def _golden_checks() -> list[tuple[str, object, object]]:
                    sum(p.certified for p in pairs_121), 8))
     checks.append(("twin search {2,3,5,7} last pair",
                    (pairs_121[-1].lower, pairs_121[-1].upper), (107, 109)))
+    for mu, want in (({2: 2, 3: 1}, (7, "PRIME-BY-CONSTRUCTION", True)),
+                     ({2: 4, 3: 2}, (25, "OUT-OF-RANGE", False))):
+        probe = goldbach.partition_probe({2}, {3}, mu, +1)
+        checks.append((f"partition probe 2^{mu[2]} + 3^{mu[3]}",
+                       (probe["alpha"], probe["verdict"], probe["is_prime"]), want))
 
     filt5 = sorted(schinzel.lambda_filter(11, 13, [5]).allowed(5))
     checks.append(("shifted-quotient allowed residues mod 5", filt5, [0, 2, 4]))

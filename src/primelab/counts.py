@@ -93,21 +93,12 @@ def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
 # Survivor counting: numbers in [1, x] avoiding per-prime forbidden residues
 
 
-_survivor_row = (None, None)  # (entries, avoiding_row(1, entries)) of the last sieved count, replaced whole
-
-
 def _survivor_windows(x: int, entries) -> int:
     """survivor_count by a windowed residue sieve: avoiding_windows strikes the entries' classes on
     sieve.avoiding_row's wheel over [1, x] (one class mod 6 for the twin, (2,6) and Sophie Germain
     specs, mod 30 for (2,6,8)), one window of about 1 Mi positions at a time, and the survivors of
-    each window are added up.  The wheel is laid out again only for entries other than the last
-    sieved count's (``is``)."""
-    global _survivor_row
-    last, row = _survivor_row
-    if last is not entries:
-        row = avoiding_row(1, entries)
-        _survivor_row = (entries, row)
-    return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(1, x, row))
+    each window are added up."""
+    return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(1, x, avoiding_row(1, entries)))
 
 
 _SURVIVOR_STEP = 4  # the largest |dx| stepped: at 8 a step is slower than the sieve below x = 100

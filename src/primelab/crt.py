@@ -75,7 +75,7 @@ def crt_solve(system: CongruenceSystem) -> CrtSolution:
 
 def choice_count(spec: ResidueSpec) -> int:
     """prod (m - |struck(m)|) -- the number of distinct CRT classes."""
-    return math.prod(m - len(struck) for m, struck in spec.entries)
+    return math.prod(m - u for (m, _), u in zip(spec.entries, spec.cardinalities()))
 
 
 def crt_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:

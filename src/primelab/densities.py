@@ -17,10 +17,9 @@ from .counts import (
     brute_pi,
     brute_tuple_count,
     brute_twin_count,
-    multiplicative_order,
 )
 from .residues import AdmissibleTuple, ResidueSpec
-from .sieve import PrimeTable, pattern_starts, sieving_prime_set, table_for
+from .sieve import PrimeTable, pattern_starts, sieving_prime_set
 
 __all__ = [
     "EstimateReport",
@@ -32,8 +31,6 @@ __all__ = [
     "mersenne_estimate",
     "fermat_estimate",
     "twin_constant_probe",
-    "twin_constant",
-    "primitive_root_census",
     "brute_ap_prime_count",
     "brute_ap_twin_count",
     "brute_mersenne_count",
@@ -213,39 +210,3 @@ def twin_constant_probe(x_grid, table: PrimeTable | None = None) -> list[dict]:
         rows.append({"x": x, "U": u_val, "C": u_val * math.log(x) ** 2 / 4})
     return rows
 
-
-def twin_constant(x: int = 10**6, table: PrimeTable | None = None) -> float:
-    """The implied twin constant taken at a single (largest practical) probe point."""
-    return twin_constant_probe([x], table)[-1]["C"]
-
-
-def primitive_root_census(
-    Q: int,
-    a: int,
-    b: int,
-    x: int,
-    table: PrimeTable | None = None,
-) -> EstimateReport:
-    """Census of primes p <= x, p = a (mod b), with Q a primitive root mod p.
-
-    No truth value is asserted for the underlying conjecture; the report
-    carries the census count and a fitted constant
-    A(Q) = count * log((x-a)/b) / ((x-a)/b).
-    """
-    if Q in (0, 1, -1):
-        raise ValueError("Q must differ from 0, 1, -1")
-    if Q > 0 and math.isqrt(Q) ** 2 == Q:
-        raise ValueError("Q must not be a perfect square")
-    _check_ap(x, a, b)
-    table = table_for(x, table)
-    count = 0
-    for p in table.prefix_le(x):
-        p = int(p)
-        if p % b == a % b and Q % p and multiplicative_order(Q % p, p) == p - 1:
-            count += 1
-    t = (x - a) / b
-    fitted = count * math.log(t) / t if t > 1 else float("nan")
-    return EstimateReport(
-        x, fitted * t / math.log(t) if t > 1 else float("nan"), count,
-        {"Q": Q, "a": a, "b": b, "fitted_A": fitted},
-    )

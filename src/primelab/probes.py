@@ -33,6 +33,7 @@ __all__ = [
     "mersenne_composite_witness",
 ]
 _HL_BLOCK_CELLS = 1 << 16  # cells hl_inequality_scan compares a step; 2^17 raises its peak RSS
+_XI_REL_TOL = 1e-8  # xi_sigma_probe stops its series at the first term below this share of the sum
 
 
 @dataclass(frozen=True)
@@ -242,12 +243,12 @@ def xi_smooth_series(s: float, p_max: int, n_max: int = 10**13) -> float:
     return math.fsum(terms)
 
 
-def xi_sigma_probe(sigma_grid, rel_tol: float = 1e-8) -> list[dict]:
+def xi_sigma_probe(sigma_grid) -> list[dict]:
     """Rows (sigma, log xi_T(1+sigma), prime-sum, residual, log(1/sigma), ratio).
 
     log xi_T(1+sigma) = sum_{n >= 1} (2^n / n) * P(n * (1+sigma)) with P the
     prime zeta function -- the expanded Euler product, summed until the
-    increment falls below rel_tol (direct products need astronomically
+    increment falls below _XI_REL_TOL (direct products need astronomically
     many primes as sigma shrinks).  The residual subtracts 2 * P(1+sigma),
     the n = 1 term, which the series representation says stays bounded.
     """
@@ -268,7 +269,7 @@ def xi_sigma_probe(sigma_grid, rel_tol: float = 1e-8) -> list[dict]:
             while True:
                 term = mpmath.mpf(2) ** n / n * mpmath.primezeta(n * s)
                 log_xi += term
-                if n > 1 and abs(term) < rel_tol * abs(log_xi):
+                if n > 1 and abs(term) < _XI_REL_TOL * abs(log_xi):
                     break
                 n += 1
             prime_sum = 2 * mpmath.primezeta(s)

@@ -145,8 +145,9 @@ class ResidueSpec:
         raise KeyError(p)
 
     def cardinalities(self) -> tuple[int, ...]:
-        """The u_i sequence: distinct forbidden residues per prime."""
-        return tuple(len(forb) for _, forb in self.entries)
+        """The u_i sequence: distinct forbidden residues per prime (a Kept's read off its kept side,
+        since len refuses counts past 2**63 - 1)."""
+        return tuple(p - len(forb.kept) if type(forb) is Kept else len(forb) for p, forb in self.entries)
 
     @property
     def modulus(self) -> int:

@@ -270,6 +270,12 @@ def test_allow_modulus_past_2_64_lists_exact_python_ints(capsys):
     assert all(type(n) is int for n in got)
 
 
+def test_allow_modulus_past_2_63_counts_its_classes_off_the_kept_side():
+    spec = cli._parse_allow(["18446744073709551629=1,5"])  # len refuses a struck count this large
+    assert spec.cardinalities() == (18446744073709551627,)
+    assert crt.choice_count(spec) == 2
+
+
 def test_allow_big_modulus_memory_follows_the_residues_given():
     cli._parse_allow(["3=1"])  # the first call's imports are not the parse's
     tracemalloc.start()

@@ -14,9 +14,7 @@ from primelab.densities import (
     mersenne_estimate,
     omega_estimate,
     omega_k_estimate,
-    primitive_root_census,
     psi_estimate,
-    twin_constant,
     twin_constant_probe,
 )
 from primelab.residues import AdmissibleTuple
@@ -122,34 +120,6 @@ def test_twin_constant_probe_monotone_grid():
         assert 0.4 < r["C"] < 1.1
     with pytest.raises(ValueError):
         twin_constant_probe([100, 100])
-
-
-def test_twin_constant_single_point():
-    assert 0.5 < twin_constant(10**6) < 0.9
-
-
-def _is_primitive_by_powers(q: int, p: int) -> bool:
-    """Independent primitivity reference: q^i != 1 (mod p) for 0 < i < p - 1."""
-    power = 1
-    for _ in range(p - 2):
-        power = power * q % p
-        if power == 1:
-            return False
-    return True
-
-
-def test_primitive_root_census_two_oracles_agree():
-    by_order = primitive_root_census(2, 1, 2, 2000)
-    by_powers = sum(1 for p in sieve_primes(2000).primes.tolist()
-                    if p % 2 == 1 and _is_primitive_by_powers(2 % p, p))
-    assert by_order.oracle == by_powers > 0
-    assert by_order.params["fitted_A"] > 0
-
-
-def test_primitive_root_census_rejects_degenerate_q():
-    for q in (0, 1, -1, 9, 25):
-        with pytest.raises(ValueError):
-            primitive_root_census(q, 1, 2, 100)
 
 
 @given(st.integers(100, 3000))

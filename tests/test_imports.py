@@ -1,10 +1,13 @@
-"""Every name a primelab module imports is used in that module, and no private code is orphaned.
+"""Every name a primelab module imports is used in that module, no private code is orphaned, and
+every exported function is reached.
 
 No linter ships with the project, so this walks each module's syntax
 tree instead.  ``__init__.py`` is skipped for imports (they are
 re-exports), and so are ``__future__`` imports.  A module-level
 ``_private`` function or class must be named somewhere in the package
-besides its own definition; references from tests do not count.
+besides its own definition; references from tests do not count.  An
+exported function must be named by code outside its own definition and
+the export lists: the package, a demo, a tool or the benchmark.
 """
 
 import ast
@@ -12,7 +15,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "primelab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "primelab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
@@ -67,3 +71,51 @@ def test_orphans_detects_an_unreferenced_private_definition():
 def test_every_private_definition_is_referenced():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert orphans(sources) == []
+
+
+EXPORT_LISTS = {"__all__", "_EXPORTS"}
+# the oracles that tests use to check big_omega_sieve and schinzel_search's results
+ORACLES = {"big_omega", "verify_shifted_quotient"}
+
+
+def reached(sources: dict[str, str]) -> set[str]:
+    """Every name the sources' code uses outside a definition of that name and the export lists:
+    names, attributes, imports, and strings that spell a dotted name ("counts.survivor_count",
+    as the CLI's kind tables and the benchmark's tracer name a function)."""
+    named = set()
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and {getattr(t, "id", None) for t in node.targets} & EXPORT_LISTS:
+                continue
+            own = node.name if isinstance(node, DEFINITIONS) else None
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if isinstance(sub, ast.alias):
+                    name = sub.name
+                elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and all(
+                        part.isidentifier() for part in sub.value.split(".")):
+                    name = sub.value.rpartition(".")[2]
+                if name and name != own:
+                    named.add(name)
+    return named
+
+
+def test_reached_reads_code_and_dotted_strings_only():
+    sources = {
+        "a": '__all__ = ["listed"]\n_EXPORTS = {"a": ("listed",)}\n'
+             'def recursive(n):\n    return recursive(n - 1)\n'
+             'KINDS = {"x": "a.by_string", "y": "not a name"}\nprint(called())\n',
+    }
+    names = {"listed", "recursive", "by_string", "not a name", "called"}
+    assert reached(sources) & names == {"by_string", "called"}
+
+
+def test_every_exported_function_is_reached():
+    import primelab
+
+    sources = {str(p): p.read_text(encoding="utf-8")
+               for root in (SRC, ROOT / "demos", ROOT / "tools", ROOT / "perfbench")
+               for p in sorted(root.glob("*.py"))}
+    named = reached(sources)
+    functions = [name for name in primelab.__all__ if not isinstance(getattr(primelab, name), type)]
+    assert [name for name in functions if name not in named and name not in ORACLES] == []

@@ -121,13 +121,3 @@ def test_a_row_stepping_past_2_62_scans_single_values():
     assert value % 53 == 2 and all(value % p == 1 for p, _ in spec.entries[:-1])
     for n in (value - 1, value, value + 1, (1 << 62) - 1):
         assert list(crt.crt_enumerate(spec, n, n)) == ([n] if n == value else []), n
-
-
-def test_survivor_counts_lay_out_the_row_again_only_for_other_entries():
-    twins, tuple268 = SPECS["twins"][0], SPECS["tuple 2,6,8"][0]
-    counts._survivor_windows(100, twins.entries)
-    row = counts._survivor_row[1]
-    counts._survivor_windows(3000, twins.entries)
-    assert counts._survivor_row[1] is row  # the same entries: the wheel is reused
-    counts._survivor_windows(100, tuple268.entries)
-    assert counts._survivor_row == (tuple268.entries, sieve.avoiding_row(1, tuple268.entries))

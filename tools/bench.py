@@ -22,17 +22,18 @@ SUITE is one of the tables in ``SUITES``:
 - ``sweep``: ``survivor_count`` over 64 consecutive x from 1e3, 1e4 and 1e5 for the
   twin and (2,6,8) specs, built once per run or rebuilt from ``sieving_prime_set(x)``
   at every x (as a sweep over the public calls does), the same x in an order that puts
-  consecutive calls 27 or more apart, ``tuple_count_formula`` over 16 consecutive x,
-  ``legendre_pi`` over 64 consecutive x from 1e5 and 1e7 (a table reaching x answers
-  the oracle, so the stepped phi dominates), and ``mersenne_exact_count`` and
+  consecutive calls 27 or more apart (every call a full count, and every full count lays
+  its wheel out: the counts keep no wheel between calls), ``tuple_count_formula`` over 16
+  consecutive x, ``legendre_pi`` over 64 consecutive x from 1e5 and 1e7 (a table reaching x
+  answers the oracle, so the stepped phi dominates), and ``mersenne_exact_count`` and
   ``fermat_exact_count`` at 1e6, 1e9 and 1e12, timed per call inside the child (see
   ``SWEEP_CHILD``);
 - ``rows``: the residue rows and the Goldbach certificate, timed inside the child: full survivor
-  counts (``counts._survivor_windows``, the route a call far from the last one takes) for the twin
-  and (2,6,8) specs at x = 1e3, 1e4 and 1e5, and ``goldbach_enumerate(2n, "EXACT",
-  allow_zero_eta=True)`` at 2n = 1e3, 1e4 and 1e5, per call (see ``ROWS_CHILD``); the twin count
-  at 1e8 and 1e9 and the eta spec's ``crt.crt_windows`` over (p_k, n] at 2n = 1e9, once per
-  child (see ``ROWS_ONCE_CHILD``);
+  counts (``counts._survivor_windows``, the route a call far from the last one takes, which lays
+  the spec's wheel out on every call) for the twin and (2,6,8) specs at x = 1e3, 1e4 and 1e5,
+  and ``goldbach_enumerate(2n, "EXACT", allow_zero_eta=True)`` at 2n = 1e3, 1e4 and 1e5, per
+  call (see ``ROWS_CHILD``); the twin count at 1e8 and 1e9 and the eta spec's
+  ``crt.crt_windows`` over (p_k, n] at 2n = 1e9, once per child (see ``ROWS_ONCE_CHILD``);
 - ``startup``: ``import primelab``, ``import primelab.cli`` and one small operation
   per subcommand family;
 - ``crt``: ``primelab crt --allow ...`` listings, each on the wheel its entries fold into
