@@ -44,15 +44,16 @@ def _table_from_cache(path: str | None, need: int) -> PrimeTable | None:
 
 
 def _cmd_primes(args, report: Report) -> int:
-    from .sieve import table_for
+    from .sieve import count_primes, is_prime, table_for
 
     if args.limit < 0:  # as sieve_primes refuses it, before a cache is read or written
         raise ValueError("limit must be nonnegative")
-    table = table_for(args.limit, _table_from_cache(args.cache, args.limit))
-    primes = table.prefix_le(args.limit)
     report.params = {"limit": args.limit}
-    largest = int(primes[-1]) if len(primes) else None
-    report.rows.append({"limit": args.limit, "count": len(primes), "largest": largest})
+    primes = (table_for(args.limit, _table_from_cache(args.cache, args.limit)).prefix_le(args.limit)
+              if args.list or args.cache else None)  # else no table: counted a segment at a time
+    count = count_primes(args.limit) if primes is None else len(primes)
+    largest = next((n for n in range(args.limit, 1, -1) if is_prime(n)), None)  # trial division, down
+    report.rows.append({"limit": args.limit, "count": count, "largest": largest})
     if args.list:
         report.rows.append(Block(p=primes))
     return 0

@@ -343,19 +343,23 @@ def _shifted_power_primes(bound: int, sign: int) -> list[int]:
 def _exponent_events(bound: int, u: int, sign: int, table: PrimeTable | None) -> list[tuple[int, int]]:
     """(residue, modulus) of the q with p | 2^q + sign, per odd prime p <= sqrt(bound), ascending p.
 
-    One doubling walk over all p at once: the first q <= u with 2^q = 1
-    (mod p) is d = ord_p(2), the event q = 0 (mod d); the first with
-    2^q = -1 is d/2, the event q = d/2 (mod d).  A prime whose first q
-    exceeds u makes no event in [1, u].
+    One doubling walk over 2^13 primes at a time (its temporaries do not grow
+    with pi(sqrt(bound))): the first q <= u with 2^q = 1 (mod p) is
+    d = ord_p(2), the event q = 0 (mod d); the first with 2^q = -1 is d/2,
+    the event q = d/2 (mod d).  A prime whose first q exceeds u makes no
+    event in [1, u].
     """
-    odd = sieving_prime_set(bound, table)[1:]
-    target = 1 if sign < 0 else odd - 1
-    first = np.zeros(len(odd), dtype=np.int64)
-    power = np.ones(len(odd), dtype=np.int64)
-    for q in range(1, u + 1):
-        power = power * 2 % odd
-        first[(power == target) & (first == 0)] = q
-    return [(0, q) if sign < 0 else (q, 2 * q) for q in first[first > 0].tolist()]
+    primes, events = sieving_prime_set(bound, table), []
+    for s in range(1, len(primes), 1 << 13):
+        odd = primes[s:s + (1 << 13)]
+        target = 1 if sign < 0 else odd - 1
+        first = np.zeros(len(odd), dtype=np.int64)
+        power = np.ones(len(odd), dtype=np.int64)
+        for q in range(1, u + 1):
+            power = power * 2 % odd
+            first[(power == target) & (first == 0)] = q
+        events += [(0, q) if sign < 0 else (q, 2 * q) for q in first[first > 0].tolist()]
+    return events
 
 
 def _exponent_count(x: int, sign: int, table: PrimeTable | None) -> CountReport:

@@ -1,13 +1,12 @@
 """Prime generation, primality certificates, the pattern oracle and residue-class counting.
 
 Everything here is exact integer arithmetic.  The central object is the
-immutable :class:`PrimeTable`: an ascending array of primes up to a limit
-together with a membership bitset over the odd integers.  A table holds a
-bit per odd number and an int64 per prime (about 0.9 GB at 1e9), so its
-size grows with the limit; :func:`count_primes` is the bounded path, an
-odd-only segmented sieve that holds one segment (about 1 MiB) at a time.
-:func:`table_for` is the one "a table reaching n" helper, and the cache
-(:func:`save_cache`, :func:`load_cache`) is a file read and written by path.
+immutable :class:`PrimeTable`: ascending primes up to a limit and a numpy bool
+(a byte, not a bit) per odd number, about 0.9 GB at 1e9; only the cache file
+packs bits.  The bounded path is :func:`_odd_segments`, one odd-only sieve over
+any [lo, hi] a segment (about 1 MiB) at a time: every table, :func:`count_primes`
+and the pattern oracle's windows are sieved from it.  :func:`table_for` is the
+one "a table reaching n" helper; the cache is a file read and written by path.
 The residue core is :func:`avoiding_row`, the wheel that lays out the numbers
 avoiding a spec's struck residues, and :func:`avoiding_windows`, its masks a
 window at a time: every survivor count, CRT listing and EXACT Goldbach scan
@@ -72,7 +71,7 @@ class CacheChecksumError(CacheError):
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Immutable sorted primes in [2, limit] with an odd-number bitset.
+    """Immutable sorted primes in [2, limit] with a bool array, a byte each, over the odd numbers.
 
     ``odd_bits[i]`` is True iff 2*i + 1 is prime (so index 0, the unit 1,
     is always False).  Safe to share across threads after construction.
@@ -119,32 +118,27 @@ class PrimeTable:
         return self.primes[: self.primes.searchsorted(bound, "right")]
 
 
-def _odd_segments(limit: int, segment_odd_bits: int = SEGMENT_ODD_BITS):
-    """Sieve the odd numbers 3..limit (limit >= 2) a segment at a time.
+def _odd_segments(lo: int, hi: int, segment_odd_bits: int | None = None, out: np.ndarray | None = None):
+    """Sieve the odd numbers in [lo, hi] a segment of SEGMENT_ODD_BITS of them at a time.
 
     Yields (lo_idx, seg): seg[i] is True iff 2*(lo_idx + i) + 1 is prime.
-    Every seg is a view of one reused buffer, valid until the next step.
+    Every seg is a view of one reused buffer, valid until the next step, or
+    of ``out``, which then holds every segment in turn.
     """
-    n_odd = (limit + 1) // 2  # odd numbers 1, 3, ..., <= limit
-    odd_base = sieve_primes(math.isqrt(limit)).primes[1:]
-    buffer = np.empty(min(segment_odd_bits, n_odd - 1), dtype=bool)
-    lo_idx = 1  # index of odd number 3
-    while lo_idx < n_odd:
-        hi_idx = min(lo_idx + segment_odd_bits, n_odd)  # exclusive
-        seg = buffer[: hi_idx - lo_idx]
+    width = segment_odd_bits or SEGMENT_ODD_BITS
+    lo_idx, end = max(lo, 0) >> 1, (hi + 1) >> 1  # the odd numbers 2i + 1 in [lo, hi], i < end
+    base = sieve_primes(math.isqrt(hi)).primes[1:] if hi >= 9 else np.zeros(0, dtype=np.int64)
+    buffer = np.empty(min(width, max(end - lo_idx, 0)), dtype=bool) if out is None else out
+    for s in range(lo_idx, end, width):
+        seg = buffer[: min(width, end - s)] if out is None else out[s - lo_idx : s - lo_idx + width]
         seg[:] = True
-        lo_val = 2 * lo_idx + 1
-        hi_val = 2 * hi_idx - 1  # last odd value in segment
-        for p in odd_base:
-            p = int(p)
-            start = max(p * p, ((lo_val + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start > hi_val:
-                continue
-            seg[(start - lo_val) // 2 :: p] = False
-        yield lo_idx, seg
-        lo_idx = hi_idx
+        seg[: int(s == 0)] = False  # the unit 1, when the segment starts at it
+        odd = base[: base.searchsorted(math.isqrt(2 * (s + len(seg)) - 1), "right")]
+        # each prime's first odd multiple >= max(p^2, 2s + 1), all in one step: 2i + 1 = 0 mod p at i = p >> 1
+        first = np.maximum(odd * odd >> 1, s + ((odd >> 1) - s) % odd) - s
+        for p, i in zip(odd.tolist(), first.tolist()):
+            seg[i::p] = False
+        yield s, seg
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -154,17 +148,29 @@ def sieve_primes(limit: int) -> PrimeTable:
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    odd_bits = np.zeros((limit + 1) // 2, dtype=bool)
-    if limit >= 2:
-        for lo_idx, seg in _odd_segments(limit):
-            odd_bits[lo_idx : lo_idx + len(seg)] = seg
-    return _table_from_odd_bits(limit, odd_bits)
+    return _shifted_table(0, limit)
+
+
+def _shifted_table(e: int, hi: int) -> PrimeTable:
+    """The table of the numbers e..hi (e even) shifted down by e, sieved from the stream: odd_bits[i]
+    stands for e + 2i + 1.  Where e > 0 its 1 and 2, for e + 1 and e + 2, are not to be read."""
+    odd_bits = np.zeros(max(0, (hi - e + 1) // 2), dtype=bool)
+    for _ in _odd_segments(e, hi, out=odd_bits):  # sieved in place
+        pass
+    return _table_from_odd_bits(hi - e, odd_bits)
 
 
 def _table_from_odd_bits(limit: int, odd_bits: np.ndarray) -> PrimeTable:
-    """The PrimeTable to ``limit`` with odd primes at the set bits, and 2 from limit 2 on."""
-    odd_primes = 2 * np.flatnonzero(odd_bits).astype(np.int64) + 1
-    primes = np.concatenate(([2], odd_primes)) if limit >= 2 else odd_primes
+    """The PrimeTable to ``limit``: 2 from limit 2 on, and the odd primes at the set bits a chunk at a time."""
+    k = int(limit >= 2)
+    primes = np.empty(k + np.count_nonzero(odd_bits), dtype=np.int64)
+    primes[:k] = 2
+    for s in range(0, len(odd_bits), _CACHE_CHUNK):
+        found = np.flatnonzero(odd_bits[s : s + _CACHE_CHUNK])
+        out = primes[k : k + len(found)]
+        np.multiply(found, 2, out=out)
+        out += 2 * s + 1
+        k += len(found)
     return PrimeTable(limit, primes, odd_bits)
 
 
@@ -174,9 +180,7 @@ def count_primes(x: int) -> int:
     No PrimeTable is built or kept: memory is one segment (about 1 MiB) plus
     the base primes, O(sqrt(x)), where a table to x takes O(x).
     """
-    if x < 2:
-        return 0
-    return 1 + sum(int(np.count_nonzero(seg)) for _, seg in _odd_segments(x))
+    return int(x >= 2) + sum(int(np.count_nonzero(seg)) for _, seg in _odd_segments(0, x))
 
 
 # Process-wide table behind table_for; grown on demand.
@@ -277,23 +281,48 @@ def count_congruent(x: int, r: int, m: int) -> int:
 def pattern_starts(lo: int, hi: int, forms, table: PrimeTable | None = None) -> np.ndarray:
     """Ascending n in [lo, hi] at which every linear form a*n + b in ``forms`` is prime.
 
-    The one pattern oracle (twins: (n, n + 2); Goldbach pairs of 2m: (n, 2m - n)).
-    It reads only the table, grown to the largest form value: the first form
-    (a >= 1) takes its primes by searchsorted and keeps those = b (mod a);
-    each further form is one is_prime_array lookup.  An empty range builds no table.
+    The one pattern oracle (twins: (n, n + 2); Goldbach pairs of 2m: (n, 2m - n)).  Where the
+    given table, else the process-wide one as it stands, reaches every value, the first form
+    (a >= 1) takes its primes by searchsorted and keeps those = b (mod a), and each further form
+    is one is_prime_array lookup; elsewhere it goes a window of n at a time (_window_starts), so
+    no table is grown and memory is a few segments, whatever the range.  An empty range sieves nothing.
     """
     (a, b), rest = forms[0], forms[1:]
     if a < 1:
         raise ValueError("the first form needs a >= 1")
     if hi < lo:
         return np.array([], dtype=np.int64)
-    table = table_for(max(max(c * lo + d, c * hi + d) for c, d in forms), table)
+    table = _shared_table if table is None else table
+    if table is None or table.limit < max(max(c * lo + d, c * hi + d) for c, d in forms):
+        width = max(1, SEGMENT_ODD_BITS // max(2 * abs(c) for c, _ in forms))  # values in half a segment
+        return np.concatenate([_window_starts(n, min(n + width - 1, hi), forms, table)
+                               for n in range(lo, hi + 1, width)])
     starts = table.primes[np.searchsorted(table.primes, a * lo + b):
                           np.searchsorted(table.primes, a * hi + b, side="right")]
     if (a, b) != (1, 0):  # n = (p - b) / a; the form n itself reads the primes in place
         starts = (starts[(starts - b) % a == 0] - b) // a
     for c, d in rest:
         starts = starts[table.is_prime_array(c * starts + d)]
+    return starts
+
+
+def _window_starts(lo: int, hi: int, forms, table: PrimeTable | None) -> np.ndarray:
+    """pattern_starts over one window of n, off the table where it reaches every value, else off a
+    _shifted_table per span of values: one where they overlap (twins, tuples), else one per form
+    (Goldbach's (-1, 2m) reads a mirrored span), from an even e, 0 or 3 or more below the span."""
+    if table is not None and table.limit >= max(max(c * lo + d, c * hi + d) for c, d in forms):
+        return pattern_starts(lo, hi, forms, table)
+    spans = [tuple(sorted((c * lo + d, c * hi + d))) for c, d in forms]
+    hull = (min(v0 for v0, _ in spans), max(v1 for _, v1 in spans))
+    if hull[1] - hull[0] < sum(v1 - v0 + 1 for v0, v1 in spans):
+        spans = [hull] * len(forms)
+    shift = {span: max(0, (span[0] - 3) & -2) for span in spans}
+    tables = {span: _shifted_table(e, span[1]) for span, e in shift.items()}
+    first = [(c, d - shift[spans[0]]) for (c, d), span in zip(forms, spans) if span == spans[0]]
+    starts = pattern_starts(lo, hi, first, tables[spans[0]])
+    for (c, d), span in zip(forms, spans):
+        if span != spans[0]:
+            starts = starts[tables[span].is_prime_array(c * starts + d - shift[span])]
     return starts
 
 
@@ -366,16 +395,21 @@ def save_cache(table: PrimeTable, path) -> None:
 
     Layout: 8-byte magic ``PRIMSET1``; 8-byte LE limit; bitmap of
     ceil((limit+1)/16) bytes, bit i (LSB-first) = odd 2i+1 prime;
-    trailing 8-byte LE prime count (including 2).
+    trailing 8-byte LE prime count (including 2).  Packed _CACHE_CHUNK bytes at a time.
     """
-    bits = np.zeros((table.limit + 1 + 15) // 16 * 8, dtype=bool)
-    bits[: len(table.odd_bits)] = table.odd_bits
+    n_bytes = (table.limit + 1 + 15) // 16
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(CACHE_MAGIC + struct.pack("<Q", table.limit)
-                 + np.packbits(bits, bitorder="little").tobytes()
-                 + struct.pack("<Q", len(table.primes)))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CACHE_MAGIC + struct.pack("<Q", table.limit))
+            for at in range(0, n_bytes, _CACHE_CHUNK):
+                packed = np.packbits(table.odd_bits[8 * at : 8 * (at + _CACHE_CHUNK)], bitorder="little")
+                fh.write(packed.tobytes().ljust(min(_CACHE_CHUNK, n_bytes - at), b"\0"))  # the last byte's pad
+            fh.write(struct.pack("<Q", len(table.primes)))
+        os.replace(tmp, path)
+    finally:  # a failed write leaves no temporary file
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_cache(path, need: int | None = None) -> PrimeTable:
@@ -395,14 +429,14 @@ def load_cache(path, need: int | None = None) -> PrimeTable:
         if size < 16 + n_bytes + 8:
             raise CacheTruncatedError(f"expected {16 + n_bytes + 8} bytes for limit {limit}, got {size}")
         top = limit if need is None else min(need, limit)
-        odd, keep = (limit + 1) // 2, (top + 1) // 2  # the bits of the odd numbers <= limit, <= top
-        kept, found = [], int(limit >= 2)  # the bits up to top, and the primes: 2 and the set bits
+        odd = (limit + 1) // 2  # the bits of the odd numbers <= limit
+        kept, found = np.empty((top + 1) // 2, dtype=bool), int(limit >= 2)  # the bits <= top; 2 and the set bits
         for at in range(0, n_bytes, _CACHE_CHUNK):
             chunk = np.frombuffer(fh.read(min(_CACHE_CHUNK, n_bytes - at)), dtype=np.uint8)
             bits = np.unpackbits(chunk, bitorder="little")[:odd - 8 * at].view(bool)
             found += int(np.count_nonzero(bits))
-            kept.append(bits[:max(keep - 8 * at, 0)].copy())
+            kept[8 * at : 8 * at + len(bits)] = bits[: max(len(kept) - 8 * at, 0)]
         declared = struct.unpack("<Q", fh.read(8))[0]
     if found != declared:
         raise CacheChecksumError(f"bitmap holds {found} primes but trailer declares {declared}")
-    return _table_from_odd_bits(top, np.concatenate(kept))
+    return _table_from_odd_bits(top, kept)

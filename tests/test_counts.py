@@ -556,6 +556,19 @@ def test_brute_twin_count_counts_upper_members():
     assert brute_twin_count(13) == 3
 
 
+def test_brute_twin_count_memory_is_bounded_and_the_shared_table_untouched(monkeypatch):
+    before = sieve_primes(1 << 16)  # the shared table as a process starts it, short of 1e7
+    monkeypatch.setattr(sieve, "_shared_table", before)
+    tracemalloc.start()
+    try:
+        assert brute_twin_count(10**7) == 58_980
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sieve._shared_table is before
+    assert peak < 5.5 * 2**20  # a table to 1e7 peaked at 21.9 MB
+
+
 def literal_pattern_count(x, offsets, table):
     """Per-prime reference: p <= x - b_last with every p + b prime."""
     return sum(1 for p in table.primes
@@ -677,6 +690,18 @@ def test_exponent_walk_matches_the_order_loop(sign):
         u = (x - sign).bit_length() - 1  # the largest q with 2^q + sign <= x
         assert counts._exponent_events(x, u, sign, None) == reference_events(x, u, sign), x
         assert counts._exponent_count(x, sign, None).delta == 0, x
+
+
+def test_exponent_walk_memory_does_not_grow_with_the_primes():
+    table = sieve_primes(10**6)
+    tracemalloc.start()
+    try:
+        events = counts._exponent_events(10**12, 39, -1, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert events == reference_events(10**12, 39, -1)
+    assert peak < 2**20  # the walk over all 78 497 odd primes at once peaked at 2.40 MB
 
 
 def test_exponent_counts_match_the_brute_counts_by_value():

@@ -229,6 +229,73 @@ def test_cache_load_memory_follows_need(tmp_path):
     assert peak < 2**20
 
 
+def reference_cache_bytes(table):
+    """The cache layout packed whole: magic, limit, the padded bitmap, the prime count."""
+    bits = np.zeros((table.limit + 1 + 15) // 16 * 8, dtype=bool)
+    bits[: len(table.odd_bits)] = table.odd_bits
+    return (b"PRIMSET1" + table.limit.to_bytes(8, "little") + np.packbits(bits, bitorder="little").tobytes()
+            + len(table.primes).to_bytes(8, "little"))
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 10**6, 2 * SEGMENT_ODD_BITS - 1, 2 * SEGMENT_ODD_BITS,
+                                   2 * SEGMENT_ODD_BITS + 1, 2 * SEGMENT_ODD_BITS + 17])
+@pytest.mark.parametrize("chunk", [7, sieve._CACHE_CHUNK])
+def test_cache_file_is_the_layout_packed_whole(tmp_path, monkeypatch, limit, chunk):
+    monkeypatch.setattr(sieve, "_CACHE_CHUNK", chunk)
+    table, path = sieve_primes(limit), tmp_path / "primes.cache"
+    save_cache(table, path)
+    assert path.read_bytes() == reference_cache_bytes(table)
+
+
+def test_a_failed_cache_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "primes.cache"
+    save_cache(sieve_primes(1000), path)
+    before = path.read_bytes()
+    packbits, calls = np.packbits, []
+
+    def fail_after_the_first_chunk(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise OSError(28, "No space left on device")
+        return packbits(*args, **kwargs)
+
+    monkeypatch.setattr(sieve, "_CACHE_CHUNK", 7)
+    monkeypatch.setattr(np, "packbits", fail_after_the_first_chunk)
+    with pytest.raises(OSError, match="No space left"):
+        save_cache(sieve_primes(10_000), path)
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["primes.cache"]
+
+
+PRIMES_TO_6000 = set(brute_primes(6000))  # beyond every form value below
+EDGES = [32 * k + d for k in (1, 2, 12) for d in (-1, 0, 1)]  # 32 values: a segment of 16 odd numbers
+EDGE_FORMS = {"twins": ((1, 0), (1, 2)), "2,6": ((1, 0), (1, 2), (1, 6)),
+              "2,6,8": ((1, 0), (1, 2), (1, 6), (1, 8)), "ap (6, 5)": ((6, 5),),
+              "ap twins (4, 1)": ((4, 1), (4, 5)), "goldbach 2000": ((1, 0), (-1, 2000))}
+
+
+def test_stream_at_width_16_matches_a_literal_scan(monkeypatch):
+    monkeypatch.setattr(sieve, "SEGMENT_ODD_BITS", 16)
+    for x in range(-1, 2100, 7):
+        assert count_primes(x) == len([p for p in PRIMES_TO_6000 if p <= x]), x
+    for limit in [0, 1, 2, 3, *EDGES, 2099]:
+        assert sieve_primes(limit).primes.tolist() == sorted(p for p in PRIMES_TO_6000 if p <= limit)
+
+
+@pytest.mark.parametrize("name", EDGE_FORMS)
+def test_pattern_windows_at_width_16_match_a_literal_scan(monkeypatch, name):
+    forms = EDGE_FORMS[name]
+    tables = [None, sieve_primes(100), sieve_primes(1950)]  # reaching no window, the first few, most
+    monkeypatch.setattr(sieve, "_shared_table", None)  # None reads the stream alone
+    monkeypatch.setattr(sieve, "SEGMENT_ODD_BITS", 16)  # an n-window of 16 // |a| values
+    for lo in EDGES[:6]:
+        for hi in EDGES:
+            want = [n for n in range(lo, hi + 1) if all(c * n + d in PRIMES_TO_6000 for c, d in forms)]
+            for table in tables:
+                assert pattern_starts(lo, hi, forms, table).tolist() == want, (lo, hi, table)
+
+
 @given(st.integers(0, 5000))
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_prefix_le_matches_count(limit):

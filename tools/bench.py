@@ -55,10 +55,15 @@ SUITE is one of the tables in ``SUITES``:
   the step ``_coprime_between`` over 64 x after 1e11 and 1e12 and over one x after
   1e7 + 12 345, with the time and tracemalloc peak of the first call (a cold one) and of a
   warm call beside the per-call times; and ``_phi_floor`` at 1e5 and 1e7 + 12 345, the
-  floor calls of a lib-sweep run, per call (see ``PHI_PER_CALL_CHILD``).
+  floor calls of a lib-sweep run, per call (see ``PHI_PER_CALL_CHILD``);
+- ``stream``: the prime sources that read the segment stream instead of a table to x:
+  ``primelab count twin --x 1e8``, ``count tuple --x 3e7 --offsets 2,6``, ``primes --limit L``
+  (no ``--list``) for L in 2e8 and 1e9, ``count pi --x 1e9``, and ``count mersenne`` and
+  ``count fermat`` at 1e12.
 
-Each case runs in a fresh interpreter with ``PYTHONPATH=<checkout>/src`` and stdout
-to /dev/null. Wall time is taken around the child, CPU time (user + system) and peak
+Each case runs in a fresh interpreter with ``PYTHONPATH=<checkout>/src``, stdout
+to /dev/null and a 4 GiB address-space limit (``RLIMIT_AS``), so that a case that grows a
+table to x fails with an error instead of pushing the machine into swap. Wall time is taken around the child, CPU time (user + system) and peak
 RSS from ``os.wait4``; a self-timing child prints its own ``{case: {metric: value}}``
 JSON instead: each case's median time per call over five samples (``us``) and the
 fastest of them (``us_min``), which is steadier where the machine's speed drifts
@@ -78,6 +83,7 @@ import json
 import os
 import pathlib
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -85,6 +91,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNS = 10
+AS_LIMIT = 4 << 30  # bytes of address space a child may map
 ENV_FLAGS = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS")
 
 
@@ -361,6 +368,12 @@ SUITES = {
     },
     "phi": {**{f"floor 1e{k}": ["-c", PHI_FLOOR_CHILD, str(k)] for k in (10, 11, 12, 13)},
             "per call": ["-c", PHI_PER_CALL_CHILD]},
+    "stream": {"count twin 1e8": cli("count", "twin", "--x", 10**8),
+               "count tuple 3e7 2,6": cli("count", "tuple", "--x", 3 * 10**7, "--offsets", "2,6"),
+               **{f"primes {name}": cli("primes", "--limit", limit)
+                  for name, limit in (("2e8", 2 * 10**8), ("1e9", 10**9))},
+               "count pi 1e9": cli("count", "pi", "--x", 10**9),
+               **{f"count {kind} 1e12": cli("count", kind, "--x", 10**12) for kind in ("mersenne", "fermat")}},
 }
 
 
@@ -369,8 +382,9 @@ def run(case: str, args: list[str], root: pathlib.Path, self_timing: bool) -> di
     argv = [sys.executable, *args]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     start = time.perf_counter()
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE if self_timing
-                          else subprocess.DEVNULL) as child:
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE if self_timing else subprocess.DEVNULL,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
+                          ) as child:
         out = child.stdout.read() if self_timing else b""
         _, status, usage = os.wait4(child.pid, 0)
         wall_ms = (time.perf_counter() - start) * 1e3
