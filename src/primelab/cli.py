@@ -49,13 +49,13 @@ def _cmd_primes(args, report: Report) -> int:
     if args.limit < 0:  # as sieve_primes refuses it, before a cache is read or written
         raise ValueError("limit must be nonnegative")
     report.params = {"limit": args.limit}
-    primes = (table_for(args.limit, _table_from_cache(args.cache, args.limit)).prefix_le(args.limit)
-              if args.list or args.cache else None)  # else no table: counted a segment at a time
-    count = count_primes(args.limit) if primes is None else len(primes)
-    largest = next((n for n in range(args.limit, 1, -1) if is_prime(n)), None)  # trial division, down
+    table = (table_for(args.limit, _table_from_cache(args.cache, args.limit))
+             if args.list or args.cache else None)  # else no table: counted a segment at a time
+    count = count_primes(args.limit) if table is None else table.count_upto(args.limit)
+    largest = next((n for n in range(args.limit, 1, -1) if is_prime(n, table)), None)  # down, off the table if any
     report.rows.append({"limit": args.limit, "count": count, "largest": largest})
     if args.list:
-        report.rows.append(Block(p=primes))
+        report.rows.append(Block(p=table.prefix_le(args.limit)))
     return 0
 
 

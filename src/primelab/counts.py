@@ -331,7 +331,7 @@ def fermat_event_count(u: int, p: int) -> int:
     d = multiplicative_order(2, p)
     if d % 2:
         return 0
-    return count_congruent(u, (d // 2) % d, d) if u >= 1 else 0
+    return count_congruent(u, d // 2, d)
 
 
 def _shifted_power_primes(bound: int, sign: int) -> list[int]:

@@ -86,7 +86,7 @@ def omega_estimate(x: int, table: PrimeTable | None = None) -> EstimateReport:
     return EstimateReport(x, est, brute_twin_count(x, table))
 
 
-def omega_k_estimate(x: int, tup: AdmissibleTuple, table: PrimeTable | None = None) -> EstimateReport:
+def omega_k_estimate(x: int, tup: AdmissibleTuple) -> EstimateReport:
     """x * prod (1 - u_p / p) with u_p the forbidden-residue cardinality.
 
     For the tuple (2,) the u sequence coincides with the twin spec and the
@@ -94,9 +94,9 @@ def omega_k_estimate(x: int, tup: AdmissibleTuple, table: PrimeTable | None = No
     """
     if x < 9:
         raise ValueError("x must be >= 9")
-    spec = ResidueSpec.for_tuple(tup.offsets, sieving_prime_set(x, table))
+    spec = ResidueSpec.for_tuple(tup.offsets, sieving_prime_set(x))
     est = x * _product(1 - len(struck) / p for p, struck in spec.entries)
-    oracle = brute_tuple_count(x, tup.offsets, table)
+    oracle = brute_tuple_count(x, tup.offsets)
     return EstimateReport(x, est, oracle, {"offsets": tup.offsets, "u": spec.cardinalities()})
 
 
@@ -119,21 +119,13 @@ def brute_ap_twin_count(x: int, a: int, b: int, table: PrimeTable | None = None)
     return len(pattern_starts(0, (x - a) // b - step, ((b, a), (b, a + step * b)), table))
 
 
-def _ap_leading(x: int, a: int, b: int) -> float:
-    return (x - a) / b
-
-
-def _check_ap(x: int, a: int, b: int):
+def _ap_sieving_primes(x: int, a: int, b: int, table: PrimeTable | None):
     if b < 1:
         raise ValueError("b must be positive")
     if math.gcd(a, b) != 1:
         raise ValueError(f"gcd({a}, {b}) != 1")
     if x <= a:
         raise ValueError("x must exceed a")
-
-
-def _ap_sieving_primes(x: int, a: int, b: int, table: PrimeTable | None):
-    _check_ap(x, a, b)
     primes = sieving_prime_set(x, table)
     warnings = tuple(f"sieving prime {int(p)} divides b = {b}" for p in primes if b % int(p) == 0)
     return primes, warnings
@@ -147,7 +139,7 @@ def ap_psi_estimate(x: int, a: int, b: int, table: PrimeTable | None = None) -> 
     case rather than silently fixing it.
     """
     primes, warnings = _ap_sieving_primes(x, a, b, table)
-    est = _ap_leading(x, a, b) * _product(1 - 1 / int(p) for p in primes)
+    est = (x - a) / b * _product(1 - 1 / int(p) for p in primes)
     oracle = brute_ap_prime_count(x, a, b, table)
     return EstimateReport(x, est, oracle, {"a": a, "b": b}, warnings)
 
@@ -155,7 +147,7 @@ def ap_psi_estimate(x: int, a: int, b: int, table: PrimeTable | None = None) -> 
 def ap_omega_estimate(x: int, a: int, b: int, table: PrimeTable | None = None) -> EstimateReport:
     """Half the leading factor times prod_{2 < p} (1 - 2/p), vs. brute AP twins."""
     primes, warnings = _ap_sieving_primes(x, a, b, table)
-    est = _ap_leading(x, a, b) / 2 * _product(1 - 2 / int(p) for p in primes if p != 2)
+    est = (x - a) / b / 2 * _product(1 - 2 / int(p) for p in primes if p != 2)
     oracle = brute_ap_twin_count(x, a, b, table)
     return EstimateReport(x, est, oracle, {"a": a, "b": b}, warnings)
 

@@ -290,9 +290,7 @@ def span_report(two_n: int, table: PrimeTable | None = None) -> SpanReport:
     )
 
 
-def fixed_prefix_candidates(
-    two_n: int, fixed: tuple[int, ...], table: PrimeTable | None = None
-) -> list[int]:
+def fixed_prefix_candidates(two_n: int, fixed: tuple[int, ...]) -> list[int]:
     """Candidates over one period with the first len(fixed) residues pinned.
 
     The remaining primes range over every nonzero residue -- including the
@@ -300,7 +298,7 @@ def fixed_prefix_candidates(
     forbidden residue lands relative to the others.  Members of a group
     are separated by multiples of the product of the pinned primes.
     """
-    plan = build_split_plan(two_n, table)
+    plan = build_split_plan(two_n)
     if len(fixed) >= len(plan.primes):
         raise ValueError("fixed prefix must leave at least one free prime")
     pinned = []  # each pinned prime keeps its own residue alone
@@ -342,13 +340,7 @@ def goldbach_refine(
     return None
 
 
-def partition_probe(
-    part_a: set[int],
-    part_b: set[int],
-    exponents: dict[int, int],
-    sign: int,
-    table: PrimeTable | None = None,
-) -> dict:
+def partition_probe(part_a: set[int], part_b: set[int], exponents: dict[int, int], sign: int) -> dict:
     """alpha = prod(A^mu) +/- prod(B^nu): prime by construction when 2 < |alpha| < p_{k+1}^2.
 
     alpha is coprime to every prime in the prefix, so if it also lies below
@@ -370,7 +362,7 @@ def partition_probe(
     )
     bound = next_prime * next_prime
     in_range = 2 < abs(alpha) < bound
-    prime = is_prime(abs(alpha), table)
+    prime = is_prime(abs(alpha))
     if in_range and not prime:  # pragma: no cover - would contradict the certificate
         raise AssertionError(f"alpha = {alpha} in certified range yet composite")
     return {
@@ -388,9 +380,7 @@ class TwinPair:
     certified: bool
 
 
-def twin_crt_search(
-    primes: tuple[int, ...], bound: int, table: PrimeTable | None = None
-) -> list[TwinPair]:
+def twin_crt_search(primes: tuple[int, ...], bound: int) -> list[TwinPair]:
     """Twin pairs (n-2, n) with n avoiding {0, 2} modulo each prime of the prefix 2, ..., p_k.
 
     Pairs with n below the square of the next prime are CERTIFIED: both
@@ -405,7 +395,7 @@ def twin_crt_search(
     pairs = []
     for n in crt_enumerate(ResidueSpec.twins(primes), 5, bound):
         certified = n < cert_bound
-        if is_prime(n, table) and is_prime(n - 2, table):
+        if is_prime(n) and is_prime(n - 2):
             pairs.append(TwinPair(n - 2, n, certified))
         elif certified:  # pragma: no cover - contradiction with the certificate
             raise AssertionError(f"certified n = {n} or n - 2 composite")

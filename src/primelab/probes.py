@@ -111,10 +111,10 @@ def twin_bertrand_scan(
     return ScanResult("twin-bertrand", {"alpha": alpha}, x_min, x_max, tuple(x[fail].tolist()))
 
 
-def hl_identity_row(x: int, y: int, table: PrimeTable | None = None) -> dict:
-    """The decomposition pi(x+y) = pi(x) + (primes in (x, x+y]); one audit row, read off a table
-    reaching x + y (hl-scan passes the one its scan grew)."""
-    table = table_for(x + y, table)
+def hl_identity_row(x: int, y: int) -> dict:
+    """The decomposition pi(x+y) = pi(x) + (primes in (x, x+y]); one audit row, read off the
+    process-wide table, which hl-scan's scan has already grown to x + y."""
+    table = table_for(x + y)
     return {
         "x": x, "y": y,
         "pi_sum": table.count_upto(x + y),
@@ -147,14 +147,14 @@ def big_omega(n: int) -> int:
     return sum(factorize(n).values())
 
 
-def big_omega_sieve(limit: int, table: PrimeTable | None = None) -> np.ndarray:
+def big_omega_sieve(limit: int) -> np.ndarray:
     """Omega(n) for n in [0, limit], by sieving (Omega of 0 and 1 set to 0).
 
     Each p <= sqrt(limit) adds 1 along its powers; a larger p adds 1 only at
     each m*p, m <= limit // (isqrt(limit) + 1).  A multiplier m with more such
     primes than there are multipliers from m on takes a step of its own; the
     others share scatters of at most SEGMENT_ODD_BITS products m*p."""
-    table = table_for(limit, table)
+    table = table_for(limit)
     omega = np.zeros(limit + 1, dtype=np.int64)
     primes, root = table.prefix_le(limit), math.isqrt(limit)
     split = int(np.searchsorted(primes, root, side="right"))
@@ -204,14 +204,14 @@ def xi_divergence_probe(s: float, n_grid) -> list[dict]:
     return [{"N": g, "partial_sum": float(sums[g - 1])} for g in grid]
 
 
-def xi_euler_product(s: float, p_max: int, table: PrimeTable | None = None) -> float:
+def xi_euler_product(s: float, p_max: int) -> float:
     """prod_{p <= P} (1 - 2 / p^s)^(-1); every factor must converge (2/p^s < 1)."""
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
     ratio = 2 / 2.0**s  # whenever a factor diverges, the one at p = 2 does
     if ratio >= 1:
         raise ValueError(f"factor at p = 2 diverges (2/p^s = {ratio} >= 1)")
-    primes = table_for(p_max, table).prefix_le(p_max)
+    primes = table_for(p_max).prefix_le(p_max)
     return math.exp(math.fsum(-math.log1p(-2 / float(p) ** s) for p in primes))
 
 

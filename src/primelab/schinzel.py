@@ -118,9 +118,9 @@ def verify_shifted_quotient(m: int, n: int, p: int, q: int) -> bool:
     return (p + 1) * n == (q + 1) * m and is_prime(p) and is_prime(q)
 
 
-def remainder_tables(m: int, n: int, k: int, table: PrimeTable | None = None) -> list[RemainderSequence]:
+def remainder_tables(m: int, n: int, k: int) -> list[RemainderSequence]:
     """The tabular remainder sequences of 2m and 2n over the filter window."""
-    primes = window_primes(2 * max(m, n) * max(k, 1), table)
+    primes = window_primes(2 * max(m, n) * max(k, 1))
     if not primes:
         primes = (2,)
     return [remainder_sequence(2 * m, primes), remainder_sequence(2 * n, primes)]

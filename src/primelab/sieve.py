@@ -118,14 +118,14 @@ class PrimeTable:
         return self.primes[: self.primes.searchsorted(bound, "right")]
 
 
-def _odd_segments(lo: int, hi: int, segment_odd_bits: int | None = None, out: np.ndarray | None = None):
+def _odd_segments(lo: int, hi: int, out: np.ndarray | None = None):
     """Sieve the odd numbers in [lo, hi] a segment of SEGMENT_ODD_BITS of them at a time.
 
     Yields (lo_idx, seg): seg[i] is True iff 2*(lo_idx + i) + 1 is prime.
     Every seg is a view of one reused buffer, valid until the next step, or
     of ``out``, which then holds every segment in turn.
     """
-    width = segment_odd_bits or SEGMENT_ODD_BITS
+    width = SEGMENT_ODD_BITS
     lo_idx, end = max(lo, 0) >> 1, (hi + 1) >> 1  # the odd numbers 2i + 1 in [lo, hi], i < end
     base = sieve_primes(math.isqrt(hi)).primes[1:] if hi >= 9 else np.zeros(0, dtype=np.int64)
     buffer = np.empty(min(width, max(end - lo_idx, 0)), dtype=bool) if out is None else out
@@ -295,8 +295,7 @@ def pattern_starts(lo: int, hi: int, forms, table: PrimeTable | None = None) -> 
     table = _shared_table if table is None else table
     if table is None or table.limit < max(max(c * lo + d, c * hi + d) for c, d in forms):
         width = max(1, SEGMENT_ODD_BITS // max(2 * abs(c) for c, _ in forms))  # values in half a segment
-        return np.concatenate([_window_starts(n, min(n + width - 1, hi), forms, table)
-                               for n in range(lo, hi + 1, width)])
+        return np.concatenate([_window_starts(n, min(n + width - 1, hi), forms) for n in range(lo, hi + 1, width)])
     starts = table.primes[np.searchsorted(table.primes, a * lo + b):
                           np.searchsorted(table.primes, a * hi + b, side="right")]
     if (a, b) != (1, 0):  # n = (p - b) / a; the form n itself reads the primes in place
@@ -306,12 +305,10 @@ def pattern_starts(lo: int, hi: int, forms, table: PrimeTable | None = None) -> 
     return starts
 
 
-def _window_starts(lo: int, hi: int, forms, table: PrimeTable | None) -> np.ndarray:
-    """pattern_starts over one window of n, off the table where it reaches every value, else off a
-    _shifted_table per span of values: one where they overlap (twins, tuples), else one per form
-    (Goldbach's (-1, 2m) reads a mirrored span), from an even e, 0 or 3 or more below the span."""
-    if table is not None and table.limit >= max(max(c * lo + d, c * hi + d) for c, d in forms):
-        return pattern_starts(lo, hi, forms, table)
+def _window_starts(lo: int, hi: int, forms) -> np.ndarray:
+    """pattern_starts over one window of n, off a _shifted_table per span of values: one where they
+    overlap (twins, tuples), else one per form (Goldbach's (-1, 2m) reads a mirrored span), from an
+    even e, 0 or 3 or more below the span."""
     spans = [tuple(sorted((c * lo + d, c * hi + d))) for c, d in forms]
     hull = (min(v0 for v0, _ in spans), max(v1 for _, v1 in spans))
     if hull[1] - hull[0] < sum(v1 - v0 + 1 for v0, v1 in spans):

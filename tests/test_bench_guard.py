@@ -65,3 +65,9 @@ def test_every_program_case_reads_attributes_its_primelab_modules_have():
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in modules):
                 assert hasattr(modules[node.value.id], node.attr), (suite, case, node.attr)
+
+
+def test_a_base_checkout_without_git_is_described_by_a_plain_label(tmp_path):
+    base = tmp_path / "base"
+    base.mkdir()  # as a git archive of a commit unpacks: the files, no .git
+    assert _load_bench().describe(base) == "base (no git)"

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -44,6 +45,55 @@ def test_count_twin_example(capsys):
     assert code == 0
     assert doc["rows"][0]["formula"] == 4
     assert doc["rows"][0]["oracle"] == 4
+
+
+SHOWN_X = 1000
+
+
+def _plus_one(f):
+    return lambda *args: f(*args) + 1
+
+
+def _drop_last_above_root(f):
+    """f with its last value dropped where that value lies above sqrt(SHOWN_X): the oracle's count
+    to x loses it, the small-range addend, read to sqrt(x) from the same function, does not."""
+    def dropped(*args):
+        values = f(*args)
+        return values[:-1] if len(values) and values[-1] > math.isqrt(SHOWN_X) else values
+    return dropped
+
+
+# One off-by-one on each side of each count: the check must see it.  A constant bias in
+# brute_tuple_count or _shifted_power_primes would not show here, because each formula reads its
+# small-range addend from the same function; the pinned oracle values catch that instead:
+# brute_twin_count(10**7) == 58_980 and brute_tuple_count(50, (2, 6)) == 4 in tests/test_counts.py,
+# brute_mersenne_count(2**13) == 5 and brute_fermat_count(70000) == 5 in tests/test_densities.py.
+FAULTS = {
+    "formula": {"pi": ("_phi", _plus_one), "twin": ("survivor_count", _plus_one),
+                "tuple": ("survivor_count", _plus_one),
+                "mersenne": ("_exponent_events", lambda f: lambda *args: f(*args)[1:]),  # one event lost
+                "fermat": ("_exponent_events", lambda f: lambda *args: f(*args)[1:])},
+    "oracle": {"pi": ("count_primes", lambda f: lambda x: f(x) - 1),  # the largest prime <= x lost
+               "twin": ("pattern_starts", _drop_last_above_root),
+               "tuple": ("pattern_starts", _drop_last_above_root),
+               "mersenne": ("_shifted_power_primes", _drop_last_above_root),
+               "fermat": ("_shifted_power_primes", _drop_last_above_root)},
+}
+
+
+@pytest.mark.parametrize("side", list(FAULTS))
+@pytest.mark.parametrize("kind", list(FAULTS["formula"]))
+def test_count_shows_an_off_by_one_on_either_side(capsys, monkeypatch, side, kind):
+    from primelab import counts
+
+    argv = ["count", kind, "--x", str(SHOWN_X), *(["--offsets", "2,6"] if kind == "tuple" else [])]
+    sound = run_json(capsys, *argv)[1]["rows"][0]["delta"]  # 1 for twins: the unit survivor
+    name, fault = FAULTS[side][kind]
+    monkeypatch.setattr(counts, name, fault(getattr(counts, name)))
+    code, doc = run_json(capsys, *argv)
+    delta = doc["rows"][0]["delta"]
+    assert code == 0 and delta > sound
+    assert doc["warnings"] == [f"formula deviates from oracle by {delta}"]
 
 
 def test_every_kind_names_a_function_of_its_module(capsys, monkeypatch):
@@ -132,6 +182,17 @@ def test_cache_file_round_trip(tmp_path, capsys):
     assert code == 0 and cache.exists()
     code, doc = run_json(capsys, "primes", "--limit", "1000", "--cache", str(cache))
     assert doc["rows"][0]["count"] == 168
+
+
+def test_primes_list_with_a_cache_reads_largest_off_its_table(tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path / "primes.cache")
+    monkeypatch.setattr(sieve, "_shared_table", None)  # as a process starts
+    docs = [run_json(capsys, "primes", "--limit", "100000", "--list", "--cache", cache)[1]
+            for _ in range(2)]  # the cache written, then read
+    assert sieve._shared_table is None  # no table grown beside the listing's
+    head = {"limit": 100000, "count": 9592, "largest": 99991}
+    assert docs[0]["rows"][0] == docs[1]["rows"][0] == head
+    assert run_json(capsys, "primes", "--limit", "100000")[1]["rows"] == [head]  # the table-free path
 
 
 def test_goldbach_caches_only_the_sieving_primes(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -53,7 +52,7 @@ def test_matches_brute_force_up_to_2000():
 
 def test_segmentation_is_invisible(monkeypatch):
     whole = sieve_primes(10_000)
-    monkeypatch.setattr(sieve, "_odd_segments", partial(sieve._odd_segments, segment_odd_bits=64))
+    monkeypatch.setattr(sieve, "SEGMENT_ODD_BITS", 64)
     tiny_segments = sieve_primes(10_000)
     assert np.array_equal(whole.primes, tiny_segments.primes)
 

@@ -398,8 +398,11 @@ def run(case: str, args: list[str], root: pathlib.Path, self_timing: bool) -> di
 
 
 def describe(root: pathlib.Path) -> str:
-    return subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
-                          capture_output=True, text=True, check=True).stdout.strip()
+    """The checkout's ``git describe``, or its directory name marked "(no git)" where git finds no
+    commit there (a base made with ``git archive``)."""
+    out = subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
+                         capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else f"{root.name} (no git)"
 
 
 def main() -> None:
