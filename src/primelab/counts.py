@@ -4,7 +4,7 @@ Legendre's prime count (phi over the floor values [x/i], a bounded chunk at
 a time from one period of 2*3*5*7*11*13, looping over the primes p <= cbrt(x)
 and gathering the rest, whose [x/p] only q <= sqrt(x/p) < cbrt(x) rewrite),
 the twin and k-tuple residue-survivor formulas (a windowed residue sieve over
-sieve.avoiding_row's wheel, the one class mod 6, or mod 30 for (2,6,8), that
+residues.avoiding_row's wheel, the one class mod 6, or mod 30 for (2,6,8), that
 the specs keep; the paper's literal inclusion-exclusion over
 CRT classes is its test reference, in tests/test_counts.py), and the order-based
 counts of the Mersenne and Fermat primes 2^q -+ 1 <= x.  phi and the survivor count step from the
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .residues import AdmissibleTuple, ResidueSpec
-from .sieve import (PrimeTable, avoiding_row, avoiding_windows, count_congruent, count_primes,
-                    factorize, is_prime, pattern_starts, sieving_prime_set)
+from .residues import AdmissibleTuple, ResidueSpec, avoiding_row, avoiding_windows
+from .sieve import (PrimeTable, count_congruent, count_primes, factorize, is_prime, pattern_starts,
+                    sieving_prime_set)
 
 __all__ = [
     "CountReport",
@@ -95,7 +95,7 @@ def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
 
 def _survivor_windows(x: int, entries) -> int:
     """survivor_count by a windowed residue sieve: avoiding_windows strikes the entries' classes on
-    sieve.avoiding_row's wheel over [1, x] (one class mod 6 for the twin, (2,6) and Sophie Germain
+    residues.avoiding_row's wheel over [1, x] (one class mod 6 for the twin, (2,6) and Sophie Germain
     specs, mod 30 for (2,6,8)), one window of about 1 Mi positions at a time, and the survivors of
     each window are added up."""
     return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(1, x, avoiding_row(1, entries)))
@@ -230,8 +230,6 @@ def legendre_pi(x: int, table: PrimeTable | None = None) -> CountReport:
     cbrt(x) rewrite).  Both read only the sieving primes, never the oracle's
     table or count.
     """
-    if x < 4:
-        raise ValueError("x must be >= 4")
     primes = sieving_prime_set(x, table)
     k = len(primes)
     formula = _phi(x, primes) + k - 1
@@ -284,8 +282,6 @@ def tuple_count_formula(x: int, tup: AdmissibleTuple, table: PrimeTable | None =
     Survivors are counted in the shifted variable n = p + b_last; the
     oracle counts pattern starts p with p + b_last <= x.
     """
-    if x < 4:
-        raise ValueError("x must be >= 4")
     primes = sieving_prime_set(x, table)
     spec = ResidueSpec.for_tuple(tup.offsets, (int(p) for p in primes))
     survivors = survivor_count(x, spec)
@@ -373,8 +369,6 @@ def _exponent_count(x: int, sign: int, table: PrimeTable | None) -> CountReport:
     <= sqrt(x) and removing the unit gives the count.  The oracle,
     _shifted_power_primes(x, sign), reads nothing of u.
     """
-    if x < 4:
-        raise ValueError("x must be >= 4")
     u = (x - sign).bit_length() - 1
     events = _exponent_events(x, u, sign, table)
     sieved = sum(all(q % d != r for r, d in events) for q in range(1, u + 1))

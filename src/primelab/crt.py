@@ -3,7 +3,7 @@
 Moduli products are kept as arbitrary-precision Python integers throughout:
 products of primes overflow 64 bits very quickly, and the Goldbach span
 analysis references the full product directly.  The enumeration is one
-stream, crt_windows, read off sieve.avoiding_row's wheel: every spec and range
+stream, crt_windows, read off residues.avoiding_row's wheel: every spec and range
 lays out the same way, with no class count or range width choosing a path.
 """
 
@@ -16,8 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .residues import ResidueSpec, _check_coprime
-from .sieve import avoiding_row, avoiding_windows
+from .residues import ResidueSpec, _check_coprime, avoiding_row, avoiding_windows
 
 __all__ = [
     "CongruenceSystem",
@@ -80,7 +79,7 @@ def choice_count(spec: ResidueSpec) -> int:
 
 def crt_windows(spec: ResidueSpec, lo: int, hi: int) -> Iterator[np.ndarray]:
     """The n in [lo, hi] with n mod m outside struck(m) for every entry, as ascending arrays, one
-    (maybe empty) per avoiding_windows window of sieve.avoiding_row's wheel, whatever the spec and
+    (maybe empty) per avoiding_windows window of residues.avoiding_row's wheel, whatever the spec and
     the range: position t of a window from start is n = start + (t // c)*step + offsets[t % c].
     int64 while hi + step is below 2**62, else exact Python ints.  lo is checked on the call."""
     if lo < 0:

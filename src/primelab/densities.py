@@ -70,8 +70,6 @@ def _product(factors) -> float:
 
 def psi_estimate(x: int, table: PrimeTable | None = None) -> EstimateReport:
     """x * prod_{p <= sqrt(x)} (1 - 1/p) against the brute prime count."""
-    if x < 4:
-        raise ValueError("x must be >= 4")
     primes = sieving_prime_set(x, table)
     est = x * _product(1 - 1 / int(p) for p in primes)
     return EstimateReport(x, est, brute_pi(x, table))

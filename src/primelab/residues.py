@@ -1,8 +1,9 @@
-"""Struck-residue machinery.
+"""Struck-residue machinery: the formula side, kept apart from the oracles in :mod:`primelab.sieve`.
 
 One spec type, ResidueSpec, holds the struck (forbidden) residues per modulus,
-each set by the side it was given (a Kept holds ``crt --allow``'s kept ones);
-it feeds both the survivor counts and the CRT enumeration.  Every struck set
+each set by the side it was given (a Kept holds ``crt --allow``'s kept ones).
+Every survivor count, CRT listing and EXACT Goldbach scan reads a spec off one wheel,
+:func:`avoiding_row`, a window at a time (:func:`avoiding_windows`).  Every struck set
 comes from one linear-form rule: p strikes the n at which it divides a form
 a*n + b.  Also: the residue cycle of an arithmetic progression, admissibility
 testing, and remainder sequences.  The operations are pure; the named spec
@@ -12,12 +13,15 @@ primes, so a sweep over one prime set proves it once.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .sieve import checked_primes, is_prime
+import numpy as np
+
+from .sieve import SEGMENT_ODD_BITS, checked_primes, is_prime
 
 __all__ = [
     "ResidueSpec",
@@ -32,6 +36,8 @@ __all__ = [
     "is_admissible",
     "tight_tuples",
     "remainder_sequence",
+    "avoiding_row",
+    "avoiding_windows",
 ]
 
 
@@ -152,6 +158,70 @@ class ResidueSpec:
     @property
     def modulus(self) -> int:
         return math.prod(p for p, _ in self.entries)
+
+
+def avoiding_row(lo: int, entries):
+    """The wheel (Pritchard, Comm. ACM 24, 1981) on which every n >= lo avoiding the struck
+    residues of every entry (p, struck), a set or a Kept, lies: (step, offsets, strikes).
+
+    Row k, class j holds n = lo + k*step + offsets[j], the offsets ascending in [0, step).  An entry
+    keeping one residue folds into step.  One keeping u <= s of the s residues it strikes folds too,
+    largest modulus first, where that saves slices, u * R < R + s with R the slices per class of
+    the entries that strike, and at most SEGMENT_ODD_BITS classes result.  strikes holds the
+    entries that strike as (p, struck, step^-1 mod p), each inverse, and each Kept's struck
+    residues, computed once per call.
+    """
+    step, a, lead = 1, 0, 0
+    for p, struck in entries:  # the leading frozensets keeping one residue each, and their class a
+        if type(struck) is not frozenset or len(struck) != p - 1:
+            break
+        kept = p * (p - 1) // 2 - sum(struck)
+        a += step * ((kept - lo - a) * pow(step, -1, p) % p)
+        step, lead = step * p, lead + 1
+    few = []  # (p, struck, kept) of the frozensets keeping u <= s and every other entry (a Kept)
+    strikes = [(p, s, pow(step, -1, p)) for p, s in entries[lead:] if type(s) is frozenset and 2 * len(s) < p
+               or few.append((p, s, s.kept if type(s) is Kept else [r for r in range(p) if r not in s]))]
+    if not few:
+        return step, [a], strikes
+    offsets, folded = [a], []
+    slices = sum(len(s) for _, s, _ in strikes) + sum(p - len(k) for p, _, k in few if 2 * len(k) > p)
+    for p, struck, kept in reversed(few):  # the largest moduli, the most rows saved, first
+        u = len(kept)
+        if 2 * u > p:  # a Kept keeping more than it strikes: it strikes, and slices counts it
+            continue
+        if len(offsets) * u > SEGMENT_ODD_BITS or u * slices >= slices + p - u:
+            slices += p - u
+            continue
+        inv = pow(step, -1, p)
+        offsets = sorted(o + step * ((r - lo - o) * inv % p) for o in offsets for r in kept)
+        step, folded = step * p, folded + [p]
+    if folded:  # the step grew: the entries that strike take its inverse
+        strikes = [(p, s, pow(step, -1, p)) for p, s, _ in strikes]
+    return step, offsets, strikes + [(p, s.struck(SEGMENT_ODD_BITS) if type(s) is Kept else s, pow(step, -1, p))
+                                     for p, s, _ in few if p not in folded]
+
+
+def avoiding_windows(lo: int, hi: int, row, width: int = SEGMENT_ODD_BITS):
+    """Yield (start, mask) over the wheel row = avoiding_row(lo, entries): each mask holds
+    width // c rows (at least one) from the row of start = lo + k*step, c positions a row, False
+    where n mod p is struck; the last one ends at the last position <= hi.
+
+    Class j's positions are the mask's view j::c, and residue r mod p falls on its rows
+    i = (r - start - offsets[j]) * step^-1 mod p, i + p, ...: one slice per class and struck
+    residue, as a sieve strikes multiples.  Memory is one window, whatever the range.
+    """
+    step, offsets, strikes = row
+    c = len(offsets)
+    length, span = max(1, width // c) * c, hi - lo + 1
+    total = span // step * c + bisect.bisect_left(offsets, span % step) if span > 0 else 0
+    for t in range(0, total, length):
+        mask, start = np.ones(min(length, total - t), dtype=bool), lo + t // c * step
+        for j, o in enumerate(offsets):
+            view, d = mask[j::c], start + o
+            for p, struck, inv in strikes:
+                for r in struck:
+                    view[(r - d) * inv % p :: p] = False
+        yield start, mask
 
 
 @dataclass(frozen=True)

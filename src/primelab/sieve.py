@@ -1,4 +1,4 @@
-"""Prime generation, primality certificates, the pattern oracle and residue-class counting.
+"""The oracle side: prime tables, primality certificates, the pattern oracle, residue-class counts.
 
 Everything here is exact integer arithmetic.  The central object is the
 immutable :class:`PrimeTable`: ascending primes up to a limit and a numpy bool
@@ -6,16 +6,12 @@ immutable :class:`PrimeTable`: ascending primes up to a limit and a numpy bool
 packs bits.  The bounded path is :func:`_odd_segments`, one odd-only sieve over
 any [lo, hi] a segment (about 1 MiB) at a time: every table, :func:`count_primes`
 and the pattern oracle's windows are sieved from it.  :func:`table_for` is the
-one "a table reaching n" helper; the cache is a file read and written by path.
-The residue core is :func:`avoiding_row`, the wheel that lays out the numbers
-avoiding a spec's struck residues, and :func:`avoiding_windows`, its masks a
-window at a time: every survivor count, CRT listing and EXACT Goldbach scan
-reads them.
+one "a table reaching n" helper and :func:`is_prime` one lookup-or-divide path;
+the cache is a file read and written by path.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import struct
@@ -34,8 +30,6 @@ __all__ = [
     "factorize",
     "count_congruent",
     "pattern_starts",
-    "avoiding_windows",
-    "avoiding_row",
     "save_cache",
     "load_cache",
     "CacheError",
@@ -177,7 +171,7 @@ def _table_from_odd_bits(limit: int, odd_bits: np.ndarray) -> PrimeTable:
 def count_primes(x: int) -> int:
     """pi(x) by the segmented sieve, holding one segment and the primes <= sqrt(x).
 
-    No PrimeTable is built or kept: memory is one segment (about 1 MiB) plus
+    No PrimeTable is built or held: memory is one segment (about 1 MiB) plus
     the base primes, O(sqrt(x)), where a table to x takes O(x).
     """
     return int(x >= 2) + sum(int(np.count_nonzero(seg)) for _, seg in _odd_segments(0, x))
@@ -202,27 +196,18 @@ def table_for(n: int, table: PrimeTable | None = None) -> PrimeTable:
 
 
 def is_prime(n: int, table: PrimeTable | None = None) -> bool:
-    """Deterministic primality by trial division up to sqrt(n).
+    """Deterministic primality: a lookup where ``table``, else the process-wide table grown to
+    sqrt(n), reaches n, trial division by its primes <= sqrt(n) past it.
 
     A True result is a certificate: n passed division by every prime
     <= sqrt(n).  No probabilistic testing is involved.
     """
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    if table is not None and n <= table.limit:
-        return table.is_prime(n)
-    root = math.isqrt(n)
-    table = table_for(root, table)
+    if table is None or n > table.limit:
+        table = table_for(math.isqrt(max(n, 0)), table)
     if n <= table.limit:
         return table.is_prime(n)
-    for p in table.prefix_le(root):
-        if n % int(p) == 0:
-            return False
-    return True
+    primes = table.prefix_le(math.isqrt(n))  # listed 256 at a time, so a composite stops early
+    return all(n % p for i in range(0, len(primes), 256) for p in primes[i : i + 256].tolist())
 
 
 def checked_primes(values) -> list[int]:
@@ -230,7 +215,7 @@ def checked_primes(values) -> list[int]:
     each, trial division (no table grown to n) past the table."""
     table, primes = table_for(1 << 16), [int(n) for n in values]
     for n in primes:
-        if not (table.is_prime(n) if n <= table.limit else is_prime(n, table)):
+        if not is_prime(n, table):
             raise ValueError(f"{n} is not prime")
     return primes
 
@@ -323,70 +308,6 @@ def _window_starts(lo: int, hi: int, forms) -> np.ndarray:
     return starts
 
 
-def avoiding_row(lo: int, entries):
-    """The wheel (Pritchard, Comm. ACM 24, 1981) on which every n >= lo avoiding the struck
-    residues of every entry (p, struck), a set or a residues.Kept, lies: (step, offsets, strikes).
-
-    Row k, class j holds n = lo + k*step + offsets[j], the offsets ascending in [0, step).  An entry
-    keeping one residue folds into step.  One keeping u <= s of the s residues it strikes folds too,
-    largest modulus first, where that saves slices, u * R < R + s with R the slices per class of
-    the entries that strike, and at most SEGMENT_ODD_BITS classes result.  strikes holds the
-    entries that strike as (p, struck, step^-1 mod p), each inverse, and each Kept's struck
-    residues, computed once per call.
-    """
-    step, a, lead = 1, 0, 0
-    for p, struck in entries:  # the leading frozensets keeping one residue each, and their class a
-        if type(struck) is not frozenset or len(struck) != p - 1:
-            break
-        kept = p * (p - 1) // 2 - sum(struck)
-        a += step * ((kept - lo - a) * pow(step, -1, p) % p)
-        step, lead = step * p, lead + 1
-    few = []  # (p, struck, kept) of the frozensets keeping u <= s and every other entry (a Kept)
-    strikes = [(p, s, pow(step, -1, p)) for p, s in entries[lead:] if type(s) is frozenset and 2 * len(s) < p
-               or few.append((p, s, getattr(s, "kept", None) or [r for r in range(p) if r not in s]))]
-    if not few:
-        return step, [a], strikes
-    offsets, folded = [a], []
-    slices = sum(len(s) for _, s, _ in strikes) + sum(p - len(k) for p, _, k in few if 2 * len(k) > p)
-    for p, struck, kept in reversed(few):  # the largest moduli, the most rows saved, first
-        u = len(kept)
-        if 2 * u > p:  # a Kept keeping more than it strikes: it strikes, and slices counts it
-            continue
-        if len(offsets) * u > SEGMENT_ODD_BITS or u * slices >= slices + p - u:
-            slices += p - u
-            continue
-        inv = pow(step, -1, p)
-        offsets = sorted(o + step * ((r - lo - o) * inv % p) for o in offsets for r in kept)
-        step, folded = step * p, folded + [p]
-    if folded:  # the step grew: the entries that strike take its inverse
-        strikes = [(p, s, pow(step, -1, p)) for p, s, _ in strikes]
-    return step, offsets, strikes + [(p, s.struck(SEGMENT_ODD_BITS) if hasattr(s, "kept") else s, pow(step, -1, p))
-                                     for p, s, _ in few if p not in folded]
-
-
-def avoiding_windows(lo: int, hi: int, row, width: int = SEGMENT_ODD_BITS):
-    """Yield (start, mask) over the wheel row = avoiding_row(lo, entries): each mask holds
-    width // c rows (at least one) from the row of start = lo + k*step, c positions a row, False
-    where n mod p is struck; the last one ends at the last position <= hi.
-
-    Class j's positions are the mask's view j::c, and residue r mod p falls on its rows
-    i = (r - start - offsets[j]) * step^-1 mod p, i + p, ...: one slice per class and struck
-    residue, as a sieve strikes multiples.  Memory is one window, whatever the range.
-    """
-    step, offsets, strikes = row
-    c = len(offsets)
-    length, span = max(1, width // c) * c, hi - lo + 1
-    total = span // step * c + bisect.bisect_left(offsets, span % step) if span > 0 else 0
-    for t in range(0, total, length):
-        mask, start = np.ones(min(length, total - t), dtype=bool), lo + t // c * step
-        for j, o in enumerate(offsets):
-            view, d = mask[j::c], start + o
-            for p, struck, inv in strikes:
-                for r in struck:
-                    view[(r - d) * inv % p :: p] = False
-        yield start, mask
-
-
 def save_cache(table: PrimeTable, path) -> None:
     """Write the bit-exact cache format (byte-deterministic) to ``path``, atomically.
 
@@ -427,13 +348,13 @@ def load_cache(path, need: int | None = None) -> PrimeTable:
             raise CacheTruncatedError(f"expected {16 + n_bytes + 8} bytes for limit {limit}, got {size}")
         top = limit if need is None else min(need, limit)
         odd = (limit + 1) // 2  # the bits of the odd numbers <= limit
-        kept, found = np.empty((top + 1) // 2, dtype=bool), int(limit >= 2)  # the bits <= top; 2 and the set bits
+        out, found = np.empty((top + 1) // 2, dtype=bool), int(limit >= 2)  # the bits <= top; 2 and the set bits
         for at in range(0, n_bytes, _CACHE_CHUNK):
             chunk = np.frombuffer(fh.read(min(_CACHE_CHUNK, n_bytes - at)), dtype=np.uint8)
             bits = np.unpackbits(chunk, bitorder="little")[:odd - 8 * at].view(bool)
             found += int(np.count_nonzero(bits))
-            kept[8 * at : 8 * at + len(bits)] = bits[: max(len(kept) - 8 * at, 0)]
+            out[8 * at : 8 * at + len(bits)] = bits[: max(len(out) - 8 * at, 0)]
         declared = struct.unpack("<Q", fh.read(8))[0]
     if found != declared:
         raise CacheChecksumError(f"bitmap holds {found} primes but trailer declares {declared}")
-    return _table_from_odd_bits(top, kept)
+    return _table_from_odd_bits(top, out)

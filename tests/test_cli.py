@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import primelab
-from primelab import cli, crt, reporting, sieve
+from primelab import cli, crt, reporting, residues, sieve
 from primelab.cli import reproduce_paper, run_command
 from primelab.reporting import FORMATS, Block, Report, format_report, report_parts
 from primelab.sieve import load_cache
@@ -353,7 +353,7 @@ def test_allow_big_modulus_memory_follows_the_residues_given():
 
 def test_allow_kept_side_striking_past_the_bound_exits_1_with_one_line(capsys, monkeypatch):
     # 37 keeps 19 of its residues, more than it strikes, so it strikes its 18 others
-    monkeypatch.setattr(sieve, "SEGMENT_ODD_BITS", 16)
+    monkeypatch.setattr(residues, "SEGMENT_ODD_BITS", 16)
     kept = ",".join(map(str, range(19)))
     code, err = run_error(capsys, "crt", "--allow", f"37={kept}", "--hi", "100")
     assert (code, err) == (1, "error: modulus 37 would strike 18 residues, more than 16\n")
@@ -374,7 +374,7 @@ def test_malformed_offsets_exit_1_naming_them(capsys, offsets):
 @pytest.mark.parametrize("width", [1, sieve.SEGMENT_ODD_BITS])
 @pytest.mark.parametrize("order", [("9=1,2", "4=3"), ("4=3", "9=1,2")])
 def test_allow_composite_unordered_moduli_match_a_brute_filter(capsys, monkeypatch, width, order):
-    monkeypatch.setattr(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width))
+    monkeypatch.setattr(crt, "avoiding_windows", partial(residues.avoiding_windows, width=width))
     argv = [a for token in order for a in ("--allow", token)]
     code, doc = run_json(capsys, "crt", *argv, "--lo", "0", "--hi", "200")
     assert code == 0
@@ -393,7 +393,7 @@ def without_runtime(text):
 ])
 def test_crt_listing_in_several_windows_renders_as_one_block(capsys, monkeypatch, fmt, allow,
                                                              lo, hi):
-    monkeypatch.setattr(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=8))
+    monkeypatch.setattr(crt, "avoiding_windows", partial(residues.avoiding_windows, width=8))
     windows = [w for w in crt.crt_windows(cli._parse_allow(allow), lo, hi) if len(w)]
     # several windows, and a later one sets the table's column width
     assert len(windows) > 3 and len(str(windows[0][0])) < len(str(windows[-1][-1]))

@@ -99,7 +99,7 @@ def test_survivor_count_across_the_leaf_cutoff(name):
 @pytest.mark.parametrize("name", SPEC_FACTORIES)
 def test_survivor_count_splits_with_a_small_cutoff(name, monkeypatch):
     # windows of 16 entries: every x here spans several, each shorter than most sieving primes
-    monkeypatch.setattr(counts, "avoiding_windows", partial(sieve.avoiding_windows, width=16))
+    monkeypatch.setattr(counts, "avoiding_windows", partial(residues.avoiding_windows, width=16))
     for x in [*range(4, 200), *range(200, 3001, 47), 2999, 3000]:
         spec = SPEC_FACTORIES[name]([int(p) for p in sieving_prime_set(x)])
         # the windows themselves: survivor_count would step over the consecutive x
@@ -264,7 +264,7 @@ def test_goldbach_oracle_and_certificate_stand_apart_from_the_stream(monkeypatch
 
     # the candidate certificate binds neither residue-window function
     assert not hasattr(goldbach, "avoiding_row") and not hasattr(goldbach, "avoiding_windows")
-    for module in (sieve, crt):
+    for module in (residues, crt):
         for name in ("avoiding_row", "avoiding_windows"):
             monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(goldbach, "crt_enumerate", refuse)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primelab import crt, sieve
+from primelab import crt, residues, sieve
 from primelab.counts import survivor_count
 from primelab.crt import (
     CongruenceSystem,
@@ -35,7 +35,7 @@ def flat(windows):
 
 def listed(spec, lo, hi, width=sieve.SEGMENT_ODD_BITS):
     """crt_windows' values over [lo, hi] in avoiding_windows windows of `width` positions."""
-    with mock.patch.object(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width)):
+    with mock.patch.object(crt, "avoiding_windows", partial(residues.avoiding_windows, width=width)):
         return flat(crt.crt_windows(spec, lo, hi))
 
 
@@ -75,7 +75,7 @@ def test_59_primorial_listing_past_int64_yields_exact_python_ints():
     classes = [crt_solve(CongruenceSystem.of(zip(rs, primes))).value
                for rs in itertools.product(*(residues for _, residues in allowed))]
     for lo, hi in ((0, m), (m // 2, m + m // 2)):  # one period, then across its end
-        step, offsets = sieve.avoiding_row(lo, spec.entries)[:2]
+        step, offsets = residues.avoiding_row(lo, spec.entries)[:2]
         assert (step, len(offsets)) == (m, 128)  # every entry folds: a row a period, every class
         want = sorted(v + k * m for v in classes for k in (0, 1) if lo <= v + k * m <= hi)
         got = list(crt_enumerate(spec, lo, hi))
@@ -150,7 +150,7 @@ def kept_pairs(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_a_kept_spec_reads_as_its_complement(pairs, lo):
     kept, struck = allow_spec(pairs), complement_spec(pairs)
-    with mock.patch.object(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=16)):
+    with mock.patch.object(crt, "avoiding_windows", partial(residues.avoiding_windows, width=16)):
         for hi in (lo, lo + 37, lo + 2 * kept.modulus + 5):
             got, want = list(crt.crt_windows(kept, lo, hi)), list(crt.crt_windows(struck, lo, hi))
             assert len(got) == len(want)
@@ -186,7 +186,7 @@ def wheel_cases(draw):
     spec = allow_spec(sorted(entries))
     width = draw(st.sampled_from([1, 7, 16, sieve.SEGMENT_ODD_BITS]))
     lo = draw(st.integers(0, 3 * BIG))
-    step, offsets = sieve.avoiding_row(lo, spec.entries)[:2]
+    step, offsets = residues.avoiding_row(lo, spec.entries)[:2]
     edge = lo + draw(st.integers(0, 3)) * max(1, width // len(offsets)) * step
     hi = min(edge + draw(st.integers(-2, 2)), lo + 3 * BIG)
     return spec, lo, max(hi, lo - 1), width
@@ -239,7 +239,7 @@ def test_scan_strikes_from_unaligned_starts():
 def test_values_at_and_past_2_62_are_exact():
     # 3 and 5 fold into the wheel (one class mod 3, two mod 5), 7 strikes its rows
     spec = allow_spec([(3, [1]), (5, [2, 3]), (7, [1, 2, 3, 4, 5, 6])])
-    assert [m for m, _, _ in sieve.avoiding_row(0, spec.entries)[2]] == [7]
+    assert [m for m, _, _ in residues.avoiding_row(0, spec.entries)[2]] == [7]
     for top in (1 << 62, 1 << 63, 1 << 64):
         for width in (1, sieve.SEGMENT_ODD_BITS):
             got = listed(spec, top - 60, top + 60, width)
@@ -257,7 +257,7 @@ def test_product_periods_past_2_53_reach_hi_exactly(top, width):
     m = zero.modulus  # its one class is 0
     assert 2**53 < m and (2 * m < 1 << 62) == (top == 47) and choice_count(zero) == 1
     for lo, hi, want in ((1, m, [m]), (0, m + 1, [0, m]), (m, 3 * m + 2**9, [m, 2 * m, 3 * m])):
-        assert sieve.avoiding_row(lo, zero.entries)[:2] == (m, [-lo % m])
+        assert residues.avoiding_row(lo, zero.entries)[:2] == (m, [-lo % m])
         got = listed(zero, lo, hi, width)
         assert got == want and all(type(v) is int for v in got)
     assert list(crt_enumerate(zero, 1, m)) == [m]
@@ -294,7 +294,7 @@ def test_scan_strikes_few_residues_per_window_for_a_big_modulus(monkeypatch):
     strikes = []  # slices per window
 
     def windows(lo, hi, row, **width):
-        for window in sieve.avoiding_windows(lo, hi, row, width=16):
+        for window in residues.avoiding_windows(lo, hi, row, width=16):
             strikes.append(len(row[1]) * sum(len(struck) for _, struck, _ in row[2]))
             yield window
 

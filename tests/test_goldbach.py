@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primelab import crt, goldbach, sieve
+from primelab import crt, goldbach, residues, sieve
 from primelab.goldbach import (
     brute_goldbach_pairs,
     build_split_plan,
@@ -237,8 +237,8 @@ def injecting(position, value):
 
 
 def window_width(monkeypatch, width):
-    """Scan in sieve.avoiding_windows windows of `width` positions."""
-    monkeypatch.setattr(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width))
+    """Scan in residues.avoiding_windows windows of `width` positions."""
+    monkeypatch.setattr(crt, "avoiding_windows", partial(residues.avoiding_windows, width=width))
 
 
 # 1000's candidates 47, 53, 59, 71, 89, 113, ... lie above its largest sieving prime 31 and
@@ -326,6 +326,13 @@ def test_zero_parts_drop_a_sieving_prime_whose_partner_is_struck(monkeypatch, wi
     monkeypatch.setattr(goldbach, "_unstruck",  # 995 stays unstruck and (5, 995) gets in
                         lambda start, stop, primes: real(start, stop, [q for q in primes if q != 5]))
     assert (5, 995) in goldbach_enumerate(1000, allow_zero_eta=True)
+
+
+def test_zero_parts_stand_alone_when_no_candidate_is_found(monkeypatch):
+    # every even 2n <= 20 000 has a candidate above p_k, so the stream is emptied to reach this:
+    # the zero parts' partners are then sieved alone, and 100's give (3, 97), as the golden file lists
+    monkeypatch.setattr(goldbach, "crt_windows", lambda spec, lo, hi: iter(()))
+    assert goldbach._pair_lows(100, "EXACT", True, None).tolist() == [3]
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])

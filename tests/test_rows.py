@@ -1,4 +1,4 @@
-"""The residue rows: survivor counts and crt_windows' listings laid out on sieve.avoiding_row's
+"""The residue rows: survivor counts and crt_windows' listings laid out on residues.avoiding_row's
 wheel, checked against a literal filter of [lo, hi] at the default window width and at 16 positions.
 """
 
@@ -7,7 +7,7 @@ from functools import cache, partial
 
 import pytest
 
-from primelab import cli, counts, crt, sieve
+from primelab import cli, counts, crt, residues, sieve
 from primelab.goldbach import build_split_plan
 from primelab.residues import Kept, ResidueSpec
 
@@ -64,7 +64,7 @@ def window_edges(lo, step, rows):
 def test_wheel_folds_the_classes_the_rule_picks(name):
     spec, step, classes = SPECS[name]
     for lo in (0, 1, 7, 10):
-        got, offsets, strikes = sieve.avoiding_row(lo, spec.entries)
+        got, offsets, strikes = residues.avoiding_row(lo, spec.entries)
         assert (got, len(offsets)) == (step, classes) and offsets == sorted(set(offsets))
         struck = {m for m, _, _ in strikes}
         assert all(inv * step % m == 1 for m, _, inv in strikes)
@@ -78,7 +78,7 @@ def test_wheel_folds_the_classes_the_rule_picks(name):
 def test_a_big_modulus_keeping_five_residues_folds_into_five_classes():
     spec = cli._parse_allow(["999983=1,2,3,4,5", *(f"{p}=" + ",".join(map(str, range(1, p)))
                                                     for p in (7, 11, 13, 17, 19))])
-    step, offsets, strikes = sieve.avoiding_row(0, spec.entries)
+    step, offsets, strikes = residues.avoiding_row(0, spec.entries)
     assert (step, offsets) == (999_983, [1, 2, 3, 4, 5])
     assert [m for m, _, _ in strikes] == [7, 11, 13, 17, 19]
 
@@ -86,7 +86,7 @@ def test_a_big_modulus_keeping_five_residues_folds_into_five_classes():
 @pytest.mark.parametrize("width", [16, sieve.SEGMENT_ODD_BITS])
 @pytest.mark.parametrize("name", SPECS)
 def test_scan_lists_a_literal_filter_of_the_range(monkeypatch, name, width):
-    monkeypatch.setattr(crt, "avoiding_windows", partial(sieve.avoiding_windows, width=width))
+    monkeypatch.setattr(crt, "avoiding_windows", partial(residues.avoiding_windows, width=width))
     spec, step, classes = SPECS[name]
     for lo in (0, 1, 7, 10):
         highs = window_edges(lo, step, max(1, min(width, 16) // classes)) + [lo, lo + 1, lo + 3000]
@@ -97,7 +97,7 @@ def test_scan_lists_a_literal_filter_of_the_range(monkeypatch, name, width):
 @pytest.mark.parametrize("width", [16, sieve.SEGMENT_ODD_BITS])
 @pytest.mark.parametrize("name", SPECS)
 def test_survivor_windows_count_a_literal_filter_of_1_to_x(monkeypatch, name, width):
-    monkeypatch.setattr(counts, "avoiding_windows", partial(sieve.avoiding_windows, width=width))
+    monkeypatch.setattr(counts, "avoiding_windows", partial(residues.avoiding_windows, width=width))
     spec, step, classes = SPECS[name]
     for x in [0, 1, 2, *window_edges(1, step, max(1, min(width, 16) // classes)), 2999, 3000]:
         assert counts._survivor_windows(x, spec.entries) == len(literal(spec, 1, x)), x
@@ -106,7 +106,7 @@ def test_survivor_windows_count_a_literal_filter_of_1_to_x(monkeypatch, name, wi
 def test_the_wheel_stops_at_segment_odd_bits_classes():
     # nothing strikes, so folding either modulus saves slices; both would make 1 100 000 classes
     spec = allow_spec([(2003, range(1000)), (2203, range(1100))])
-    step, offsets, strikes = sieve.avoiding_row(0, spec.entries)
+    step, offsets, strikes = residues.avoiding_row(0, spec.entries)
     assert (step, len(offsets)) == (2203, 1100) and [m for m, _, _ in strikes] == [2003]
     want = [n for n in range(20_001) if n % 2003 < 1000 and n % 2203 < 1100]
     assert flat(crt.crt_windows(spec, 0, 20_000)) == want
@@ -115,7 +115,7 @@ def test_the_wheel_stops_at_segment_odd_bits_classes():
 def test_a_row_stepping_past_2_62_scans_single_values():
     # 2, 3, ..., 47 keep one residue each and 53 keeps two: the wheel steps by 53# (about 3.3e19)
     spec = allow_spec([(p, [1]) for p in sieve.sieve_primes(47).primes.tolist()] + [(53, [1, 2])])
-    step, offsets, strikes = sieve.avoiding_row(0, spec.entries)
+    step, offsets, strikes = residues.avoiding_row(0, spec.entries)
     assert (step, len(offsets), len(strikes)) == (spec.modulus, 2, 0)
     value = 1229779565176982821  # the class 1 mod 47# that is 2 mod 53
     assert value % 53 == 2 and all(value % p == 1 for p, _ in spec.entries[:-1])

@@ -12,8 +12,6 @@ from primelab.sieve import (
     CacheTruncatedError,
     SEGMENT_ODD_BITS,
     PrimeTable,
-    avoiding_row,
-    avoiding_windows,
     count_congruent,
     count_primes,
     factorize,
@@ -25,6 +23,7 @@ from primelab.sieve import (
     sieving_prime_set,
     table_for,
 )
+from primelab.residues import avoiding_row, avoiding_windows
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -100,6 +99,15 @@ def test_is_prime_certificate_beyond_table():
     assert is_prime(10**9 + 7)
     assert not is_prime(10**9 + 8)
     assert is_prime(2) and is_prime(3) and not is_prime(4)
+
+
+def test_trial_division_past_the_table_crosses_its_chunks():
+    # the 303 primes of a table to 2000 are divided by 256 at a time: 1619 ends the first chunk
+    small, big = sieve_primes(2000), sieve_primes(4_000_000)
+    assert small.primes[255:257].tolist() == [1619, 1621]
+    values = [1619 * 1619, 1619 * 1621, 1621 * 1627, 1999 * 1999, *range(3_999_000, 3_999_100)]
+    assert [is_prime(n, small) for n in values] == [big.is_prime(n) for n in values]
+    assert sum(big.is_prime(n) for n in values) > 1  # primes past the table as well as composites
 
 
 def test_sieving_prime_set_boundaries():

@@ -37,7 +37,7 @@ SUITE is one of the tables in ``SUITES``:
 - ``startup``: ``import primelab``, ``import primelab.cli`` and one small operation
   per subcommand family;
 - ``crt``: ``primelab crt --allow ...`` listings, each on the wheel its entries fold into
-  (``sieve.avoiding_row``): "product 92160 classes" lists the numbers coprime to
+  (``residues.avoiding_row``): "product 92160 classes" lists the numbers coprime to
   255 255 = 3*5*7*11*13*17 for two periods (184 320 values; every prime keeps all but one
   residue, so each strikes a row of step 1), "example 20 classes" the paper's example over
   1..210 (2 and 3 keep one residue each: a row of step 6), "scan 9 primes" the numbers up to
