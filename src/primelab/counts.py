@@ -9,7 +9,9 @@ the specs keep; the paper's literal inclusion-exclusion over
 CRT classes is its test reference, in tests/test_counts.py), and the order-based
 counts of the Mersenne and Fermat primes 2^q -+ 1 <= x.  phi and the survivor count step from the
 previous call when it was near (_step; phi tests each n it steps over by gcd
-against products of consecutive primes); neither reads the oracle.  Every
+against products of consecutive primes).  Each small-range addend is the row's
+own identity at sqrt(x) and below (_pattern_count, _exponent_sieve), so no
+formula reads its oracle and a bias in an oracle shows in delta.  Every
 formula value here is an exact integer; approximation lives in
 :mod:`primelab.densities`.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .residues import AdmissibleTuple, ResidueSpec, avoiding_row, avoiding_windows
+from .residues import AdmissibleTuple, ResidueSpec, _form_entries, _tuple_forms, avoiding_row, avoiding_windows
 from .sieve import (PrimeTable, count_congruent, count_primes, factorize, is_prime, pattern_starts,
                     sieving_prime_set)
 
@@ -267,7 +269,7 @@ def twin_count_formula(x: int, table: PrimeTable | None = None) -> CountReport:
     corrections = {
         "unit_survivor": 1,
         "small_range_addend": small,
-        "pairs_straddling_sqrt": brute_twin_count(math.isqrt(x) + 2, table) - small,
+        "pairs_straddling_sqrt": _pattern_count(math.isqrt(x) + 2, (2,), table) - small,
     }
     primes = [int(p) for p in sieving_prime_set(x, table)]
     if len(primes) <= 21:  # an output rule (x < 79^2), not a cost limit
@@ -276,8 +278,20 @@ def twin_count_formula(x: int, table: PrimeTable | None = None) -> CountReport:
     return CountReport(x, report.formula_value, report.oracle_value, corrections)
 
 
+def _pattern_count(x: int, offsets, table: PrimeTable | None = None) -> int:
+    """How many p have p, p + b_1, ..., p + b_last all prime and p + b_last <= x.  In n = p + b_last, the
+    tuple forms' survivors at the primes <= sqrt(x) in (s, x], s = isqrt(x) + b_last, are the patterns
+    there (every member lies in (sqrt(x), x]); add this count at s.  Below 100, or once x <= s, by factorize."""
+    s = math.isqrt(x) + offsets[-1]
+    if x < 100 or x <= s:
+        return sum(all(factorize(p + b) == {p + b: 1} for b in (0, *offsets)) for p in range(2, x - offsets[-1] + 1))
+    entries = _form_entries(_tuple_forms(offsets), sieving_prime_set(x, table).tolist())
+    windows = avoiding_windows(s + 1, x, avoiding_row(s + 1, entries))
+    return sum(int(np.count_nonzero(mask)) for _, mask in windows) + _pattern_count(s, offsets, table)
+
+
 def tuple_count_formula(x: int, tup: AdmissibleTuple, table: PrimeTable | None = None) -> CountReport:
-    """Raw identity: tuple-spec survivors in [1, x] plus the brute count up to sqrt(x).
+    """Raw identity: tuple-spec survivors in [1, x] plus the patterns up to sqrt(x) (_pattern_count).
 
     Survivors are counted in the shifted variable n = p + b_last; the
     oracle counts pattern starts p with p + b_last <= x.
@@ -285,8 +299,7 @@ def tuple_count_formula(x: int, tup: AdmissibleTuple, table: PrimeTable | None =
     primes = sieving_prime_set(x, table)
     spec = ResidueSpec.for_tuple(tup.offsets, (int(p) for p in primes))
     survivors = survivor_count(x, spec)
-    root = math.isqrt(x)
-    small = brute_tuple_count(root, tup.offsets, table)
+    small = _pattern_count(math.isqrt(x), tup.offsets, table)
     oracle = brute_tuple_count(x, tup.offsets, table)
     corrections = {
         "unit_survivor": 1,
@@ -358,21 +371,28 @@ def _exponent_events(bound: int, u: int, sign: int, table: PrimeTable | None) ->
     return events
 
 
+def _exponent_sieve(x: int, sign: int, table: PrimeTable | None) -> tuple[int, int, int]:
+    """(u, survivors, lam) at x.  u = [log2(x - sign)], the largest q with 2^q + sign <= x; survivors, the
+    q in [1, u] whose 2^q + sign has no odd prime factor <= sqrt(x) (2 never divides it), each checked
+    against every event progression; lam, the primes 2^q + sign <= root = isqrt(x): this sieve's
+    survivors at root less the unit q = 1 of the Mersenne side, plus its lam, or below 64 by factorize."""
+    u, root = (x - sign).bit_length() - 1, math.isqrt(x)
+    events = _exponent_events(x, u, sign, table)
+    lam = (sum(_exponent_sieve(root, sign, table)[1:]) - (sign < 0) if root >= 64 else
+           sum(factorize(v) == {v: 1} for v in ((1 << q) + sign for q in range(1, root.bit_length() + 1)) if v <= root))
+    return u, sum(all(q % d != r for r, d in events) for q in range(1, u + 1)), lam
+
+
 def _exponent_count(x: int, sign: int, table: PrimeTable | None) -> CountReport:
     """Exponent sieve for the primes 2^q + sign <= x, vs. those primes enumerated by value.
 
-    The sieve keeps the q in [1, u], u = [log2(x - sign)] the largest q with
-    2^q + sign <= x, whose 2^q + sign has no odd prime factor <= sqrt(x) (2
-    never divides it); with only u candidates, each is checked against every
-    event progression directly.  A survivor is the unit q = 1 of the Mersenne
-    side (2^1 - 1 = 1) or a prime > sqrt(x), so adding the primes 2^q + sign
-    <= sqrt(x) and removing the unit gives the count.  The oracle,
-    _shifted_power_primes(x, sign), reads nothing of u.
+    A survivor of the sieve at x (_exponent_sieve) is the unit q = 1 of the
+    Mersenne side (2^1 - 1 = 1) or a prime > sqrt(x), so adding lam, the primes
+    2^q + sign <= sqrt(x) by the same sieve at isqrt(x) and below, and removing
+    the unit gives the count.  The oracle, _shifted_power_primes(x, sign),
+    reads nothing of the sieve.
     """
-    u = (x - sign).bit_length() - 1
-    events = _exponent_events(x, u, sign, table)
-    sieved = sum(all(q % d != r for r, d in events) for q in range(1, u + 1))
-    lam = len(_shifted_power_primes(math.isqrt(x), sign))
+    u, sieved, lam = _exponent_sieve(x, sign, table)
     units = 1 if sign < 0 else 0
     corrections = {
         "exponent_bound": u,

@@ -56,18 +56,14 @@ def _plus_one(f):
 
 def _drop_last_above_root(f):
     """f with its last value dropped where that value lies above sqrt(SHOWN_X): the oracle's count
-    to x loses it, the small-range addend, read to sqrt(x) from the same function, does not."""
+    to x loses it."""
     def dropped(*args):
         values = f(*args)
         return values[:-1] if len(values) and values[-1] > math.isqrt(SHOWN_X) else values
     return dropped
 
 
-# One off-by-one on each side of each count: the check must see it.  A constant bias in
-# brute_tuple_count or _shifted_power_primes would not show here, because each formula reads its
-# small-range addend from the same function; the pinned oracle values catch that instead:
-# brute_twin_count(10**7) == 58_980 and brute_tuple_count(50, (2, 6)) == 4 in tests/test_counts.py,
-# brute_mersenne_count(2**13) == 5 and brute_fermat_count(70000) == 5 in tests/test_densities.py.
+# One off-by-one on each side of each count: the check must see it.
 FAULTS = {
     "formula": {"pi": ("_phi", _plus_one), "twin": ("survivor_count", _plus_one),
                 "tuple": ("survivor_count", _plus_one),
@@ -80,20 +76,35 @@ FAULTS = {
                "fermat": ("_shifted_power_primes", _drop_last_above_root)},
 }
 
+# A constant bias in an oracle, its fault below sqrt(x): it shows because no formula reads its
+# small-range addend from its oracle, where the bias would cancel in delta.
+BIASES = {"twin": ("brute_tuple_count", lambda f: lambda *args: f(*args) - 1),
+          "tuple": ("brute_tuple_count", lambda f: lambda *args: f(*args) - 1),
+          "mersenne": ("_shifted_power_primes", lambda f: lambda *args: f(*args)[1:]),  # 3 lost
+          "fermat": ("_shifted_power_primes", lambda f: lambda *args: f(*args)[1:])}
 
-@pytest.mark.parametrize("side", list(FAULTS))
-@pytest.mark.parametrize("kind", list(FAULTS["formula"]))
-def test_count_shows_an_off_by_one_on_either_side(capsys, monkeypatch, side, kind):
+
+def assert_count_shows(capsys, monkeypatch, kind, name, fault):
     from primelab import counts
 
     argv = ["count", kind, "--x", str(SHOWN_X), *(["--offsets", "2,6"] if kind == "tuple" else [])]
     sound = run_json(capsys, *argv)[1]["rows"][0]["delta"]  # 1 for twins: the unit survivor
-    name, fault = FAULTS[side][kind]
     monkeypatch.setattr(counts, name, fault(getattr(counts, name)))
     code, doc = run_json(capsys, *argv)
     delta = doc["rows"][0]["delta"]
     assert code == 0 and delta > sound
     assert doc["warnings"] == [f"formula deviates from oracle by {delta}"]
+
+
+@pytest.mark.parametrize("side", list(FAULTS))
+@pytest.mark.parametrize("kind", list(FAULTS["formula"]))
+def test_count_shows_an_off_by_one_on_either_side(capsys, monkeypatch, side, kind):
+    assert_count_shows(capsys, monkeypatch, kind, *FAULTS[side][kind])
+
+
+@pytest.mark.parametrize("kind", list(BIASES))
+def test_count_shows_a_constant_oracle_bias(capsys, monkeypatch, kind):
+    assert_count_shows(capsys, monkeypatch, kind, *BIASES[kind])
 
 
 def test_every_kind_names_a_function_of_its_module(capsys, monkeypatch):

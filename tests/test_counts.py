@@ -2,7 +2,7 @@ import math
 import threading
 import time
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -618,6 +618,43 @@ def test_brute_tuple_count_matches_listing():
     assert brute_tuple_count(19, (2, 6, 8)) == 2
 
 
+PATTERN_OFFSETS = [(2,), (4,), (6,), (2, 6), (4, 6), (2, 6, 8), (6, 1000)]  # (6, 1000): b_last > sqrt(x)
+
+
+def running_tuple_counts(hi, offsets):
+    """brute_tuple_count(x, offsets) for every x in [0, hi], read off one listing of its starts."""
+    starts = sieve.pattern_starts(2, hi - offsets[-1], ((1, 0), *((1, b) for b in offsets)))
+    running = np.searchsorted(starts + offsets[-1], np.arange(hi + 1), side="right")
+    assert running[hi] == brute_tuple_count(hi, offsets)
+    return running
+
+
+def check_pattern_counts(monkeypatch, xs, offsets):
+    # the recursion's inner calls are memoised, so each x costs one level of the identity; a wrong
+    # inner value would still show in the value of every x that reads it
+    pattern_count = counts._pattern_count
+    monkeypatch.setattr(counts, "_pattern_count", cache(pattern_count))
+    running = running_tuple_counts(max(xs), offsets)
+    for x in xs:
+        assert pattern_count(x, offsets) == running[x], (offsets, x)
+
+
+@pytest.mark.parametrize("offsets", PATTERN_OFFSETS)
+def test_pattern_count_is_the_brute_tuple_count(monkeypatch, offsets):
+    check_pattern_counts(monkeypatch, range(10**4 + 1), offsets)
+
+
+@pytest.mark.parametrize("offsets", PATTERN_OFFSETS)
+def test_pattern_count_with_a_small_window(monkeypatch, offsets):
+    # windows of 16 entries, at test_survivor_count_splits_with_a_small_cutoff's x
+    monkeypatch.setattr(counts, "avoiding_windows", partial(residues.avoiding_windows, width=16))
+    check_pattern_counts(monkeypatch, [*range(200), *range(200, 3001, 47), 2999, 3000], offsets)
+
+
+def test_pattern_count_gives_the_published_twin_count():
+    assert counts._pattern_count(10**8, (2,)) == 440_312  # OEIS A007508
+
+
 def test_multiplicative_order_values():
     assert multiplicative_order(2, 7) == 3
     assert multiplicative_order(2, 3) == 2
@@ -690,6 +727,25 @@ def test_exponent_walk_matches_the_order_loop(sign):
         u = (x - sign).bit_length() - 1  # the largest q with 2^q + sign <= x
         assert counts._exponent_events(x, u, sign, None) == reference_events(x, u, sign), x
         assert counts._exponent_count(x, sign, None).delta == 0, x
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_exponent_sieve_counts_the_primes_by_value(monkeypatch, sign):
+    # memoised inner calls, as in check_pattern_counts; and the events, which depend only on the
+    # primes <= sqrt(bound) and u, walked once per (isqrt(bound), u): the walk itself is checked
+    # against the order loop above
+    exponent_sieve, events = counts._exponent_sieve, counts._exponent_events
+    walk = cache(lambda root, u, sign: events(root * root, u, sign, None))
+    monkeypatch.setattr(counts, "_exponent_events", lambda bound, u, sign, table: walk(math.isqrt(bound), u, sign))
+    monkeypatch.setattr(counts, "_exponent_sieve", cache(exponent_sieve))
+    for x in range(1, 2 * 10**4 + 1):
+        if x < 4:
+            with pytest.raises(ValueError, match="x must be >= 4"):
+                exponent_sieve(x, sign, None)
+            continue
+        _, survivors, lam = exponent_sieve(x, sign, None)
+        assert lam == len(counts._shifted_power_primes(math.isqrt(x), sign)), x
+        assert survivors - (sign < 0) + lam == len(counts._shifted_power_primes(x, sign)), x
 
 
 def test_exponent_walk_memory_does_not_grow_with_the_primes():

@@ -25,12 +25,12 @@ TABLE = {"PrimeTable", "sieve_primes", "_odd_segments", "_shifted_table", "_tabl
 # kind: (formula roots, oracle roots, what the two may share beyond the table)
 PAIRS = {
     "pi": (("_phi",), ("brute_pi",), set()),
-    "twin": (("survivor_count",), ("brute_twin_count",), set()),
-    "tuple": (("survivor_count",), ("brute_tuple_count",), set()),
+    "twin": (("survivor_count", "_pattern_count"), ("brute_tuple_count",), set()),
+    "tuple": (("survivor_count", "_pattern_count"), ("brute_tuple_count",), set()),
     # both sides read the prefix of the table's primes: the sieve its odd primes <= sqrt(x), the
     # oracle its trial divisors
-    "mersenne": (("_exponent_events",), ("_shifted_power_primes",), {"prefix_le"}),
-    "fermat": (("_exponent_events",), ("_shifted_power_primes",), {"prefix_le"}),
+    "mersenne": (("_exponent_sieve",), ("_shifted_power_primes",), {"prefix_le"}),
+    "fermat": (("_exponent_sieve",), ("_shifted_power_primes",), {"prefix_le"}),
     "exact goldbach": (("crt_windows", "eta_spec"), ("_certify",), set()),
 }
 
