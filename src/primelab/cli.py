@@ -450,8 +450,8 @@ def run_command(argv) -> int:
     start = time.perf_counter()
     try:
         code = args.handler(args, report)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError says nothing
         return 1
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
     sys.stdout.writelines(report_parts(report, args.format))  # written as it is rendered

@@ -95,12 +95,12 @@ def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
 # Survivor counting: numbers in [1, x] avoiding per-prime forbidden residues
 
 
-def _survivor_windows(x: int, entries) -> int:
+def _survivor_windows(x: int, entries, lo: int = 1) -> int:
     """survivor_count by a windowed residue sieve: avoiding_windows strikes the entries' classes on
-    residues.avoiding_row's wheel over [1, x] (one class mod 6 for the twin, (2,6) and Sophie Germain
+    residues.avoiding_row's wheel over [lo, x] (one class mod 6 for the twin, (2,6) and Sophie Germain
     specs, mod 30 for (2,6,8)), one window of about 1 Mi positions at a time, and the survivors of
     each window are added up."""
-    return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(1, x, avoiding_row(1, entries)))
+    return sum(int(np.count_nonzero(mask)) for _, mask in avoiding_windows(lo, x, avoiding_row(lo, entries)))
 
 
 _SURVIVOR_STEP = 4  # the largest |dx| stepped: at 8 a step is slower than the sieve below x = 100
@@ -286,8 +286,7 @@ def _pattern_count(x: int, offsets, table: PrimeTable | None = None) -> int:
     if x < 100 or x <= s:
         return sum(all(factorize(p + b) == {p + b: 1} for b in (0, *offsets)) for p in range(2, x - offsets[-1] + 1))
     entries = _form_entries(_tuple_forms(offsets), sieving_prime_set(x, table).tolist())
-    windows = avoiding_windows(s + 1, x, avoiding_row(s + 1, entries))
-    return sum(int(np.count_nonzero(mask)) for _, mask in windows) + _pattern_count(s, offsets, table)
+    return _survivor_windows(x, entries, s + 1) + _pattern_count(s, offsets, table)
 
 
 def tuple_count_formula(x: int, tup: AdmissibleTuple, table: PrimeTable | None = None) -> CountReport:

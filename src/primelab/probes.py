@@ -65,26 +65,33 @@ class ScanResult:
         }
 
 
+def _gap_failures(kind, alpha, n_min, n_max, table, members, shift, bound) -> ScanResult:
+    """Failures: n in [n_min, n_max] with no member m in (n + shift, bound(n)], bound never falling,
+    members(primes <= bound(n_max)) ascending.  The n whose next member is m' run from the member
+    before it, less shift, up to the next run, and fail while bound(n) < m'."""
+    top = int(bound(n_max))
+    m = members(table_for(top, table).prefix_le(top))
+    first, stop = m.searchsorted([n_min + shift, n_max + shift], "right").tolist()
+    lo = np.concatenate(([n_min], m[first:stop] - shift))  # the runs meeting [n_min, n_max]
+    ends = np.append(m[first:stop + 1], top + 1)[:len(lo)]  # past top: a sentinel
+    end = np.ceil(ends / alpha).astype(np.int64)  # the first n with bound(n) >= m', within a step:
+    end += bound(end) < ends
+    end -= bound(end - 1) >= ends
+    counts = np.maximum(np.minimum(end, np.append(lo[1:], n_max + 1)) - lo, 0)
+    failures = np.arange(counts.sum()) + np.repeat(lo - (counts.cumsum() - counts), counts)
+    return ScanResult(kind, {"alpha": alpha}, n_min, n_max, tuple(failures.tolist()))
+
+
 def bertrand_scan(
     alpha: float, n_min: int, n_max: int, table: PrimeTable | None = None
 ) -> ScanResult:
-    """Failures: n in [n_min, n_max] with no prime in (n, floor(alpha * n)]; between primes p < q,
-    as floor(alpha * n) never falls, they run from p to the last n with floor(alpha * n) < q."""
+    """Failures: n in [n_min, n_max] with no prime in (n, floor(alpha * n)]."""
     if not 1 < alpha <= 2:
         raise ValueError("alpha must lie in (1, 2]")
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
-    top = math.floor(alpha * n_max)
-    primes = table_for(top, table).prefix_le(top)
-    first, stop = primes.searchsorted([n_min, n_max], "right").tolist()
-    lo = np.concatenate(([n_min], primes[first:stop]))  # the gaps meeting [n_min, n_max]
-    ends = np.append(primes[first:stop + 1], top + 1)[:len(lo)]  # past top: a sentinel
-    last = np.ceil(ends / alpha).astype(np.int64) - 1  # then corrected as the scan rounds:
-    last += np.floor(alpha * (last + 1)) < ends
-    last -= np.floor(alpha * last) >= ends
-    counts = np.maximum(np.minimum(last, n_max) - lo + 1, 0)
-    failures = np.arange(counts.sum()) + np.repeat(lo - (counts.cumsum() - counts), counts)
-    return ScanResult("bertrand", {"alpha": alpha}, n_min, n_max, tuple(failures.tolist()))
+    return _gap_failures("bertrand", alpha, n_min, n_max, table, lambda p: p, 0,
+                         lambda n: np.floor(alpha * n))
 
 
 def twin_bertrand_scan(
@@ -94,7 +101,6 @@ def twin_bertrand_scan(
 
     Both members strictly inside: x < p and p + 2 < alpha * x.  The
     hypothesis x >= 7 is the smallest for which (11, 13) in (7, 14) works.
-    An x fails when the first upper member past x + 2 is not below alpha * x.
     """
     if x_min < 7:
         raise ValueError("x_min must be >= 7")
@@ -102,13 +108,8 @@ def twin_bertrand_scan(
         raise ValueError("x_max must be >= x_min")
     if not 1 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and exceed 1, not {alpha}")
-    top = math.ceil(alpha * x_max) + 2
-    primes = table_for(top, table).prefix_le(top)
-    uppers = np.append(primes[1:][np.diff(primes) == 2], top + 1)  # the p + 2, then a sentinel
-    x = np.arange(x_min, x_max + 1, dtype=np.int64)
-    hi = np.ceil(alpha * x).astype(np.int64) - 1  # largest integer < alpha * x
-    fail = uppers[uppers.searchsorted(x + 2, "right")] > hi
-    return ScanResult("twin-bertrand", {"alpha": alpha}, x_min, x_max, tuple(x[fail].tolist()))
+    return _gap_failures("twin-bertrand", alpha, x_min, x_max, table,
+                         lambda p: p[1:][np.diff(p) == 2], 2, lambda x: np.ceil(alpha * x) - 1)
 
 
 def hl_identity_row(x: int, y: int) -> dict:

@@ -304,6 +304,20 @@ def test_non_finite_alpha_and_s_exit_1_with_one_line(capsys, argv, message):
     assert run_error(capsys, *argv) == (1, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 7.45 GiB for an array"), "Unable to allocate 7.45 GiB for an array"),
+    (MemoryError(), "MemoryError"),
+])
+def test_memory_error_exits_1_with_one_line(capsys, monkeypatch, exc, message):
+    from primelab import probes
+
+    def exhausted(*args):
+        raise exc
+    monkeypatch.setattr(probes, "bertrand_scan", exhausted)
+    assert run_error(capsys, "bertrand", "--alpha", "1.5", "--min", "1", "--max", "100") == \
+        (1, f"error: {message}\n")
+
+
 def test_primes_limits_0_and_1_count_0(capsys):
     for limit in ("0", "1"):
         code, doc = run_json(capsys, "primes", "--limit", limit)

@@ -91,6 +91,47 @@ def test_twin_bertrand_generalized_alpha_reports():
     assert isinstance(r.failures, tuple)  # reported, not asserted clean
 
 
+def twin_by_x(alpha, x_min, x_max):
+    """The twin scan's definition, x by x: no upper twin member in (x + 2, ceil(alpha * x) - 1]."""
+    p = sieve_primes(max(math.ceil(alpha * x_max) - 1, x_max + 2)).primes
+    uppers = p[1:][np.diff(p) == 2]
+    x = np.arange(x_min, x_max + 1)
+    below = uppers.searchsorted(np.ceil(alpha * x) - 1, "right")
+    return tuple(x[below <= uppers.searchsorted(x + 2, "right")].tolist())
+
+
+# the plain scan's alphas, and wider intervals than it allows
+TWIN_ALPHAS = BERTRAND_ALPHAS + [2.5, 10.0]
+# upper members 5, 7, 13, 19, ..., 661, 811, ...: single points and runs ending at x + 2 = 13, a
+# run from 7 through small x, where ceil(alpha * (m' - 2)) - 1 < m' at alpha near 1 and a gap's
+# run would reach past it, the gap after 661, and an x_max where ceil(alpha * x_max) - 1 is
+# x_max itself at alpha = 1 + 2^-40
+TWIN_RANGES = [(7, 7), (7, 12), (10, 11), (11, 11), (7, 250), (59, 72), (640, 662), (659, 830),
+               (7, 3000), (9000, 10_000), (10**6 - 1000, 10**6)]
+
+
+@pytest.mark.parametrize("alpha", TWIN_ALPHAS)
+def test_twin_bertrand_scan_matches_its_definition_on_a_grid(alpha):
+    for x_min, x_max in TWIN_RANGES:
+        want = twin_by_x(alpha, x_min, x_max)
+        assert twin_bertrand_scan(x_min, x_max, alpha).failures == want, (x_min, x_max)
+        # a table reaching ceil(alpha * x_max) - 1 exactly: the next upper member may lie beyond it
+        table = sieve_primes(math.ceil(alpha * x_max) - 1)
+        assert twin_bertrand_scan(x_min, x_max, alpha, table).failures == want, (x_min, x_max)
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0])
+def test_twin_bertrand_scan_holds_no_array_per_x(alpha):
+    table = sieve_primes(math.ceil(alpha * 10**6) + 2)
+    tracemalloc.start()
+    try:
+        twin_bertrand_scan(7, 10**6, alpha, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # arrays over every x traced 30.6 MiB
+
+
 @pytest.mark.parametrize("alpha", [1.01, 1.05, 1.1, 1.5, 2.0])
 def test_twin_bertrand_matches_its_definition(alpha):
     def has_pair(x):  # a twin pair (p, p + 2) with x < p and p + 2 < alpha * x

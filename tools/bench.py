@@ -9,8 +9,8 @@ SUITE is one of the tables in ``SUITES``:
 - ``goldbach``: ``primelab goldbach --even E --mode M`` for E in 1e6, 1e8 and M in
   exact, exact at E = 1e9, guided at E = 1e12, and guided with ``--allow-zero-eta`` at
   E = 1e10;
-- ``scans``: ``primelab bertrand --twin --min 7 --max 1e6`` at alpha 2 and 1.1,
-  ``primelab bertrand --min 1 --max 1e6`` at alpha 2 and 1.01, ``primelab hl-scan --xmax 2000
+- ``scans``: ``primelab bertrand --twin --min 7 --max 1e6`` at alpha 2 and 1.1, and ``--max 1e7``
+  at alpha 1.5, ``primelab bertrand --min 1 --max 1e6`` at alpha 2 and 1.01, ``primelab hl-scan --xmax 2000
   --ymax 2000`` and ``primelab xi --sum 1e7 --s 1``; and lib-sweep's three scan calls,
   ``hl_inequality_scan(1000, 200)``, ``xi_partial_sum(2.0, 10**5)`` and ``bertrand_scan(2.0, 1,
   10**5)``, timed per call inside the child (see ``SCANS_CHILD``);
@@ -330,6 +330,7 @@ SUITES = {
                                              "--allow-zero-eta")},
     "scans": {**{f"twin 1e6 alpha {alpha}": cli("bertrand", "--twin", "--alpha", alpha, "--min", 7,
                                                 "--max", 10**6) for alpha in (2, 1.1)},
+              "twin 1e7 alpha 1.5": cli("bertrand", "--twin", "--alpha", 1.5, "--min", 7, "--max", 10**7),
               "bertrand 1e6": cli("bertrand", "--min", 1, "--max", 10**6),
               "bertrand 1e6 alpha 1.01": cli("bertrand", "--alpha", 1.01, "--min", 1,
                                              "--max", 10**6),
