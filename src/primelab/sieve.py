@@ -1,9 +1,9 @@
 """The oracle side: prime tables, primality certificates, the pattern oracle, residue-class counts.
 
 Everything here is exact integer arithmetic.  The central object is the
-immutable :class:`PrimeTable`: ascending primes up to a limit and a numpy bool
-(a byte, not a bit) per odd number, about 0.9 GB at 1e9; only the cache file
-packs bits.  The bounded path is :func:`_odd_segments`, one odd-only sieve over
+immutable :class:`PrimeTable`: ascending primes up to a limit and the cache
+file's bitmap, one bit per odd number, about 0.46 GB at 1e9 (0.41 GB of it the
+int64 primes).  The bounded path is :func:`_odd_segments`, one odd-only sieve over
 any [lo, hi] a segment (about 1 MiB) at a time: every table, :func:`count_primes`
 and the pattern oracle's windows are sieved from it.  :func:`table_for` is the
 one "a table reaching n" helper and :func:`is_prime` one lookup-or-divide path;
@@ -43,7 +43,7 @@ CACHE_MAGIC = b"PRIMSET1"
 # Odd numbers covered by one sieve segment.
 SEGMENT_ODD_BITS = 1 << 20
 
-# Bitmap bytes that load_cache unpacks at a time.
+# Bitmap bytes that load_cache counts and unpacks, and a table's build writes the primes of, at a time.
 _CACHE_CHUNK = 1 << 15
 
 
@@ -65,19 +65,20 @@ class CacheChecksumError(CacheError):
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Immutable sorted primes in [2, limit] with a bool array, a byte each, over the odd numbers.
+    """Immutable sorted primes in [2, limit] with the cache file's bitmap over the odd numbers.
 
-    ``odd_bits[i]`` is True iff 2*i + 1 is prime (so index 0, the unit 1,
-    is always False).  Safe to share across threads after construction.
+    ``bits`` is uint8, ceil((limit + 1) / 16) bytes: bit i (LSB-first) of byte i >> 3 is set iff
+    2*i + 1 is prime (never bit 0, the unit 1).  Safe to share across threads after construction.
     """
 
     limit: int
     primes: np.ndarray
-    odd_bits: np.ndarray = field(repr=False)
+    bits: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.primes.setflags(write=False)
-        self.odd_bits.setflags(write=False)
+        self.bits.setflags(write=False)
+        object.__setattr__(self, "_bytes", memoryview(self.bits))  # is_prime reads a byte without numpy
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -86,20 +87,16 @@ class PrimeTable:
         """Membership test for n <= limit (raises otherwise)."""
         if n > self.limit:
             raise ValueError(f"{n} exceeds table limit {self.limit}")
-        if n < 2:
-            return False
-        if n % 2 == 0:
-            return n == 2
-        return bool(self.odd_bits[n >> 1])
+        if n & 1:  # odd n > 1 reads bit n >> 1, in byte n >> 4
+            return n > 1 and self._bytes[n >> 4] >> (n >> 1 & 7) & 1 == 1
+        return n == 2
 
     def is_prime_array(self, values: np.ndarray) -> np.ndarray:
         """Elementwise membership test for an integer array with entries <= limit."""
         if len(values) and values.max() > self.limit:
             raise ValueError(f"{int(values.max())} exceeds table limit {self.limit}")
-        odd = (values > 0) & (values % 2 == 1)
-        out = values == 2
-        out[odd] = self.odd_bits[values[odd] >> 1]
-        return out
+        i = np.maximum((values >> 1) * (values & 1), 0)  # bit n >> 1 for odd n > 0, else bit 0 (clear)
+        return (self.bits[i >> 3] >> (i & 7).astype(np.uint8) & 1).view(bool) | (values == 2)
 
     def count_upto(self, x: int) -> int:
         """pi(x) for x <= limit."""
@@ -112,19 +109,18 @@ class PrimeTable:
         return self.primes[: self.primes.searchsorted(bound, "right")]
 
 
-def _odd_segments(lo: int, hi: int, out: np.ndarray | None = None):
+def _odd_segments(lo: int, hi: int):
     """Sieve the odd numbers in [lo, hi] a segment of SEGMENT_ODD_BITS of them at a time.
 
     Yields (lo_idx, seg): seg[i] is True iff 2*(lo_idx + i) + 1 is prime.
-    Every seg is a view of one reused buffer, valid until the next step, or
-    of ``out``, which then holds every segment in turn.
+    Every seg is a view of one reused buffer, valid until the next step.
     """
     width = SEGMENT_ODD_BITS
     lo_idx, end = max(lo, 0) >> 1, (hi + 1) >> 1  # the odd numbers 2i + 1 in [lo, hi], i < end
     base = sieve_primes(math.isqrt(hi)).primes[1:] if hi >= 9 else np.zeros(0, dtype=np.int64)
-    buffer = np.empty(min(width, max(end - lo_idx, 0)), dtype=bool) if out is None else out
+    buffer = np.empty(min(width, max(end - lo_idx, 0)), dtype=bool)
     for s in range(lo_idx, end, width):
-        seg = buffer[: min(width, end - s)] if out is None else out[s - lo_idx : s - lo_idx + width]
+        seg = buffer[: min(width, end - s)]
         seg[:] = True
         seg[: int(s == 0)] = False  # the unit 1, when the segment starts at it
         odd = base[: base.searchsorted(math.isqrt(2 * (s + len(seg)) - 1), "right")]
@@ -146,26 +142,26 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 
 def _shifted_table(e: int, hi: int) -> PrimeTable:
-    """The table of the numbers e..hi (e even) shifted down by e, sieved from the stream: odd_bits[i]
-    stands for e + 2i + 1.  Where e > 0 its 1 and 2, for e + 1 and e + 2, are not to be read."""
-    odd_bits = np.zeros(max(0, (hi - e + 1) // 2), dtype=bool)
-    for _ in _odd_segments(e, hi, out=odd_bits):  # sieved in place
-        pass
-    return _table_from_odd_bits(hi - e, odd_bits)
-
-
-def _table_from_odd_bits(limit: int, odd_bits: np.ndarray) -> PrimeTable:
-    """The PrimeTable to ``limit``: 2 from limit 2 on, and the odd primes at the set bits a chunk at a time."""
-    k = int(limit >= 2)
-    primes = np.empty(k + np.count_nonzero(odd_bits), dtype=np.int64)
+    """The table of the numbers e..hi (e even) shifted down by e, in one pass over the stream: bit i
+    stands for e + 2i + 1.  Where e > 0 its 1 and 2, for e + 1 and e + 2, are not to be read.
+    Each segment is packed into the bits and its primes written into a buffer sized by pi(x) <
+    1.25506 x / ln x (Rosser-Schoenfeld), past e > 0 by pi(e + y) - pi(e) <= 2y / ln y
+    (Montgomery-Vaughan), then shrunk in place."""
+    assert SEGMENT_ODD_BITS % 8 == 0  # every segment but the last fills whole bytes
+    limit, k = hi - e, int(hi - e >= 2)
+    bits = np.zeros((limit + 16) // 16, dtype=np.uint8)
+    primes = np.empty(k + 1 + int((1.25506 if e == 0 else 2) * limit / math.log(max(limit, 2))), dtype=np.int64)
     primes[:k] = 2
-    for s in range(0, len(odd_bits), _CACHE_CHUNK):
-        found = np.flatnonzero(odd_bits[s : s + _CACHE_CHUNK])
-        out = primes[k : k + len(found)]
-        np.multiply(found, 2, out=out)
-        out += 2 * s + 1
-        k += len(found)
-    return PrimeTable(limit, primes, odd_bits)
+    for s, seg in _odd_segments(e, hi):
+        s -= e >> 1
+        bits[s >> 3 : (s + len(seg) + 7) >> 3] = np.packbits(seg, bitorder="little")
+        for at in range(0, len(seg), 8 * _CACHE_CHUNK):  # found holds a chunk's primes, as in load_cache
+            found = np.flatnonzero(seg[at : at + 8 * _CACHE_CHUNK])
+            np.multiply(found, 2, out=primes[k : k + len(found)])  # in place: no temporary beside found
+            primes[k : k + len(found)] += 2 * (s + at) + 1
+            k += len(found)
+    primes.resize(k, refcheck=False)  # no view of the buffer is left
+    return PrimeTable(limit, primes, bits)
 
 
 def count_primes(x: int) -> int:
@@ -256,11 +252,7 @@ def count_congruent(x: int, r: int, m: int) -> int:
         raise ValueError(f"residue {r} out of range for modulus {m}")
     if x < 1:
         return 0
-    if r == 0:
-        return x // m
-    if r > x:
-        return 0
-    return (x - r) // m + 1
+    return (x - r) // m + int(r > 0)  # n = r + jm, from j = 0 for r > 0 (none where r > x), else from j = 1
 
 
 def pattern_starts(lo: int, hi: int, forms, table: PrimeTable | None = None) -> np.ndarray:
@@ -313,16 +305,13 @@ def save_cache(table: PrimeTable, path) -> None:
 
     Layout: 8-byte magic ``PRIMSET1``; 8-byte LE limit; bitmap of
     ceil((limit+1)/16) bytes, bit i (LSB-first) = odd 2i+1 prime;
-    trailing 8-byte LE prime count (including 2).  Packed _CACHE_CHUNK bytes at a time.
+    trailing 8-byte LE prime count (including 2).  The bitmap is the table's own bits.
     """
-    n_bytes = (table.limit + 1 + 15) // 16
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
             fh.write(CACHE_MAGIC + struct.pack("<Q", table.limit))
-            for at in range(0, n_bytes, _CACHE_CHUNK):
-                packed = np.packbits(table.odd_bits[8 * at : 8 * (at + _CACHE_CHUNK)], bitorder="little")
-                fh.write(packed.tobytes().ljust(min(_CACHE_CHUNK, n_bytes - at), b"\0"))  # the last byte's pad
+            fh.write(table.bits)
             fh.write(struct.pack("<Q", len(table.primes)))
         os.replace(tmp, path)
     finally:  # a failed write leaves no temporary file
@@ -334,9 +323,11 @@ def load_cache(path, need: int | None = None) -> PrimeTable:
     """Read a cache file written by :func:`save_cache`: its table to min(need, limit), or to its
     limit when need is None (round-trip identity).
 
-    The magic, the length and the trailing prime count are checked over the whole file, the
-    bitmap _CACHE_CHUNK bytes at a time, so memory beyond the table is one chunk.
+    The bitmap to need is read into the table's bits; the magic, the length and the trailing prime
+    count are checked over the whole file, the rest of it _CACHE_CHUNK bytes at a time.
     """
+    if need is not None and need < 0:
+        raise ValueError("limit must be nonnegative")
     with open(path, "rb") as fh:
         head = fh.read(16)
         if len(head) < 16 or head[:8] != CACHE_MAGIC:
@@ -347,14 +338,23 @@ def load_cache(path, need: int | None = None) -> PrimeTable:
         if size < 16 + n_bytes + 8:
             raise CacheTruncatedError(f"expected {16 + n_bytes + 8} bytes for limit {limit}, got {size}")
         top = limit if need is None else min(need, limit)
-        odd = (limit + 1) // 2  # the bits of the odd numbers <= limit
-        out, found = np.empty((top + 1) // 2, dtype=bool), int(limit >= 2)  # the bits <= top; 2 and the set bits
-        for at in range(0, n_bytes, _CACHE_CHUNK):
-            chunk = np.frombuffer(fh.read(min(_CACHE_CHUNK, n_bytes - at)), dtype=np.uint8)
-            bits = np.unpackbits(chunk, bitorder="little")[:odd - 8 * at].view(bool)
-            found += int(np.count_nonzero(bits))
-            out[8 * at : 8 * at + len(bits)] = bits[: max(len(out) - 8 * at, 0)]
+        bits = np.empty((top + 16) // 16, dtype=np.uint8)
+        fh.readinto(bits)
+        held = int(limit >= 2) + int(np.bitwise_count(bits).sum())  # 2 and the set bits, pad bits too
+        for at in range(len(bits), n_bytes, _CACHE_CHUNK):
+            held += int(np.bitwise_count(np.frombuffer(fh.read(min(_CACHE_CHUNK, n_bytes - at)), np.uint8)).sum())
         declared = struct.unpack("<Q", fh.read(8))[0]
-    if found != declared:
-        raise CacheChecksumError(f"bitmap holds {found} primes but trailer declares {declared}")
-    return _table_from_odd_bits(top, out)
+    if held != declared:
+        raise CacheChecksumError(f"bitmap holds {held} primes but trailer declares {declared}")
+    last, used = divmod((top + 1) // 2, 8)  # the bits of the odd numbers <= top: whole bytes, then used bits
+    bits[last:] &= (1 << used) - 1
+    bits[last + 1 :] = 0
+    k = int(top >= 2)
+    primes = np.empty(k + int(np.bitwise_count(bits).sum()), dtype=np.int64)
+    primes[:k] = 2
+    for at in range(0, len(bits), _CACHE_CHUNK):
+        found = np.flatnonzero(np.unpackbits(bits[at : at + _CACHE_CHUNK], bitorder="little").view(bool))
+        np.multiply(found, 2, out=primes[k : k + len(found)])
+        primes[k : k + len(found)] += 16 * at + 1
+        k += len(found)
+    return PrimeTable(top, primes, bits)

@@ -2,13 +2,20 @@
 
 tools/bench.py keeps its cases as data: CLI argument lists and ``-c``
 programs. Checking them here, without starting a child, keeps a CLI or API
-rename or deletion from surfacing only at the next bench run.
+rename or deletion from surfacing only at the next bench run. The table
+suite's child is also run, at 1e3.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import primelab
 from primelab import cli
@@ -65,6 +72,17 @@ def test_every_program_case_reads_attributes_its_primelab_modules_have():
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in modules):
                 assert hasattr(modules[node.value.id], node.attr), (suite, case, node.attr)
+
+
+@pytest.mark.parametrize("kind", ["sieve", "load"])
+def test_the_table_child_times_its_one_call(kind):
+    bench = _load_bench()
+    assert bench.SUITES["table"][f"{kind} 1e7"] == ["-c", bench.TABLE_CHILD, kind, "7"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", bench.TABLE_CHILD, kind, "3"], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    metrics = json.loads(out)[f"{kind} 1e3"]
+    assert sorted(metrics) == ["ms", "peak_rss_mb"] and metrics["ms"] > 0 and metrics["peak_rss_mb"] > 0
 
 
 def test_a_base_checkout_without_git_is_described_by_a_plain_label(tmp_path):

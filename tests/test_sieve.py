@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -87,6 +88,50 @@ def test_is_prime_array_matches_is_prime(limit):
     assert got.tolist() == [table.is_prime(int(v)) for v in values]
     with pytest.raises(ValueError):
         table.is_prime_array(np.array([limit + 1], dtype=np.int64))
+
+
+PACKED = sieve_primes(2 * 10**5)
+
+
+def test_the_packed_table_agrees_with_factorize_to_2e5():
+    values = np.arange(-40, PACKED.limit + 1)  # n <= 1, the evens, the byte edges 16k +- 1, the limit
+    want = [n >= 2 and factorize(n) == {n: 1} for n in values.tolist()]
+    assert [PACKED.is_prime(n) for n in values.tolist()] == want
+    assert PACKED.is_prime_array(values).tolist() == want
+    assert [PACKED.is_prime(16 * k + d) for k in (1, 2, 6, 8) for d in (-1, 1)] == [
+        False, True, True, False, False, True, True, False]  # 15 17 31 33 95 97 127 129
+    assert PACKED.is_prime(PACKED.limit) is False and PACKED.is_prime(199_999) is True
+
+
+def test_is_prime_array_reads_negatives_zero_one_two_and_evens():
+    values = np.array([-9, -7, -2, -1, 0, 1, 2, 3, 4, 7, 8, 9, 16, 17, 2 * 10**5, -199_999], dtype=np.int64)
+    assert PACKED.is_prime_array(values).tolist() == [n >= 2 and factorize(n) == {n: 1} for n in values.tolist()]
+    assert PACKED.is_prime_array(np.zeros(0, dtype=np.int64)).tolist() == []
+
+
+@pytest.mark.parametrize("e, hi", [(2, 9), (4, 200), (128, 130), (126, 1000), (1000, 1000 + 2 * 64 * 8 + 3),
+                                   (10**6, 10**6 + 129), (10**6 + 2, 10**6 + 130), (999_998, 10**6 + 1027)])
+def test_a_shifted_table_is_the_same_across_seams(monkeypatch, e, hi):
+    whole = sieve._shifted_table(e, hi)
+    monkeypatch.setattr(sieve, "SEGMENT_ODD_BITS", 64)  # a seam every 8 bytes of bits
+    seamed = sieve._shifted_table(e, hi)
+    assert seamed.limit == whole.limit == hi - e
+    assert seamed.primes.tolist() == whole.primes.tolist() and seamed.bits.tobytes() == whole.bits.tobytes()
+    odd = [i for i in range((hi - e + 1) // 2) if factorize(e + 2 * i + 1) == {e + 2 * i + 1: 1}]
+    assert seamed.primes.tolist() == [2] * (hi - e >= 2) + [2 * i + 1 for i in odd]
+    assert [int(b) for b in np.unpackbits(whole.bits, bitorder="little")] == [
+        int(i in odd) for i in range(8 * len(whole.bits))]
+
+
+def test_a_table_holds_one_bit_per_odd_number():
+    tracemalloc.start()
+    try:
+        table = sieve_primes(10**7)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 664_579 and table.bits.nbytes == 625_001
+    assert held <= 6 * 2**20  # 5.07 MiB of int64 primes and 0.60 MiB of bits; a byte per odd number held 9.84 MiB
 
 
 def test_table_is_write_protected():
@@ -204,10 +249,27 @@ def test_cache_checksum(tmp_path):
 def test_cache_loads_the_table_up_to_need(tmp_path):
     path = tmp_path / "primes.cache"
     save_cache(sieve_primes(10_000), path)
-    for need in (0, 1, 2, 3, 15, 16, 17, 1000, 9999, 10_000, 20_000):
+    for need in (0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 1000, 9999, 10_000, 20_000):
         loaded, want = load_cache(path, need), sieve_primes(min(need, 10_000))
         assert loaded.limit == want.limit, need
-        assert np.array_equal(loaded.primes, want.primes) and np.array_equal(loaded.odd_bits, want.odd_bits)
+        assert np.array_equal(loaded.primes, want.primes) and loaded.bits.tobytes() == want.bits.tobytes(), need
+
+
+@pytest.mark.parametrize("need", [-1, -5])
+def test_cache_refuses_a_negative_need(tmp_path, need):
+    path = tmp_path / "primes.cache"
+    save_cache(sieve_primes(100), path)
+    with pytest.raises(ValueError, match="^limit must be nonnegative$"):
+        load_cache(path, need)
+
+
+def test_cache_counts_a_stray_pad_bit(tmp_path):
+    path = tmp_path / "primes.cache"
+    save_cache(sieve_primes(16), path)  # odd numbers 1..15 in the first byte; the second is pad
+    raw = path.read_bytes()
+    path.write_bytes(raw[:17] + b"\x01" + raw[18:])
+    with pytest.raises(CacheChecksumError, match="^bitmap holds 7 primes but trailer declares 6$"):
+        load_cache(path)
 
 
 def test_cache_checks_the_whole_file_whatever_need_is(tmp_path, monkeypatch):
@@ -237,9 +299,9 @@ def test_cache_load_memory_follows_need(tmp_path):
 
 
 def reference_cache_bytes(table):
-    """The cache layout packed whole: magic, limit, the padded bitmap, the prime count."""
+    """The cache layout packed whole from the primes: magic, limit, the padded bitmap, the prime count."""
     bits = np.zeros((table.limit + 1 + 15) // 16 * 8, dtype=bool)
-    bits[: len(table.odd_bits)] = table.odd_bits
+    bits[table.primes[table.primes > 2] >> 1] = True
     return (b"PRIMSET1" + table.limit.to_bytes(8, "little") + np.packbits(bits, bitorder="little").tobytes()
             + len(table.primes).to_bytes(8, "little"))
 
@@ -254,20 +316,46 @@ def test_cache_file_is_the_layout_packed_whole(tmp_path, monkeypatch, limit, chu
     assert path.read_bytes() == reference_cache_bytes(table)
 
 
+# SHA-256 of the cache files save_cache wrote before the table held the packed bitmap itself.
+CACHE_SHA256 = {
+    0: "f71b1caff7f14a6b70abb74cee2d6ce170eeea1b8d2485de5e7e0e73564e1e99",
+    1: "a7ea3762ec76dca604adabd9141a14c716e33f1651221b9d6764227ab8ef010c",
+    2: "45fc6813611cd31df2dd776ba469e09f7e81daab43338219aaf7a44e1e58c800",
+    10**6: "a7eef8c09b50b99903d15799b813d08afc688de5c708b2e1e73692a52a85443a",
+    2 * SEGMENT_ODD_BITS + 17: "413434bc14a88e3b04581e421bf9e2662133ef753d83a531afd31ed0fdc32a7a",
+}
+
+
+@pytest.mark.parametrize("limit", CACHE_SHA256)
+def test_cache_files_keep_their_bytes(tmp_path, limit):
+    path = tmp_path / "primes.cache"
+    save_cache(sieve_primes(limit), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[limit]
+
+
 def test_a_failed_cache_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
     path = tmp_path / "primes.cache"
     save_cache(sieve_primes(1000), path)
     before = path.read_bytes()
-    packbits, calls = np.packbits, []
+    calls = []
 
-    def fail_after_the_first_chunk(*args, **kwargs):
-        calls.append(1)
-        if len(calls) > 1:
-            raise OSError(28, "No space left on device")
-        return packbits(*args, **kwargs)
+    class FullDisk:  # takes the header, then runs out of space at the bitmap
+        def __init__(self, name, mode):
+            self.fh = open(name, mode)
 
-    monkeypatch.setattr(sieve, "_CACHE_CHUNK", 7)
-    monkeypatch.setattr(np, "packbits", fail_after_the_first_chunk)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            calls.append(1)
+            if len(calls) > 1:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(sieve, "open", FullDisk, raising=False)
     with pytest.raises(OSError, match="No space left"):
         save_cache(sieve_primes(10_000), path)
     assert len(calls) == 2

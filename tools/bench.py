@@ -59,7 +59,11 @@ SUITE is one of the tables in ``SUITES``:
 - ``stream``: the prime sources that read the segment stream instead of a table to x:
   ``primelab count twin --x 1e8``, ``count tuple --x 3e7 --offsets 2,6``, ``primes --limit L``
   (no ``--list``) for L in 2e8 and 1e9, ``count pi --x 1e9``, and ``count mersenne`` and
-  ``count fermat`` at 1e12.
+  ``count fermat`` at 1e12;
+- ``table``: the prime table itself: ``sieve_primes(10**7)`` and ``sieve_primes(10**8)`` and
+  ``load_cache`` of a cache file to 1e7, each timed once inside a child of its own that reports
+  its time and peak RSS (see ``TABLE_CHILD``), and ``primelab --format json primes --limit 2e8
+  --list``.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=<checkout>/src``, stdout
 to /dev/null and a 4 GiB address-space limit (``RLIMIT_AS``), so that a case that grows a
@@ -315,9 +319,28 @@ print(json.dumps(per_call_us({
 })))
 """
 
+# One timed call per child: CASE is "sieve K" (sieve_primes(10**K)) or "load K" (load_cache of a file
+# to 10**K, which a grandchild writes first, so that the child's peak RSS is the load's alone).
+TABLE_CHILD = """
+import json, os, resource, subprocess, sys, tempfile, time
+from primelab import load_cache, sieve_primes
+
+kind, k = sys.argv[1], int(sys.argv[2])
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "primes.cache")
+    if kind == "load":
+        subprocess.run([sys.executable, "-c", "import sys; from primelab import save_cache, sieve_primes; "
+                        "save_cache(sieve_primes(10**int(sys.argv[1])), sys.argv[2])", str(k), path], check=True)
+    start = time.perf_counter()
+    table = load_cache(path) if kind == "load" else sieve_primes(10**k)
+    ms = (time.perf_counter() - start) * 1e3
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
+print(json.dumps({f"{kind} 1e{k}": {"ms": ms, "peak_rss_mb": rss}}))
+"""
+
 # The programs that print their own JSON; every other case is timed from outside.
 SELF_TIMING = {SPECS_CHILD, SWEEP_CHILD, PHI_FLOOR_CHILD, PHI_PER_CALL_CHILD, ROWS_CHILD,
-               ROWS_ONCE_CHILD, SCANS_CHILD}
+               ROWS_ONCE_CHILD, SCANS_CHILD, TABLE_CHILD}
 
 SUITES = {
     "render": {f"{fmt} {limit}": cli("--format", fmt, "primes", "--limit", limit, "--list")
@@ -375,6 +398,9 @@ SUITES = {
                   for name, limit in (("2e8", 2 * 10**8), ("1e9", 10**9))},
                "count pi 1e9": cli("count", "pi", "--x", 10**9),
                **{f"count {kind} 1e12": cli("count", kind, "--x", 10**12) for kind in ("mersenne", "fermat")}},
+    "table": {**{f"{kind} 1e{k}": ["-c", TABLE_CHILD, kind, str(k)] for kind, k in (("sieve", 7), ("sieve", 8),
+                                                                                    ("load", 7))},
+              "json primes 2e8 list": cli("--format", "json", "primes", "--limit", 2 * 10**8, "--list")},
 }
 
 
