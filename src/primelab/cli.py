@@ -19,24 +19,8 @@ from .reporting import FORMATS, Block, Report, report_parts
 
 if TYPE_CHECKING:  # the handlers import what they run; see run_command
     from .residues import ResidueSpec
-    from .sieve import PrimeTable
 
 __all__ = ["main", "run_command", "reproduce_paper"]
-
-
-def _table_from_cache(path: str | None, need: int) -> PrimeTable | None:
-    """The prime cache's table to need when the file reaches need; (re)write it otherwise."""
-    if path is None:
-        return None
-    from .sieve import load_cache, save_cache, sieve_primes
-
-    if os.path.exists(path):
-        table = load_cache(path, need)
-        if table.limit >= need:
-            return table
-    table = sieve_primes(need)
-    save_cache(table, path)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +28,16 @@ def _table_from_cache(path: str | None, need: int) -> PrimeTable | None:
 
 
 def _cmd_primes(args, report: Report) -> int:
-    from .sieve import count_primes, is_prime, table_for
+    from .sieve import count_primes, is_prime, table_for, use_cache
 
     if args.limit < 0:  # as sieve_primes refuses it, before a cache is read or written
         raise ValueError("limit must be nonnegative")
     report.params = {"limit": args.limit}
-    table = (table_for(args.limit, _table_from_cache(args.cache, args.limit))
-             if args.list or args.cache else None)  # else no table: counted a segment at a time
+    if args.cache:
+        use_cache(args.cache, args.limit)
+    table = table_for(args.limit) if args.list or args.cache else None  # else counted a segment at a time
     count = count_primes(args.limit) if table is None else table.count_upto(args.limit)
-    largest = next((n for n in range(args.limit, 1, -1) if is_prime(n, table)), None)  # down, off the table if any
+    largest = next((n for n in range(args.limit, 1, -1) if is_prime(n)), None)  # down, off the table if any
     report.rows.append({"limit": args.limit, "count": count, "largest": largest})
     if args.list:
         report.rows.append(Block(p=table.prefix_le(args.limit)))
@@ -68,11 +53,11 @@ _ESTIMATE_KINDS = {"psi": "psi_estimate", "omega": "omega_estimate", "ap-psi": "
 
 
 def _cmd_count(args, report: Report) -> int:
-    from . import counts
+    from . import counts, sieve
     from .residues import AdmissibleTuple
 
-    # the formulas read the sieving primes <= sqrt(x); an oracle that needs more sieves it uncached
-    table = _table_from_cache(args.cache, math.isqrt(max(args.x, 0)))
+    if args.cache:  # the formulas read the sieving primes <= sqrt(x); an oracle reads past them uncached
+        sieve.use_cache(args.cache, math.isqrt(max(args.x, 0)))
     report.params = {"kind": args.kind, "x": args.x}
     pattern = ()
     if args.kind == "tuple":
@@ -82,7 +67,7 @@ def _cmd_count(args, report: Report) -> int:
             raise ValueError(f"malformed --offsets token {args.offsets!r}: want d,d,...") from None
         report.params["offsets"] = list(offsets)
         pattern = (AdmissibleTuple(offsets),)
-    cr = getattr(counts, _COUNT_KINDS[args.kind])(args.x, *pattern, table)
+    cr = getattr(counts, _COUNT_KINDS[args.kind])(args.x, *pattern)
     report.rows.append(cr.row())
     if cr.delta:
         report.warn(f"formula deviates from oracle by {cr.delta}")
@@ -90,16 +75,17 @@ def _cmd_count(args, report: Report) -> int:
 
 
 def _cmd_estimate(args, report: Report) -> int:
-    from . import densities
+    from . import densities, sieve
 
-    table = _table_from_cache(args.cache, math.isqrt(max(args.x, 0)))  # as in _cmd_count
+    if args.cache:  # as in _cmd_count
+        sieve.use_cache(args.cache, math.isqrt(max(args.x, 0)))
     report.params = {"kind": args.kind, "x": args.x}
     estimate = getattr(densities, _ESTIMATE_KINDS[args.kind])
     if args.kind == "twin-constant":  # rows over an x grid, not one report
-        report.rows.extend(estimate([args.x], table))
+        report.rows.extend(estimate([args.x]))
         return 0
     progression = (args.a, args.b) if args.kind.startswith("ap-") else ()
-    er = estimate(args.x, *progression, table)
+    er = estimate(args.x, *progression)
     report.rows.append(er.row())
     report.warnings.extend(er.warnings)
     return 0
@@ -153,20 +139,20 @@ def _cmd_crt(args, report: Report) -> int:
 
 
 def _cmd_goldbach(args, report: Report) -> int:
-    from . import goldbach
+    from . import goldbach, sieve
 
-    # nothing the goldbach command runs reads a table past sqrt(2n)
-    table = _table_from_cache(args.cache, math.isqrt(max(args.even, 0)))
+    if args.cache:  # the command reads the sieving primes <= sqrt(2n)
+        sieve.use_cache(args.cache, math.isqrt(max(args.even, 0)))
     report.params = {"even": args.even, "mode": args.mode,
                      "allow_zero_eta": args.allow_zero_eta}
-    low = goldbach._pair_lows(args.even, args.mode.upper(), args.allow_zero_eta, table)
+    low = goldbach._pair_lows(args.even, args.mode.upper(), args.allow_zero_eta)
     report.rows.append(Block(p=low, q=args.even - low))
     if not len(low):
         report.warn("no prime pair found (a finding, not an error)")
     if args.span:
-        report.rows.append(goldbach.span_report(args.even, table).row())
+        report.rows.append(goldbach.span_report(args.even).row())
     if args.refine is not None:
-        pair = goldbach.goldbach_refine(args.even, args.refine, table)
+        pair = goldbach.goldbach_refine(args.even, args.refine)
         row = {"refine_t": args.refine}
         if pair:
             row.update({"p": pair[0], "q": pair[1]})

@@ -86,9 +86,9 @@ def brute_twin_count(x: int, table: PrimeTable | None = None) -> int:
     return len(pattern_starts(2, x - 2, ((1, 0), (1, 2)), table))
 
 
-def brute_tuple_count(x: int, offsets, table: PrimeTable | None = None) -> int:
+def brute_tuple_count(x: int, offsets) -> int:
     """Count p with p, p+b_1, ..., p+b_last all prime and p + b_last <= x: the forms (n, n + b_i)."""
-    return len(pattern_starts(2, x - offsets[-1], ((1, 0), *((1, b) for b in offsets)), table))
+    return len(pattern_starts(2, x - offsets[-1], ((1, 0), *((1, b) for b in offsets))))
 
 
 # ---------------------------------------------------------------------------
@@ -254,52 +254,52 @@ def _floor_sum(x: int, primes: list[int], weights) -> int:
     return total
 
 
-def twin_count_formula(x: int, table: PrimeTable | None = None) -> CountReport:
+def twin_count_formula(x: int) -> CountReport:
     """tuple_count_formula for the offsets (2,), with the twin correction terms.
 
     The raw identity miscounts at the boundary (the unit survivor 1; pairs
-    straddling sqrt(x), whose upper member is root + 1 or root + 2).
+    straddling sqrt(x), whose upper member is root + 1 or root + 2, tested by factorize).
     paper_approx, every class count replaced by [x/m], reproduces the worked
     arithmetic 20 - 10 + 3 + 3 - 6 - 6 = 4; it is published only for x < 79^2.
     """
     if x < 9:
         raise ValueError("x must be >= 9")
-    report = tuple_count_formula(x, AdmissibleTuple((2,)), table)
-    small = report.corrections["small_range_addend"]
+    report = tuple_count_formula(x, AdmissibleTuple((2,)))
+    small, root = report.corrections["small_range_addend"], math.isqrt(x)
     corrections = {
         "unit_survivor": 1,
         "small_range_addend": small,
-        "pairs_straddling_sqrt": _pattern_count(math.isqrt(x) + 2, (2,), table) - small,
+        "pairs_straddling_sqrt": sum(all(factorize(q) == {q: 1} for q in (p, p + 2)) for p in (root - 1, root)),
     }
-    primes = [int(p) for p in sieving_prime_set(x, table)]
+    primes = [int(p) for p in sieving_prime_set(x)]
     if len(primes) <= 21:  # an output rule (x < 79^2), not a cost limit
         weights = ResidueSpec.twins(primes).cardinalities()
         corrections["paper_approx"] = _floor_sum(x, primes, weights) + small
     return CountReport(x, report.formula_value, report.oracle_value, corrections)
 
 
-def _pattern_count(x: int, offsets, table: PrimeTable | None = None) -> int:
+def _pattern_count(x: int, offsets) -> int:
     """How many p have p, p + b_1, ..., p + b_last all prime and p + b_last <= x.  In n = p + b_last, the
     tuple forms' survivors at the primes <= sqrt(x) in (s, x], s = isqrt(x) + b_last, are the patterns
     there (every member lies in (sqrt(x), x]); add this count at s.  Below 100, or once x <= s, by factorize."""
     s = math.isqrt(x) + offsets[-1]
     if x < 100 or x <= s:
         return sum(all(factorize(p + b) == {p + b: 1} for b in (0, *offsets)) for p in range(2, x - offsets[-1] + 1))
-    entries = _form_entries(_tuple_forms(offsets), sieving_prime_set(x, table).tolist())
-    return _survivor_windows(x, entries, s + 1) + _pattern_count(s, offsets, table)
+    entries = _form_entries(_tuple_forms(offsets), sieving_prime_set(x).tolist())
+    return _survivor_windows(x, entries, s + 1) + _pattern_count(s, offsets)
 
 
-def tuple_count_formula(x: int, tup: AdmissibleTuple, table: PrimeTable | None = None) -> CountReport:
+def tuple_count_formula(x: int, tup: AdmissibleTuple) -> CountReport:
     """Raw identity: tuple-spec survivors in [1, x] plus the patterns up to sqrt(x) (_pattern_count).
 
     Survivors are counted in the shifted variable n = p + b_last; the
     oracle counts pattern starts p with p + b_last <= x.
     """
-    primes = sieving_prime_set(x, table)
+    primes = sieving_prime_set(x)
     spec = ResidueSpec.for_tuple(tup.offsets, (int(p) for p in primes))
     survivors = survivor_count(x, spec)
-    small = _pattern_count(math.isqrt(x), tup.offsets, table)
-    oracle = brute_tuple_count(x, tup.offsets, table)
+    small = _pattern_count(math.isqrt(x), tup.offsets)
+    oracle = brute_tuple_count(x, tup.offsets)
     corrections = {
         "unit_survivor": 1,
         "small_range_addend": small,

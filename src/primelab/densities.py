@@ -98,14 +98,14 @@ def omega_k_estimate(x: int, tup: AdmissibleTuple) -> EstimateReport:
     return EstimateReport(x, est, oracle, {"offsets": tup.offsets, "u": spec.cardinalities()})
 
 
-def brute_ap_prime_count(x: int, a: int, b: int, table: PrimeTable | None = None) -> int:
+def brute_ap_prime_count(x: int, a: int, b: int) -> int:
     """Primes <= x among {a + k*b : k >= 0}: the pattern oracle's form (b*k + a)."""
     if b < 1:
         raise ValueError("b must be positive")
-    return len(pattern_starts(0, (x - a) // b, ((b, a),), table))
+    return len(pattern_starts(0, (x - a) // b, ((b, a),)))
 
 
-def brute_ap_twin_count(x: int, a: int, b: int, table: PrimeTable | None = None) -> int:
+def brute_ap_twin_count(x: int, a: int, b: int) -> int:
     """Generalized twin pairs <= x in a + k*b: the pattern oracle's forms (b*k + a, b*k + a + step*b).
 
     Adjacent terms when every term is odd (step index 1), terms two apart
@@ -114,39 +114,39 @@ def brute_ap_twin_count(x: int, a: int, b: int, table: PrimeTable | None = None)
     if b < 1:
         raise ValueError("b must be positive")
     step = 1 if b % 2 == 0 else 2
-    return len(pattern_starts(0, (x - a) // b - step, ((b, a), (b, a + step * b)), table))
+    return len(pattern_starts(0, (x - a) // b - step, ((b, a), (b, a + step * b))))
 
 
-def _ap_sieving_primes(x: int, a: int, b: int, table: PrimeTable | None):
+def _ap_sieving_primes(x: int, a: int, b: int):
     if b < 1:
         raise ValueError("b must be positive")
     if math.gcd(a, b) != 1:
         raise ValueError(f"gcd({a}, {b}) != 1")
     if x <= a:
         raise ValueError("x must exceed a")
-    primes = sieving_prime_set(x, table)
+    primes = sieving_prime_set(x)
     warnings = tuple(f"sieving prime {int(p)} divides b = {b}" for p in primes if b % int(p) == 0)
     return primes, warnings
 
 
-def ap_psi_estimate(x: int, a: int, b: int, table: PrimeTable | None = None) -> EstimateReport:
+def ap_psi_estimate(x: int, a: int, b: int) -> EstimateReport:
     """((x-a)/b) * prod (1 - 1/p) against the brute count of primes in the progression.
 
     The product is evaluated exactly as stated even when a sieving prime
     divides b (where the true local factor differs); a warning flags that
     case rather than silently fixing it.
     """
-    primes, warnings = _ap_sieving_primes(x, a, b, table)
+    primes, warnings = _ap_sieving_primes(x, a, b)
     est = (x - a) / b * _product(1 - 1 / int(p) for p in primes)
-    oracle = brute_ap_prime_count(x, a, b, table)
+    oracle = brute_ap_prime_count(x, a, b)
     return EstimateReport(x, est, oracle, {"a": a, "b": b}, warnings)
 
 
-def ap_omega_estimate(x: int, a: int, b: int, table: PrimeTable | None = None) -> EstimateReport:
+def ap_omega_estimate(x: int, a: int, b: int) -> EstimateReport:
     """Half the leading factor times prod_{2 < p} (1 - 2/p), vs. brute AP twins."""
-    primes, warnings = _ap_sieving_primes(x, a, b, table)
+    primes, warnings = _ap_sieving_primes(x, a, b)
     est = (x - a) / b / 2 * _product(1 - 2 / int(p) for p in primes if p != 2)
-    oracle = brute_ap_twin_count(x, a, b, table)
+    oracle = brute_ap_twin_count(x, a, b)
     return EstimateReport(x, est, oracle, {"a": a, "b": b}, warnings)
 
 
@@ -160,28 +160,28 @@ def brute_fermat_count(x: int) -> int:
     return len(_shifted_power_primes(x, 1))
 
 
-def _mersenne_style_estimate(x: int, table: PrimeTable | None) -> float:
+def _mersenne_style_estimate(x: int) -> float:
     # p = 2 is excluded: its factor (1 - 1/(2-1)) would zero the product
-    primes = sieving_prime_set(x, table)
+    primes = sieving_prime_set(x)
     u = math.log(x) / math.log(2)
     return u * _product(1 - 1 / (int(p) - 1) for p in primes if p != 2)
 
 
-def mersenne_estimate(x: int, table: PrimeTable | None = None) -> EstimateReport:
+def mersenne_estimate(x: int) -> EstimateReport:
     """(log x / log 2) * prod_{2 < p <= sqrt x} (1 - 1/(p-1)) vs. brute Mersenne primes."""
     if x < 9:
         raise ValueError("x must be >= 9")
-    return EstimateReport(x, _mersenne_style_estimate(x, table), brute_mersenne_count(x))
+    return EstimateReport(x, _mersenne_style_estimate(x), brute_mersenne_count(x))
 
 
-def fermat_estimate(x: int, table: PrimeTable | None = None) -> EstimateReport:
+def fermat_estimate(x: int) -> EstimateReport:
     """Same closed form measured against brute Fermat primes instead."""
     if x < 9:
         raise ValueError("x must be >= 9")
-    return EstimateReport(x, _mersenne_style_estimate(x, table), brute_fermat_count(x))
+    return EstimateReport(x, _mersenne_style_estimate(x), brute_fermat_count(x))
 
 
-def twin_constant_probe(x_grid, table: PrimeTable | None = None) -> list[dict]:
+def twin_constant_probe(x_grid) -> list[dict]:
     """Rows (x, U(x), implied C) with U(x) = prod_{2 < p <= sqrt x} (1 - 2/p).
 
     The implied constant is U(x) * (log x)^2 / 4 at each grid point; no
@@ -195,7 +195,7 @@ def twin_constant_probe(x_grid, table: PrimeTable | None = None) -> list[dict]:
         if previous is not None and x <= previous:
             raise ValueError("grid must be strictly ascending")
         previous = x
-        primes = sieving_prime_set(x, table)
+        primes = sieving_prime_set(x)
         u_val = _product(1 - 2 / int(p) for p in primes if p != 2)
         rows.append({"x": x, "U": u_val, "C": u_val * math.log(x) ** 2 / 4})
     return rows

@@ -178,7 +178,7 @@ def goldbach_enumerate(
     return list(zip(low.tolist(), (two_n - low).tolist()))
 
 
-def _pair_lows(two_n: int, mode: str, allow_zero_eta: bool, table: PrimeTable | None) -> np.ndarray:
+def _pair_lows(two_n: int, mode: str, allow_zero_eta: bool, table: PrimeTable | None = None) -> np.ndarray:
     """The smaller members p of goldbach_enumerate's pairs, ascending, as an int64 array; a zero
     part q is kept when the certificate's slices leave its partner 2n - q (> sqrt(2n)) unstruck."""
     _check_even_target(two_n)
@@ -310,9 +310,7 @@ def fixed_prefix_candidates(two_n: int, fixed: tuple[int, ...]) -> list[int]:
     return list(crt_enumerate(spec, 1, spec.modulus))
 
 
-def goldbach_refine(
-    two_n: int, t: int, table: PrimeTable | None = None
-) -> tuple[int, int] | None:
+def goldbach_refine(two_n: int, t: int) -> tuple[int, int] | None:
     """Fold an over-range candidate t > 2n back into a pair around n = 2n/2.
 
     With r = t - n, look for a divisor s of r with s^2 = 1 modulo every
@@ -322,7 +320,7 @@ def goldbach_refine(
     _check_even_target(two_n)
     if t <= two_n:
         raise ValueError("t must exceed the even target")
-    plan = build_split_plan(two_n, table)
+    plan = build_split_plan(two_n)
     for p, b in zip(plan.primes, plan.beta):
         if t % p == 0 or t % p == b:
             raise ValueError(f"{t} is not a suitable candidate (fails mod {p})")
@@ -335,7 +333,7 @@ def goldbach_refine(
         if any(s * s % p != 1 % p for p in plan.primes):
             continue
         r_prime = r // s
-        if r_prime < n and is_prime(n - r_prime, table) and is_prime(n + r_prime, table):
+        if r_prime < n and is_prime(n - r_prime) and is_prime(n + r_prime):
             return (n - r_prime, n + r_prime)
     return None
 

@@ -4,10 +4,10 @@ Everything here is exact integer arithmetic.  The central object is the
 immutable :class:`PrimeTable`: ascending primes up to a limit and the cache
 file's bitmap, one bit per odd number, about 0.46 GB at 1e9 (0.41 GB of it the
 int64 primes).  The bounded path is :func:`_odd_segments`, one odd-only sieve over
-any [lo, hi] a segment (about 1 MiB) at a time: every table, :func:`count_primes`
-and the pattern oracle's windows are sieved from it.  :func:`table_for` is the
-one "a table reaching n" helper and :func:`is_prime` one lookup-or-divide path;
-the cache is a file read and written by path.
+any [lo, hi] a segment (about 1 MiB) at a time: every table, :func:`count_primes` and
+the pattern oracle's windows are sieved from it, and every table is listed from its
+bitmap by :func:`_decode`.  :func:`table_for` grows the one process-wide table (which
+:func:`use_cache` takes from a cache file); :func:`is_prime` is one lookup-or-divide path.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "pattern_starts",
     "save_cache",
     "load_cache",
+    "use_cache",
     "CacheError",
     "CacheMagicError",
     "CacheTruncatedError",
@@ -43,7 +44,7 @@ CACHE_MAGIC = b"PRIMSET1"
 # Odd numbers covered by one sieve segment.
 SEGMENT_ODD_BITS = 1 << 20
 
-# Bitmap bytes that load_cache counts and unpacks, and a table's build writes the primes of, at a time.
+# Bitmap bytes that load_cache counts, and _decode lists the primes of, at a time.
 _CACHE_CHUNK = 1 << 15
 
 
@@ -143,24 +144,30 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 def _shifted_table(e: int, hi: int) -> PrimeTable:
     """The table of the numbers e..hi (e even) shifted down by e, in one pass over the stream: bit i
-    stands for e + 2i + 1.  Where e > 0 its 1 and 2, for e + 1 and e + 2, are not to be read.
-    Each segment is packed into the bits and its primes written into a buffer sized by pi(x) <
-    1.25506 x / ln x (Rosser-Schoenfeld), past e > 0 by pi(e + y) - pi(e) <= 2y / ln y
-    (Montgomery-Vaughan), then shrunk in place."""
+    stands for e + 2i + 1.  Past e > 0 it stands for e + 3..hi alone (bit 0, for e + 1, is clear and
+    2 is not listed).  Each segment is packed into the bits, which _decode then lists."""
     assert SEGMENT_ODD_BITS % 8 == 0  # every segment but the last fills whole bytes
-    limit, k = hi - e, int(hi - e >= 2)
-    bits = np.zeros((limit + 16) // 16, dtype=np.uint8)
-    primes = np.empty(k + 1 + int((1.25506 if e == 0 else 2) * limit / math.log(max(limit, 2))), dtype=np.int64)
-    primes[:k] = 2
+    bits = np.zeros((hi - e + 16) // 16, dtype=np.uint8)
     for s, seg in _odd_segments(e, hi):
         s -= e >> 1
         bits[s >> 3 : (s + len(seg) + 7) >> 3] = np.packbits(seg, bitorder="little")
-        for at in range(0, len(seg), 8 * _CACHE_CHUNK):  # found holds a chunk's primes, as in load_cache
-            found = np.flatnonzero(seg[at : at + 8 * _CACHE_CHUNK])
-            np.multiply(found, 2, out=primes[k : k + len(found)])  # in place: no temporary beside found
-            primes[k : k + len(found)] += 2 * (s + at) + 1
-            k += len(found)
-    primes.resize(k, refcheck=False)  # no view of the buffer is left
+    seg = None  # frees the segment buffer before the primes are listed
+    bits[:1] &= 254  # the unit 1, or e + 1, which a window does not stand for
+    return _decode(hi - e, bits, e == 0 and hi >= 2)
+
+
+def _decode(limit: int, bits: np.ndarray, two: bool) -> PrimeTable:
+    """The table of a packed odd-number bitmap (bit i for 2i + 1, none set past limit): 2 when two,
+    then the numbers of the set bits, listed _CACHE_CHUNK bytes at a time into an array sized by
+    their count.  Every table is built here."""
+    k = int(two)
+    primes = np.empty(k + int(np.bitwise_count(bits).sum()), dtype=np.int64)
+    primes[:k] = 2
+    for at in range(0, len(bits), _CACHE_CHUNK):
+        found = np.flatnonzero(np.unpackbits(bits[at : at + _CACHE_CHUNK], bitorder="little").view(bool))
+        np.multiply(found, 2, out=primes[k : k + len(found)])  # in place: no temporary beside found
+        primes[k : k + len(found)] += 16 * at + 1
+        k += len(found)
     return PrimeTable(limit, primes, bits)
 
 
@@ -349,12 +356,19 @@ def load_cache(path, need: int | None = None) -> PrimeTable:
     last, used = divmod((top + 1) // 2, 8)  # the bits of the odd numbers <= top: whole bytes, then used bits
     bits[last:] &= (1 << used) - 1
     bits[last + 1 :] = 0
-    k = int(top >= 2)
-    primes = np.empty(k + int(np.bitwise_count(bits).sum()), dtype=np.int64)
-    primes[:k] = 2
-    for at in range(0, len(bits), _CACHE_CHUNK):
-        found = np.flatnonzero(np.unpackbits(bits[at : at + _CACHE_CHUNK], bitorder="little").view(bool))
-        np.multiply(found, 2, out=primes[k : k + len(found)])
-        primes[k : k + len(found)] += 16 * at + 1
-        k += len(found)
-    return PrimeTable(top, primes, bits)
+    return _decode(top, bits, top >= 2)
+
+
+def use_cache(path, need: int) -> PrimeTable:
+    """Make the cache file's table the process-wide table, unless that table already reaches
+    further, and return the process-wide table.  The file is read to max(need, 2**16), table_for's
+    least table, when it reaches need; else a table to need is sieved and written to it."""
+    global _shared_table
+    table = load_cache(path, max(need, 1 << 16)) if os.path.exists(path) else None
+    if table is None or table.limit < need:
+        table = sieve_primes(need)
+        save_cache(table, path)
+    with _shared_lock:
+        if _shared_table is None or _shared_table.limit < table.limit:
+            _shared_table = table
+        return _shared_table

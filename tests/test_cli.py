@@ -117,7 +117,7 @@ def test_every_kind_names_a_function_of_its_module(capsys, monkeypatch):
         assert all(callable(getattr(module, name)) for name in kinds.values()), command
         code, out = run(capsys, command, "--help")  # the parser's choices, in the table's order
         assert code == 0 and "{" + choices + "}" in out, command
-    monkeypatch.setattr(counts, "legendre_pi", lambda x, table: counts.twin_count_formula(x))
+    monkeypatch.setattr(counts, "legendre_pi", lambda x: counts.twin_count_formula(x))
     assert run_json(capsys, "count", "pi", "--x", "20")[1]["rows"][0]["formula"] == 4  # the rebinding runs
 
 
@@ -200,7 +200,7 @@ def test_primes_list_with_a_cache_reads_largest_off_its_table(tmp_path, capsys, 
     monkeypatch.setattr(sieve, "_shared_table", None)  # as a process starts
     docs = [run_json(capsys, "primes", "--limit", "100000", "--list", "--cache", cache)[1]
             for _ in range(2)]  # the cache written, then read
-    assert sieve._shared_table is None  # no table grown beside the listing's
+    assert sieve._shared_table.limit == 100000  # the cache's table is the one table: none grown beside it
     head = {"limit": 100000, "count": 9592, "largest": 99991}
     assert docs[0]["rows"][0] == docs[1]["rows"][0] == head
     assert run_json(capsys, "primes", "--limit", "100000")[1]["rows"] == [head]  # the table-free path
@@ -233,6 +233,42 @@ def test_count_caches_only_the_sieving_primes(tmp_path):
         del doc["runtime_ms"]
     assert docs[1] == docs[0]
     assert load_cache(cache).limit == 10**5  # isqrt(x): no table to x is written
+
+
+def test_a_cache_loads_into_the_one_process_wide_table(tmp_path, capsys, monkeypatch):
+    cache, argv = str(tmp_path / "primes.cache"), ["--format", "json", "count", "twin", "--x", "50000"]
+    assert run(capsys, "primes", "--limit", str(1 << 16), "--cache", cache)[0] == 0  # the cache, to 2**16
+    loaded, windows = [], []
+    load, window_starts = sieve.load_cache, sieve._window_starts
+    monkeypatch.setattr(sieve, "load_cache", lambda *args: loaded.append(load(*args)) or loaded[-1])
+    monkeypatch.setattr(sieve, "_window_starts", lambda *args: windows.append(args) or window_starts(*args))
+    outputs = []
+    for extra in (["--cache", cache], []):
+        monkeypatch.setattr(sieve, "_shared_table", None)  # as a process starts; restored after the test
+        code, out = run(capsys, *argv, *extra)
+        assert code == 0
+        outputs.append(without_runtime(out))
+        if extra:
+            assert len(loaded) == 1 and sieve._shared_table is loaded[0] and loaded[0].limit == 1 << 16
+    assert windows == []  # the twin oracle reads the one table, with the cache and without it
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", [["count", "pi", "--x", "1000003"], ["count", "twin", "--x", "200000"],
+                                  ["count", "tuple", "--x", "30000", "--offsets", "2,6,8"],
+                                  ["count", "mersenne", "--x", "10000000"], ["estimate", "ap-omega", "--x", "99999"],
+                                  ["estimate", "twin-constant", "--x", "123456"],
+                                  ["goldbach", "--even", "20000", "--span", "--refine", "20149"],
+                                  ["goldbach", "--even", "100", "--mode", "guided", "--refine", "137"],
+                                  ["primes", "--limit", "70001", "--list"]],
+                         ids=" ".join)
+def test_a_cache_changes_no_output(tmp_path, capsys, fmt, argv):
+    cache = str(tmp_path / "primes.cache")
+    runs = [run(capsys, "--format", fmt, *argv, *extra)
+            for extra in ([], ["--cache", cache], ["--cache", cache])]  # no cache, the cache written, read
+    assert [code for code, _ in runs] == [0, 0, 0]
+    assert len({without_runtime(out) for _, out in runs}) == 1
 
 
 def test_crt_product_mode_past_int64_lists_exact_values(capsys):

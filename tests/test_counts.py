@@ -238,11 +238,11 @@ def test_oracles_do_not_use_the_residue_windows(monkeypatch):
     assert brute_pi(10**5) == 9_592
     assert brute_pi(10**4, table) == 1_229
     assert brute_twin_count(10**4, table) == 205
-    assert brute_tuple_count(10**4, (2, 6), table) == 55
+    assert brute_tuple_count(10**4, (2, 6)) == 55
     assert len(brute_goldbach_pairs(10_000, table)) == 127
-    assert densities.brute_ap_prime_count(10**4, 1, 4, table) == 609
-    assert densities.brute_ap_twin_count(10**4, 1, 6, table) == 200  # step 1
-    assert densities.brute_ap_twin_count(10**4, 2, 3, table) == 211  # step 2
+    assert densities.brute_ap_prime_count(10**4, 1, 4) == 609
+    assert densities.brute_ap_twin_count(10**4, 1, 6) == 200  # step 1
+    assert densities.brute_ap_twin_count(10**4, 2, 3) == 211  # step 2
     monkeypatch.setattr(counts, "_survivor_last", ((), 0, 0))  # no step from an earlier test's call
     with pytest.raises(AssertionError, match="residue-window core"):  # the patch is live
         survivor_count(100, spec)
@@ -582,7 +582,7 @@ def test_brute_pattern_oracles_match_literal_loop(limit):
         assert brute_twin_count(x, table) == literal_pattern_count(x, (2,), table)
         for offsets in ((2,), (2, 6), (2, 6, 8), (1,)):
             want = literal_pattern_count(x, offsets, table)
-            assert brute_tuple_count(x, offsets, table) == want
+            assert brute_tuple_count(x, offsets) == want
 
 
 def subset_paper_approx(x):

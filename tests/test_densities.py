@@ -76,8 +76,8 @@ def test_ap_oracles_match_the_literal_walks():
                     (0, 5), (2, 5), (-3, 4), (-4, 3)]
     for x in range(601):
         for a, b in progressions + [(x + 1, 2), (x + 7, 3)]:
-            assert brute_ap_prime_count(x, a, b, table) == literal_ap_prime_count(x, a, b, table)
-            assert brute_ap_twin_count(x, a, b, table) == literal_ap_twin_count(x, a, b, table)
+            assert brute_ap_prime_count(x, a, b) == literal_ap_prime_count(x, a, b, table)
+            assert brute_ap_twin_count(x, a, b) == literal_ap_twin_count(x, a, b, table)
 
 
 @pytest.mark.parametrize("oracle", [brute_ap_prime_count, brute_ap_twin_count])

@@ -19,7 +19,8 @@ SRC = pathlib.Path(primelab.__file__).parent
 
 # The prime table and the segment stream it is sieved from: every formula reads its sieving
 # primes from a table, and every oracle reads primes from a table or the stream.
-TABLE = {"PrimeTable", "sieve_primes", "_odd_segments", "_shifted_table", "table_for", "sieving_prime_set"}
+TABLE = {"PrimeTable", "sieve_primes", "_odd_segments", "_shifted_table", "_decode", "table_for",
+         "sieving_prime_set"}
 
 # kind: (formula roots, oracle roots, what the two may share beyond the table)
 PAIRS = {

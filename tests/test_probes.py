@@ -155,10 +155,14 @@ def hl_by_pairs(x_max, y_max, table):
 
 
 def sparse_then_dense(limit):
-    """A table of 'primes' growing denser with n, so that pi(x + y) > pi(x) + pi(y) often."""
+    """A table of 'primes' growing denser with n, so that pi(x + y) > pi(x) + pi(y) often; its
+    bits, in PrimeTable's packed layout, hold the odd ones."""
     rng = np.random.default_rng(3)
     keep = rng.random(limit + 1) < np.linspace(0.1, 0.5, limit + 1)
-    return PrimeTable(limit, np.flatnonzero(keep), np.zeros(limit // 2 + 1, dtype=bool))
+    bits = np.zeros((limit + 16) // 16, dtype=np.uint8)
+    odd = np.packbits(keep[1::2], bitorder="little")  # bit i for 2i + 1
+    bits[: len(odd)] = odd
+    return PrimeTable(limit, np.flatnonzero(keep), bits)
 
 
 @pytest.mark.parametrize("cells", [probes._HL_BLOCK_CELLS, 300, 5])  # 300: two x-rows a block

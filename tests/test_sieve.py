@@ -117,10 +117,20 @@ def test_a_shifted_table_is_the_same_across_seams(monkeypatch, e, hi):
     seamed = sieve._shifted_table(e, hi)
     assert seamed.limit == whole.limit == hi - e
     assert seamed.primes.tolist() == whole.primes.tolist() and seamed.bits.tobytes() == whole.bits.tobytes()
-    odd = [i for i in range((hi - e + 1) // 2) if factorize(e + 2 * i + 1) == {e + 2 * i + 1: 1}]
-    assert seamed.primes.tolist() == [2] * (hi - e >= 2) + [2 * i + 1 for i in odd]
+    # the numbers the table stands for: e + 3..hi past e > 0, so not the bit of e + 1 nor a 2 for e + 2
+    odd = [i for i in range(1, (hi - e + 1) // 2) if factorize(e + 2 * i + 1) == {e + 2 * i + 1: 1}]
+    assert seamed.primes.tolist() == [2 * i + 1 for i in odd]
     assert [int(b) for b in np.unpackbits(whole.bits, bitorder="little")] == [
         int(i in odd) for i in range(8 * len(whole.bits))]
+
+
+def test_a_window_table_lists_only_the_numbers_it_stands_for():
+    table = sieve._shifted_table(2, 100)  # 3 = 2 + 1 is prime, 4 = 2 + 2 is not
+    primes = table.primes.tolist()
+    assert primes == sorted(primes) and 1 not in primes and 2 not in primes
+    assert primes == [n - 2 for n in range(5, 101) if is_prime(n)]
+    bits = np.unpackbits(table.bits, bitorder="little").tolist()  # bit i for 2 + 2i + 1, from i = 1
+    assert bits == [int(0 < i and 2 * i + 3 <= 100 and is_prime(2 * i + 3)) for i in range(len(bits))]
 
 
 def test_a_table_holds_one_bit_per_odd_number():
